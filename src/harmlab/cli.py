@@ -153,8 +153,7 @@ def cmd_walk_exit(args, chash):
     v = b.identity_vertex
     w = b.vertex_of[group.evaluate(group.word([args.to]))] \
         if args.to else v
-    exv = walkmod.exit_distribution(b.graph, A, v)
-    exw = walkmod.exit_distribution(b.graph, A, w)
+    exv, exw = walkmod.exit_distributions(b.graph, A, [v, w])
     rows = []
     for x in np.flatnonzero(exv.a + exw.a):
         rows.append({"vertex": int(x),
@@ -197,7 +196,9 @@ def cmd_transport_chain(args, chash):
     b = cayley.cayley_ball(group, R, cap=_ball_cap(args))
     v = b.identity_vertex
     w = int(b.graph.neighbors(v)[0])
-    regions = [graphs.ball(b.graph, v, r) for r in levels]
+    # word length is the BFS distance from the identity
+    regions = [graphs.ball_from_distances(b.graph, b.word_length, r)
+               for r in levels]
     rows = transport.exit_transport_chain(b.graph, v, w, regions, p=args.p)
     for row, r in zip(rows, levels):
         row["r"] = r

@@ -18,6 +18,15 @@ from .errors import InvalidExponent, IoError, NonRegularGraph
 MASS_TOL = 1e-12
 
 
+def _sorted_unique(a):
+    """np.unique of an int array, by sorting: numpy 2's hash-based
+    np.unique is far slower on arrays of 10^5 and more entries."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 class OrientedGraph:
     """Immutable finite graph with one canonical orientation per edge.
 
@@ -38,7 +47,7 @@ class OrientedGraph:
             if np.any(edges[:, 0] > edges[:, 1]):
                 raise ValueError("edges must be canonically oriented (x < y)")
             keys = lo * self.n + hi
-            if len(np.unique(keys)) != len(keys):
+            if len(_sorted_unique(keys)) != len(keys):
                 raise ValueError("duplicate edge (or both orientations present)")
         self.tails = np.ascontiguousarray(edges[:, 0])
         self.heads = np.ascontiguousarray(edges[:, 1])
@@ -131,24 +140,35 @@ class OrientedGraph:
         return f"OrientedGraph(n={self.n}, m={self.m})"
 
 
+def adjacency_slots(G, verts):
+    """Positions in the CSR adjacency arrays (_adj_nbr, _adj_edge,
+    _adj_sign) of the incidences of each vertex of `verts`, concatenated
+    in that order, and the degree of each vertex."""
+    starts = G._adj_ptr[verts]
+    counts = G._adj_ptr[verts + 1] - starts
+    # output position j belongs to verts[i] and reads starts[i] + (j - j_i),
+    # j_i being the first output position of verts[i]
+    shift = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return shift + np.arange(len(shift)), counts
+
+
 def bfs_distances(G, sources):
     """Distances from the given source vertex/vertices; -1 if unreachable."""
     dist = np.full(G.n, -1, dtype=np.int64)
-    frontier = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+    frontier = _sorted_unique(np.asarray(sources, dtype=np.int64))
     dist[frontier] = 0
+    last = np.empty(G.n, dtype=np.int64)
     d = 0
     while len(frontier):
         d += 1
-        nxt = []
-        for v in frontier:
-            nxt.append(G._adj_nbr[G._adj_ptr[v]:G._adj_ptr[v + 1]])
-        cand = np.concatenate(nxt) if nxt else np.empty(0, dtype=np.int64)
+        cand = G._adj_nbr[adjacency_slots(G, frontier)[0]]
         cand = cand[dist[cand] < 0]
-        if not len(cand):
-            break
-        cand = np.unique(cand)
-        dist[cand] = d
-        frontier = cand
+        # dedupe without sorting: of the positions written for a vertex one
+        # wins, so exactly one occurrence survives
+        pos = np.arange(len(cand))
+        last[cand] = pos
+        frontier = cand[last[cand] == pos]
+        dist[frontier] = d
     return dist
 
 
@@ -309,15 +329,6 @@ def divergence(g, G=None):
     return VertexField(G, out)
 
 
-def walk_operator(G, laziness=0.0):
-    """Sparse matrix of the (lazy) simple random walk on a regular graph."""
-    d = G.require_regular()
-    P = G.adjacency_matrix() * ((1.0 - laziness) / d)
-    if laziness:
-        P = P + laziness * sp.identity(G.n, format="csr")
-    return P
-
-
 def laplacian(f, G=None):
     """Delta f = f - Pf = (1/d) div grad f on a regular graph."""
     G = G or f.graph
@@ -356,11 +367,13 @@ class SubsetView:
     induced edges precomputed."""
 
     __slots__ = ("graph", "members", "mask", "boundary_edges",
-                 "induced_edges", "outer_boundary")
+                 "induced_edges", "outer_boundary", "_operator")
 
     def __init__(self, graph, members):
         self.graph = graph
-        members = np.unique(np.asarray(list(members), dtype=np.int64))
+        if not isinstance(members, np.ndarray):
+            members = list(members)
+        members = _sorted_unique(np.asarray(members, dtype=np.int64))
         self.members = members
         mask = np.zeros(graph.n, dtype=bool)
         mask[members] = True
@@ -373,7 +386,8 @@ class SubsetView:
             graph.heads[self.boundary_edges][~hin[self.boundary_edges]],
             graph.tails[self.boundary_edges][~tin[self.boundary_edges]],
         ])
-        self.outer_boundary = np.unique(outer)
+        self.outer_boundary = _sorted_unique(outer)
+        self._operator = None
 
     @property
     def size(self):
@@ -386,6 +400,32 @@ class SubsetView:
     def ratio(self):
         """Isoperimetric ratio |boundary| / |F|."""
         return self.boundary_size / self.size
+
+    def interior_operator(self):
+        """Transition blocks (P, E) of the simple walk on the graph, killed
+        on leaving F.  P[i, j] and E[i, y] are the probabilities of a step
+        from members[i] to members[j] and to the outside vertex y; P is
+        |F| x |F|, E is |F| x n, both CSR.  Built on first use."""
+        if self._operator is None:
+            G, k = self.graph, len(self.members)
+            slots, deg = adjacency_slots(G, self.members)
+            nbr = G._adj_nbr[slots]
+            remap = np.full(G.n, -1, dtype=np.int64)
+            remap[self.members] = np.arange(k)
+            col = remap[nbr]
+            inside = col >= 0
+            row = np.repeat(np.arange(k), deg)
+            prob = np.repeat(1.0 / np.maximum(deg, 1), deg)
+
+            def block(keep, cols, width):
+                ptr = np.zeros(k + 1, dtype=np.int64)
+                np.cumsum(np.bincount(row[keep], minlength=k), out=ptr[1:])
+                return sp.csr_matrix((prob[keep], cols[keep], ptr),
+                                     shape=(k, width))
+
+            self._operator = (block(inside, col, k),
+                              block(~inside, nbr, G.n))
+        return self._operator
 
     def induced_graph(self):
         """Graph induced on F, with vertices relabelled 0..|F|-1.
@@ -408,9 +448,14 @@ def subset_view(G, F):
 
 def ball(G, center, r):
     """BFS ball of radius r as a SubsetView."""
+    return ball_from_distances(G, bfs_distances(G, center), r)
+
+
+def ball_from_distances(G, dist, r):
+    """Ball of radius r around the sources of a bfs_distances array; lets
+    one BFS serve every radius."""
     if r < 0:
         raise ValueError("radius must be >= 0")
-    dist = bfs_distances(G, center)
     return SubsetView(G, np.flatnonzero((0 <= dist) & (dist <= r)))
 
 

@@ -8,12 +8,13 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import NotATree, SingularSystem, SupportHitsBoundary
-from .graphs import (Distribution, EdgeField, VertexField, ball,
+from .graphs import (EdgeField, VertexField, ball_from_distances,
                      bfs_distances, divergence, gradient, lp_norm,
                      subset_view)
-from .walk import exit_distribution
+from .walk import exit_distribution, exit_distributions
 
 
 def harmonic_residual(f, G=None, interior=None):
@@ -43,30 +44,12 @@ def dirichlet_extend(G, A, boundary_values, method="solve"):
             ex = exit_distribution(G, A, int(x))
             out[x] = float(np.dot(ex.a, bv))
         return VertexField(G, out)
-    members = A.members
-    k = len(members)
-    pos = {int(x): i for i, x in enumerate(members)}
-    rows, cols, data = [], [], []
-    b = np.zeros(k)
-    for i, x in enumerate(members):
-        ej, _ = G.incident_edges(int(x))
-        w = 1.0 / len(ej)
-        for e in ej:
-            y = int(G.tails[e]) if G.heads[e] == x else int(G.heads[e])
-            j = pos.get(y)
-            if j is None:
-                b[i] += w * bv[y]
-            else:
-                rows.append(i)
-                cols.append(j)
-                data.append(w)
-    M = sp.identity(k, format="csr") - sp.csr_matrix(
-        (data, (rows, cols)), shape=(k, k))
-    sol = spla.spsolve(M.tocsc(), b)
+    P, E = A.interior_operator()
+    sol = spla.spsolve((sp.identity(A.size) - P).tocsc(), E @ bv)
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("Dirichlet solve failed")
     out = bv.copy()
-    out[members] = sol
+    out[A.members] = sol
     return VertexField(G, out)
 
 
@@ -78,32 +61,20 @@ def truncate(f, t):
 
 
 def _live_components(G, outside, shell):
-    """Components of the set `outside` that meet `shell` (stand-in for the
+    """Component label of each vertex of the set `outside` (-1 elsewhere)
+    and the labels of the components that meet `shell` (stand-in for the
     infinite components of a ball complement)."""
-    mask = np.zeros(G.n, dtype=bool)
-    mask[outside] = True
+    remap = np.full(G.n, -1, dtype=np.int64)
+    remap[outside] = np.arange(len(outside))
+    t, h = remap[G.tails], remap[G.heads]
+    keep = (t >= 0) & (h >= 0)
+    adj = sp.csr_matrix((np.ones(np.count_nonzero(keep)), (t[keep], h[keep])),
+                        shape=(len(outside), len(outside)))
+    _, labels = connected_components(adj, directed=False)
     comp = np.full(G.n, -1, dtype=np.int64)
-    cid = 0
-    live = set()
-    shell_set = set(map(int, shell))
-    for v in outside:
-        if comp[v] >= 0:
-            continue
-        stack = [int(v)]
-        comp[v] = cid
-        verts = [int(v)]
-        while stack:
-            x = stack.pop()
-            for u in G.neighbors(x):
-                u = int(u)
-                if mask[u] and comp[u] < 0:
-                    comp[u] = cid
-                    stack.append(u)
-                    verts.append(u)
-        if any(x in shell_set for x in verts):
-            live.add(cid)
-        cid += 1
-    return comp, live
+    comp[outside] = labels
+    live = comp[shell]
+    return comp, np.unique(live[live >= 0])
 
 
 def gradient_decay(f, G, root, n_max=None):
@@ -125,7 +96,7 @@ def gradient_decay(f, G, root, n_max=None):
         comp, live = _live_components(G, outside, shell)
         t, h = G.tails, G.heads
         sel = ((dist[t] > n) & (dist[h] > n)
-               & np.isin(comp[t], list(live)) & (comp[t] == comp[h]))
+               & np.isin(comp[t], live) & (comp[t] == comp[h]))
         out.append(float(g[sel].max()) if sel.any() else 0.0)
     return np.array(out)
 
@@ -153,27 +124,22 @@ def divergence_profile(G, root, K, n_max, h=None):
         comp, live = _live_components(G, outside_far, shell)
         in_far_live = np.zeros(G.n, dtype=bool)
         if len(outside_far):
-            in_far_live[outside_far] = np.isin(comp[outside_far], list(live))
+            in_far_live[outside_far] = np.isin(comp[outside_far], live)
         S = np.flatnonzero((dist > n) & ~in_far_live)
+        # members of S with a neighbour on the sphere of radius Kn + 1
         at_knp1 = dist == K * n + 1
-        s_out = [int(x) for x in S
-                 if any(at_knp1[u] for u in G.neighbors(int(x)))]
+        near = np.zeros(G.n, dtype=bool)
+        near[G.tails[at_knp1[G.heads]]] = True
+        near[G.heads[at_knp1[G.tails]]] = True
+        s_out = S[near[S]]
         D = 0.0
-        if len(S) and len(s_out) > 1:
-            sv = subset_view(G, S)
-            sub, members = sv.induced_graph()
-            remap = {int(v): i for i, v in enumerate(members)}
-            Dmax = 0.0
-            for x in s_out:
-                d = bfs_distances(sub, remap[x])
-                targets = np.array([remap[y] for y in s_out if y != x])
-                vals = d[targets]
-                if np.any(vals < 0):
-                    Dmax = np.inf
-                vals = vals[vals >= 0]
-                if len(vals):
-                    Dmax = max(Dmax, float(vals.max()))
-            D = Dmax
+        if len(s_out) > 1:
+            sub, _ = subset_view(G, S).induced_graph()
+            # S is sorted, so searchsorted maps vertices to sub's labels
+            idx = np.searchsorted(S, s_out)
+            d = shortest_path(sub.adjacency_matrix(), unweighted=True,
+                              indices=idx)
+            D = float(d[:, idx].max())  # inf if a pair is unreachable
         row = {"n": n, "S_size": len(S), "S_out_size": len(s_out), "D": D}
         if gd is not None:
             row["gd"] = float(gd[n])
@@ -187,13 +153,13 @@ def liouville_probe(G, center, v, w, radii):
     growing radius; decay to 0 is Liouville-type evidence, a positive
     floor is evidence against.  Also reports max atom sums for the
     2 - eps criterion."""
+    dist = bfs_distances(G, center)
     out = []
     for r in radii:
-        A = ball(G, center, r)
+        A = ball_from_distances(G, dist, r)
         if len(A.outer_boundary) == 0:
             raise SupportHitsBoundary(f"radius {r} swallows the graph")
-        exv = exit_distribution(G, A, v)
-        exw = exit_distribution(G, A, w)
+        exv, exw = exit_distributions(G, A, [v, w])
         diff = exv.a - exw.a
         out.append({
             "r": r,

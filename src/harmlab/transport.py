@@ -16,7 +16,9 @@ import networkx as nx
 
 from .errors import (DisconnectedRegion, Infeasible, MassMismatch,
                      NonRegularGraph, NonZeroSum, PathExitsBall)
-from .graphs import EdgeField, VertexField, bfs_distances, divergence, lp_norm
+from .graphs import (Distribution, EdgeField, VertexField, adjacency_slots,
+                     divergence, lp_norm)
+from .walk import _interior_solve
 
 FLOW_SCALE = 10 ** 15
 RESIDUAL_TOL = 1e-9
@@ -79,25 +81,26 @@ def random_step_transport(G, mu, A, ambient_degree=None):
     """One simple-walk step applied to the part of mu inside A: each vertex
     splits its mass evenly over all d neighbours.  The divergence is
     P_A mu - mu restricted to moves out of A-vertices."""
+    active = np.flatnonzero((mu.a != 0) & A.mask)
+    deg = G.degrees[active]
     d = ambient_degree
-    active = [int(v) for v in np.flatnonzero(mu.a) if A.mask[v]]
     if d is None:
-        degs = {int(G.degrees[v]) for v in active}
-        if len(degs) > 1:
+        if np.any(deg != deg[:1]):
             raise NonRegularGraph("region has mixed degrees; pass "
                                   "ambient_degree explicitly")
-        d = degs.pop() if degs else G.d_max
-    tau = EdgeField(G)
+        d = int(deg[0]) if len(active) else G.d_max
+    bad = np.flatnonzero(deg != d)
+    if len(bad):
+        x = active[bad[0]]
+        raise NonRegularGraph(f"vertex {x} has degree {deg[bad[0]]} != {d}")
+    slots, _ = adjacency_slots(G, active)
+    w = np.repeat(mu.a[active] / d, d)
+    tau = EdgeField(G, np.bincount(G._adj_edge[slots],
+                                   weights=G._adj_sign[slots] * w,
+                                   minlength=G.m))
     out = mu.a.copy()
-    for x in active:
-        ej, sg = G.incident_edges(x)
-        if len(ej) != d:
-            raise NonRegularGraph(f"vertex {x} has degree {len(ej)} != {d}")
-        w = mu.a[x] / d
-        tau.a[ej] += sg * w
-        out[x] -= mu.a[x]
-        other = np.where(G.tails[ej] == x, G.heads[ej], G.tails[ej])
-        np.add.at(out, other, w)
+    out[active] = 0.0
+    out += np.bincount(G._adj_nbr[slots], weights=w, minlength=G.n)
     return TransportPattern(tau, mu, VertexField(G, out))
 
 
@@ -238,30 +241,32 @@ def _find_cycle(succ):
     return None
 
 
-def stopped_exit_transport(G, A, v, tol=1e-12, max_steps=10 ** 6):
-    """Pattern transporting delta_v to its exit distribution through A,
-    as a sum of random-step patterns of the stopped walk."""
-    from .walk import StoppedWalk
-    from .graphs import Distribution
+def stopped_exit_transport(G, A, v):
+    """Pattern transporting delta_v to its exit law ex through A: the sum
+    over t >= 0 of the random-step patterns of the law mu_t of the walk
+    from v stopped on leaving A.
 
-    walk = StoppedWalk(G, A)
-    mu = Distribution.dirac(G, v)
-    tau = EdgeField(G)
-    steps = 0
-    while float(mu.a[A.members].sum()) > tol:
-        part = random_step_transport(G, mu, A, ambient_degree=None)
-        tau.a += part.tau.a
-        mu = walk.step(mu)
-        steps += 1
-        if steps > max_steps:
-            break
-    return TransportPattern(tau, Distribution.dirac(G, v), mu), mu
+    That sum is linear in mu_t, so it is a single random-step pattern of
+    the Green measure h = sum_t mu_t restricted to A, the expected number
+    of visits to each vertex of A before the exit.  h solves
+    h = delta_v + P_A^T h, so one interior solve gives both h and, as the
+    flux of h out of A, the endpoint ex; the pattern's divergence is
+    ex - delta_v up to the solver residual.
+
+    Returns (pattern, ex).  Raises SingularSystem if the walk cannot leave
+    A and NonRegularGraph if A has mixed degrees.
+    """
+    h, (ex,) = _interior_solve(G, A, [v])
+    green = VertexField(G)
+    green.a[A.members] = h[:, 0]
+    step = random_step_transport(G, green, A)
+    return TransportPattern(step.tau, Distribution.dirac(G, v), ex), ex
 
 
 def exit_transport_chain(G, v, w, regions, p=2.0):
     """For each region A: the pattern carrying ex_v^A to ex_w^A built from
-    stopped-walk transports and the edge v -> w; reports p- and sup-norms
-    after cycle cancellation.
+    stopped-walk transports and the edge v -> w (both transports reuse A's
+    interior operator); reports p- and sup-norms after cycle cancellation.
 
     Returns a list of dicts with norms, residual and the pattern.
     """

@@ -15,37 +15,24 @@ import scipy.sparse.linalg as spla
 
 from .errors import (MaxNormTooLarge, NegativeMass, SingularSystem,
                      SupportHitsBoundary)
-from .graphs import Distribution, EdgeField, VertexField, gradient, lp_norm
-
-INTERIOR_RESIDUAL = 1e-12
+from .graphs import Distribution, gradient, lp_norm
 
 
 class StoppedWalk:
     """Simple walk frozen outside the region A: mass at a vertex of A moves
-    uniformly to its neighbours, mass elsewhere is a fixed point."""
+    uniformly to its neighbours, mass elsewhere is a fixed point.  Exit
+    laws and stopped-walk transports solve for the limit directly."""
 
     def __init__(self, G, A):
         self.graph = G
         self.region = A
-        rows = []
-        cols = []
-        data = []
-        for x in A.members:
-            ej, _ = G.incident_edges(x)
-            w = 1.0 / len(ej)
-            for e in ej:
-                y = G.tails[e] if G.heads[e] == x else G.heads[e]
-                rows.append(y)
-                cols.append(x)
-                data.append(w)
-        keep = np.setdiff1d(np.arange(G.n), A.members)
-        rows.extend(keep)
-        cols.extend(keep)
-        data.extend(np.ones(len(keep)))
-        self.P = sp.csr_matrix((data, (rows, cols)), shape=(G.n, G.n))
+        self.P, self.E = A.interior_operator()
 
     def step(self, nu):
-        return Distribution(self.graph, self.P.dot(nu.a), check=False)
+        inside = nu.a[self.region.members]
+        a = nu.a + self.E.T @ inside
+        a[self.region.members] = self.P.T @ inside
+        return Distribution(self.graph, a, check=False)
 
 
 class ExitDistribution(Distribution):
@@ -57,57 +44,54 @@ class ExitDistribution(Distribution):
         self.region = region
 
 
-def _interior_solve(G, A, v):
-    """Expected visit counts h with h = delta_v + Q^T h on the interior."""
-    members = A.members
-    k = len(members)
-    pos = {int(x): i for i, x in enumerate(members)}
-    deg = G.degrees[members].astype(float)
-    rows, cols, data = [], [], []
-    for i, x in enumerate(members):
-        ej, _ = G.incident_edges(x)
-        for e in ej:
-            y = int(G.tails[e]) if G.heads[e] == x else int(G.heads[e])
-            j = pos.get(y)
-            if j is not None:
-                # visits flow x -> y with probability 1/deg(x)
-                rows.append(j)
-                cols.append(i)
-                data.append(1.0 / deg[i])
-    Q = sp.csr_matrix((data, (rows, cols)), shape=(k, k))
-    b = np.zeros(k)
-    b[pos[int(v)]] = 1.0
-    M = sp.identity(k, format="csr") - Q
+def _interior_solve(G, A, sources):
+    """Expected visit counts inside A of the walk killed on leaving A: column
+    j of h solves h = delta_{sources[j]} + P^T h, with P the interior block
+    of A.interior_operator().  Returns (h, exit laws), the exit law of
+    column j being the flux E^T h[:, j] out of A."""
+    sources = [int(v) for v in sources]
+    if not np.all(A.mask[sources]):
+        raise ValueError("origin must lie inside the region")
+    if len(A.outer_boundary) == 0:
+        raise SingularSystem("region has no outer boundary")
+    P, E = A.interior_operator()
+    k = A.size
+    b = np.zeros((k, len(sources)))
+    b[np.searchsorted(A.members, sources), np.arange(len(sources))] = 1.0
+    deg = G.degrees[A.members]
     if np.all(deg == deg[0]):
-        h, info = spla.cg(M, b, rtol=1e-14, atol=0.0, maxiter=20 * k + 100)
-        if info != 0:
-            h = spla.spsolve(M.tocsc(), b)
+        # constant degree makes P symmetric, so I - P^T = I - P is SPD
+        M = sp.identity(k, format="csr") - P
+        h = np.empty_like(b)
+        for j in range(b.shape[1]):
+            h[:, j], info = spla.cg(M, b[:, j], rtol=1e-14, atol=0.0,
+                                    maxiter=20 * k + 100)
+            if info != 0:
+                h[:, j] = spla.spsolve(M.tocsc(), b[:, j])
     else:
-        h = spla.spsolve(M.tocsc(), b)
+        M = sp.identity(k, format="csc") - P.T
+        h = spla.spsolve(M, b).reshape(k, -1)
     if not np.all(np.isfinite(h)):
         raise SingularSystem("absorbing solve failed; region may not reach "
                              "its boundary")
-    return h, pos, deg
+    exits = [E.T @ col for col in h.T]
+    for ex in exits:
+        total = ex.sum()
+        if abs(total - 1.0) > 1e-9:
+            raise SingularSystem(f"exit mass {total} differs from 1")
+    return h, [ExitDistribution(G, ex, origin=v, region=A)
+               for ex, v in zip(exits, sources)]
+
+
+def exit_distributions(G, A, origins):
+    """Exact absorbing-chain exit laws through the region A, one per origin,
+    from a single solve on A."""
+    return _interior_solve(G, A, origins)[1]
 
 
 def exit_distribution(G, A, v):
     """Exact absorbing-chain exit law from v through the region A."""
-    if not A.mask[v]:
-        raise ValueError("origin must lie inside the region")
-    if len(A.outer_boundary) == 0:
-        raise SingularSystem("region has no outer boundary")
-    h, pos, deg = _interior_solve(G, A, v)
-    out = np.zeros(G.n)
-    for e in A.boundary_edges:
-        x, y = int(G.tails[e]), int(G.heads[e])
-        if A.mask[x]:
-            out[y] += h[pos[x]] / deg[pos[x]]
-        else:
-            out[x] += h[pos[y]] / deg[pos[y]]
-    total = out.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise SingularSystem(f"exit mass {total} differs from 1")
-    return ExitDistribution(G, out, origin=v, region=A)
+    return exit_distributions(G, A, [v])[0]
 
 
 def fire(nu, v, r, signed=False):
@@ -217,23 +201,6 @@ def green_partial(ball, x, n, laziness=0.0):
     g = acc / n
     residual = np.abs(g - _ball_step(ball, g, laziness)).sum()
     return Distribution(ball.graph, g, check=False), float(residual)
-
-
-def gradient_l1_profile(ball, N, laziness=0.0):
-    """Sequences ||grad P^n||_1 and ||grad g_n||_1 for n = 1..N."""
-    grad_p = []
-    grad_g = []
-    a = np.zeros(ball.n)
-    a[ball.identity_vertex] = 1.0
-    acc = a.copy()
-    for n in range(1, N + 1):
-        _check_interior(ball, a, need_margin=1)
-        a = _ball_step(ball, a, laziness)
-        acc += a
-        grad_p.append(lp_norm(gradient(VertexField(ball.graph, a)), 1))
-        g = acc / (n + 1)
-        grad_g.append(lp_norm(gradient(VertexField(ball.graph, g)), 1))
-    return np.array(grad_p), np.array(grad_g)
 
 
 def entropy_profile(ball, N, laziness=0.5):

@@ -218,3 +218,55 @@ class TestConstruction:
         G = cycle_graph(6)
         d = bfs_distances(G, 0)
         assert list(d) == [0, 1, 2, 3, 2, 1]
+
+
+def frontier_bfs(n, edges, sources):
+    """Reference BFS: expand one frontier level at a time, vertex by
+    vertex."""
+    adj = [[] for _ in range(n)]
+    for x, y in edges:
+        adj[x].append(y)
+        adj[y].append(x)
+    dist = [-1] * n
+    frontier = sorted(set(sources))
+    for s in frontier:
+        dist[s] = 0
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if dist[y] < 0:
+                    dist[y] = d
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+@st.composite
+def graph_with_sources(draw):
+    """Sparse random graphs, often disconnected, with 1-4 sources."""
+    n = draw(st.integers(1, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=2 * n))
+    edges = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    return n, edges, sources
+
+
+class TestBfsAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(graph_with_sources())
+    def test_matches_frontier_bfs(self, case):
+        n, edges, sources = case
+        G = OrientedGraph(n, edges)
+        for src in (sources[0], sources):
+            d = bfs_distances(G, src)
+            assert d.dtype == np.int64
+            assert d.tolist() == frontier_bfs(n, edges, np.atleast_1d(src))
+
+    def test_disconnected_marks_unreachable(self):
+        G = OrientedGraph(5, [(0, 1), (2, 3)])
+        assert bfs_distances(G, 0).tolist() == [0, 1, -1, -1, -1]
+        assert bfs_distances(G, [0, 3]).tolist() == [0, 1, 1, 0, -1]

@@ -102,8 +102,22 @@ class TestDecayProfiles:
         rows = H.divergence_profile(B.graph, 0, K=2, n_max=6)
         assert [r["n"] for r in rows] == list(range(1, 7))
         for r in rows:
-            assert r["S_out_size"] <= r["S_size"]
-            assert r["D"] >= 0
+            n = r["n"]
+            # S(n) is the annulus n < |x|_1 <= 2n and S_out its outer
+            # sphere; the width-1 annulus is disconnected, wider ones are
+            # crossed via the ring |x|_1 = n + 1
+            assert r["S_size"] == 2 * n * (3 * n + 1)
+            assert r["S_out_size"] == 8 * n
+            assert r["D"] == (np.inf if n == 1 else 6 * n + 2)
+
+    def test_gradient_decay_ignores_finite_components(self):
+        # rooted at 2, the path 0..10 leaves the branch {0, 1} short of
+        # the outermost shell {10}, so its steep edge does not count
+        G = path_graph(11)
+        f = VertexField(G, np.arange(11.0))
+        f.a[0] = 100.0
+        gd = H.gradient_decay(f, G, 2, n_max=3)
+        assert gd.tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_probe_decay_on_z(self):
         B = cayley_ball(build_group("zd:1"), 40)

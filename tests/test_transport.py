@@ -3,9 +3,11 @@ import pytest
 
 import harmlab.transport as T
 from harmlab.cayley import build_group, cayley_ball
-from harmlab.errors import MassMismatch, NonZeroSum, PathExitsBall
-from harmlab.graphs import (Distribution, VertexField, ball, bfs_distances,
-                            cycle_graph, divergence, subset_view, torus_grid)
+from harmlab.errors import (MassMismatch, NonRegularGraph, NonZeroSum,
+                            PathExitsBall, SingularSystem)
+from harmlab.graphs import (Distribution, OrientedGraph, VertexField, ball,
+                            bfs_distances, cycle_graph, divergence,
+                            regular_tree, subset_view, torus_grid)
 
 
 class TestWasserstein:
@@ -184,3 +186,54 @@ class TestExitChain:
         ex = exit_distribution(G, A, 0)
         assert np.abs(mu.a - ex.a).max() < 1e-10
         assert pat.residual < 1e-9
+
+
+def iterated_stopped_transport(G, A, v):
+    """Reference for stopped_exit_transport: add up the random-step
+    patterns of the stopped walk's law, one step at a time, until the mass
+    left in A is negligible.  Needs a region of constant degree."""
+    d = int(G.degrees[A.members[0]])
+    mu = np.zeros(G.n)
+    mu[v] = 1.0
+    tau = np.zeros(G.m)
+    while mu[A.mask].sum() > 1e-17:
+        moving = np.where(A.mask, mu, 0.0) / d
+        tau += moving[G.tails] - moving[G.heads]
+        mu = np.where(A.mask, 0.0, mu)
+        np.add.at(mu, G.heads, moving[G.tails])
+        np.add.at(mu, G.tails, moving[G.heads])
+    return tau, mu
+
+
+class TestStoppedExitTransport:
+    @pytest.mark.parametrize("case", ["z2", "tree"])
+    def test_matches_iterated_stopped_walk(self, case):
+        if case == "z2":
+            B = cayley_ball(build_group("zd:2"), 7)
+            G, v = B.graph, B.vertex_of[(1, -2)]
+            A = ball(G, B.identity_vertex, 5)
+        else:
+            G, v = regular_tree(3, 6), 5
+            A = ball(G, 0, 4)
+        tau, mu = iterated_stopped_transport(G, A, v)
+        pat, ex = T.stopped_exit_transport(G, A, v)
+        assert np.abs(pat.tau.a - tau).max() <= 1e-12
+        assert np.abs(ex.a - mu).max() <= 1e-12
+        assert np.array_equal(pat.target.a, ex.a)
+        assert pat.residual <= 1e-9
+
+    def test_no_exit_raises(self):
+        # the triangle 0-1-2 is a whole component inside A
+        G = OrientedGraph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5),
+                              (5, 6)])
+        A = subset_view(G, [0, 1, 2, 4])
+        with pytest.raises(SingularSystem):
+            T.stopped_exit_transport(G, A, 0)
+
+    def test_mixed_degree_region_raises(self):
+        # the ball around a depth-2 vertex reaches degree-1 leaves
+        G = regular_tree(3, 4)
+        A = ball(G, 4, 3)
+        assert len(set(G.degrees[A.members])) > 1
+        with pytest.raises(NonRegularGraph):
+            T.stopped_exit_transport(G, A, 4)

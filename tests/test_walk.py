@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 import harmlab.walk as W
 from harmlab.cayley import build_group, cayley_ball
-from harmlab.errors import (MaxNormTooLarge, NegativeMass,
+from harmlab.errors import (MaxNormTooLarge, NegativeMass, SingularSystem,
                             SupportHitsBoundary)
-from harmlab.graphs import (Distribution, VertexField, ball, cycle_graph,
-                            path_graph, regular_tree, subset_view,
-                            torus_grid)
+from harmlab.graphs import (Distribution, OrientedGraph, VertexField, ball,
+                            cycle_graph, path_graph, regular_tree,
+                            subset_view, torus_grid)
 
 
 def segment_exit(n, k):
@@ -56,6 +56,44 @@ class TestExit:
         A = subset_view(G, [0, 1])
         with pytest.raises(ValueError):
             W.exit_distribution(G, A, 5)
+
+    @pytest.mark.parametrize("case", ["regular", "mixed"])
+    def test_shared_solve_matches_separate(self, case):
+        if case == "regular":
+            G, v = torus_grid(7, 7), 0
+            A = ball(G, v, 2)
+        else:
+            # leaves of degree 1 inside A take the direct-solver path
+            G, v = regular_tree(3, 4), 4
+            A = ball(G, v, 3)
+        w = int(G.neighbors(v)[0])
+        exv, exw = W.exit_distributions(G, A, [v, w])
+        for origin, ex in ((v, exv), (w, exw)):
+            alone = W.exit_distribution(G, A, origin)
+            assert np.abs(ex.a - alone.a).max() <= 1e-12
+            assert ex.origin == origin and ex.region is A
+
+    def test_stopped_walk_converges_to_exit_law(self):
+        G = torus_grid(6, 6)
+        A = ball(G, 0, 2)
+        walk = W.StoppedWalk(G, A)
+        mu = Distribution.dirac(G, 0)
+        first = walk.step(mu)
+        assert np.array_equal(np.flatnonzero(first.a), np.sort(G.neighbors(0)))
+        for _ in range(400):
+            mu = walk.step(mu)
+        assert abs(mu.mass - 1.0) < 1e-12
+        assert np.abs(mu.a - W.exit_distribution(G, A, 0).a).max() < 1e-12
+
+    def test_whole_component_inside_raises(self):
+        # the triangle 0-1-2 is a whole component inside A, so the walk
+        # from 0 never leaves A although A has an outer boundary
+        G = OrientedGraph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5),
+                              (5, 6)])
+        A = subset_view(G, [0, 1, 2, 4])
+        assert len(A.outer_boundary) > 0
+        with pytest.raises(SingularSystem):
+            W.exit_distribution(G, A, 0)
 
 
 class TestFire:
