@@ -299,15 +299,12 @@ def build_parser():
 
     def common(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--ball-cap", type=int, default=None)
         p.add_argument("--dry-run", action="store_true")
 
     p = sub.add_parser("spectral")
     p.add_argument("--graph", required=True)
     p.add_argument("--p", default="1.5,3,4")
-    p.add_argument("--exact-limit", type=int, default=spectral.BITMASK_LIMIT)
     common(p)
     p.set_defaults(func=cmd_spectral)
 

@@ -33,6 +33,10 @@ class EigensolveFailure(HarmlabError):
     pass
 
 
+class IntegerProgramFailure(HarmlabError):
+    """An integer program was not solved with a proof of optimality."""
+
+
 class NonConvergence(HarmlabError):
     """Iterative estimate did not converge; best witness attached."""
 

@@ -16,7 +16,7 @@ import scipy.optimize
 import scipy.sparse as sp
 
 from .errors import (ComplementDisconnected, DisconnectedSet,
-                     EnumerationBudgetExceeded)
+                     EnumerationBudgetExceeded, IntegerProgramFailure)
 from .graphs import SubsetView, bfs_distances, subset_view
 
 ENUM_BUDGET = 10 ** 7
@@ -103,6 +103,42 @@ def profile(G, max_size, allowed=None, budget=ENUM_BUDGET):
     return prof
 
 
+def cut_program(G, edge_cost, vertex_cost, size, allowed=None):
+    """Least edge_cost |boundary F| + vertex_cost |F| over vertex sets F
+    with size[0] <= |F| <= size[1], inside `allowed` if given.
+
+    Solved as the integer program over binary x and y_e >= |x_u - x_v|.
+    The costs must be integers, so the objective is an integer and a
+    HiGHS dual bound above (value - 1) proves the incumbent optimal.
+    Returns (F as a SubsetView, value), with value recomputed exactly
+    from F; raises IntegerProgramFailure without that proof.
+    """
+    n, m = G.n, G.m
+    is_x = np.repeat([1.0, 0.0], [n, m])
+    # rows 2e, 2e + 1: x_u - x_v - y_e <= 0 and x_v - x_u - y_e <= 0
+    cols = np.column_stack([G.tails, G.heads, n + np.arange(m)])
+    A = sp.csr_matrix((np.tile([1.0, -1.0, -1.0, -1.0, 1.0, -1.0], m),
+                       (np.repeat(np.arange(2 * m), 3),
+                        cols.repeat(2, axis=0).ravel())), shape=(2 * m, n + m))
+    upper = np.ones(n + m)
+    if allowed is not None:
+        upper[:n] = subset_view(G, allowed).mask
+    res = scipy.optimize.milp(
+        np.where(is_x, vertex_cost, edge_cost).astype(float),
+        constraints=[scipy.optimize.LinearConstraint(A, -np.inf, 0),
+                     scipy.optimize.LinearConstraint(is_x, *size)],
+        integrality=is_x, bounds=scipy.optimize.Bounds(0.0, upper))
+    if res.status != 0:
+        raise IntegerProgramFailure(f"integer program: {res.message}")
+    F = subset_view(G, np.flatnonzero(res.x[:n] > 0.5))
+    value = edge_cost * F.boundary_size + vertex_cost * F.size
+    if not (size[0] <= F.size <= size[1] and res.mip_dual_bound > value - 1):
+        raise IntegerProgramFailure(
+            f"integer program: incumbent {value} of size {F.size} is not "
+            f"proved optimal (dual bound {res.mip_dual_bound})")
+    return F, value
+
+
 def min_boundary_exact(G, size, allowed=None):
     """Exact min |boundary F| over |F| = size via integer programming.
 
@@ -110,36 +146,8 @@ def min_boundary_exact(G, size, allowed=None):
     enumeration table's entry; on profiles it agrees (best-component
     argument).  Returns (boundary, witness).
     """
-    n, m = G.n, G.m
-    rows, cols, data = [], [], []
-    for e in range(m):
-        u, v = int(G.tails[e]), int(G.heads[e])
-        rows += [2 * e, 2 * e, 2 * e + 1, 2 * e + 1]
-        cols += [u, v, u, v]
-        data += [1.0, -1.0, -1.0, 1.0]
-    rows += [2 * e for e in range(m)] + [2 * e + 1 for e in range(m)]
-    cols += [n + e for e in range(m)] * 2
-    data += [-1.0] * (2 * m)
-    A = sp.csr_matrix((data, (rows, cols)), shape=(2 * m, n + m))
-    ones = sp.csr_matrix(
-        (np.ones(n), (np.zeros(n, dtype=int), np.arange(n))),
-        shape=(1, n + m))
-    c = np.concatenate([np.zeros(n), np.ones(m)])
-    integrality = np.concatenate([np.ones(n), np.zeros(m)])
-    ub = np.ones(n + m)
-    if allowed is not None:
-        mask = np.zeros(n, dtype=bool)
-        mask[np.asarray(list(allowed))] = True
-        ub[:n][~mask] = 0.0
-    cons = [scipy.optimize.LinearConstraint(A, -np.inf, 0),
-            scipy.optimize.LinearConstraint(ones, size, size)]
-    res = scipy.optimize.milp(
-        c, constraints=cons, integrality=integrality,
-        bounds=scipy.optimize.Bounds(np.zeros(n + m), ub))
-    if not res.success:
-        raise EnumerationBudgetExceeded("integer program failed")
-    witness = list(np.flatnonzero(np.round(res.x[:n]) > 0.5))
-    return int(round(res.fun)), witness
+    F, boundary = cut_program(G, 1, 0, (size, size), allowed)
+    return boundary, [int(v) for v in F.members]
 
 
 # -- geometric quantities --------------------------------------------------

@@ -16,8 +16,9 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse as sp
 
+from . import isoperimetry
 from .errors import EigensolveFailure, GraphTooLargeForExact, NonConvergence
-from .graphs import lp_norm
+from .graphs import lp_norm, subset_view
 
 BITMASK_LIMIT = 24
 MILP_LIMIT = 64
@@ -35,82 +36,70 @@ def _gradient_matrix(G):
 
 
 def _cheeger_bitmask(G):
-    n, m = G.n, G.m
-    subsets = np.arange(1, 1 << n, dtype=np.uint32)
-    boundary = np.zeros(len(subsets), dtype=np.uint16)
-    for u, v in zip(G.tails, G.heads):
-        boundary += ((subsets >> np.uint32(u)) ^ (subsets >> np.uint32(v))).astype(np.uint16) & 1
-    size = np.zeros(len(subsets), dtype=np.uint16)
+    # boundary[S] for every bitmask S, filled one vertex b at a time: adding
+    # b to a set S of lower vertices adds deg(b) and removes twice the edges
+    # from b into S.  Neighbour bitmasks are exact in float64 up to 2^53.
+    n = G.n
+    nbr = (G.adjacency_matrix() @ 2.0 ** np.arange(n)).astype(np.int64)
+    boundary = np.zeros(1 << n, dtype=np.int16)
+    size = np.zeros(1 << n, dtype=np.uint8)
     for b in range(n):
-        size += ((subsets >> np.uint32(b)) & 1).astype(np.uint16)
-    ok = size <= n // 2
-    ratio = boundary[ok] / size[ok]
-    i = int(np.argmin(ratio))
-    best = subsets[ok][i]
-    witness = [v for v in range(n) if (int(best) >> v) & 1]
-    return float(ratio[i]), witness
+        low, high = slice(0, 1 << b), slice(1 << b, 2 << b)
+        joins = np.bitwise_count(np.arange(1 << b, dtype=np.uint32)
+                                 & int(nbr[b])).astype(np.int16)
+        boundary[high] = boundary[low] + (int(G.degrees[b]) - 2 * joins)
+        size[high] = size[low] + 1
+    ratio = np.full(1 << n, np.inf)
+    np.divide(boundary, size, out=ratio, where=(size >= 1) & (size <= n // 2))
+    # argmin takes the first minimiser in ascending bitmask order
+    best = int(np.argmin(ratio))
+    return float(ratio[best]), [v for v in range(n) if (best >> v) & 1]
 
 
 def _cheeger_milp(G):
-    # min sum_e y_e  s.t.  y_e >= |x_u - x_v|, sum x = s, x binary
-    n, m = G.n, G.m
-    rows, cols, data = [], [], []
-    for e in range(m):
-        u, v = int(G.tails[e]), int(G.heads[e])
-        rows += [2 * e, 2 * e, 2 * e + 1, 2 * e + 1]
-        cols += [u, v, u, v]
-        data += [1.0, -1.0, -1.0, 1.0]
-    rows += [2 * e for e in range(m)] + [2 * e + 1 for e in range(m)]
-    cols += [n + e for e in range(m)] * 2
-    data += [-1.0] * (2 * m)
-    A = sp.csr_matrix((data, (rows, cols)), shape=(2 * m, n + m))
-    ones = sp.csr_matrix(
-        (np.ones(n), (np.zeros(n, dtype=int), np.arange(n))), shape=(1, n + m))
-    c = np.concatenate([np.zeros(n), np.ones(m)])
-    integrality = np.concatenate([np.ones(n), np.zeros(m)])
-    bounds = scipy.optimize.Bounds(0, 1)
-    best = (np.inf, None)
-    for s in range(1, n // 2 + 1):
-        cons = [scipy.optimize.LinearConstraint(A, -np.inf, 0),
-                scipy.optimize.LinearConstraint(ones, s, s)]
-        res = scipy.optimize.milp(c, constraints=cons, bounds=bounds,
-                                  integrality=integrality)
-        if not res.success:
-            raise EigensolveFailure(f"integer program failed at size {s}")
-        ratio = res.fun / s
-        if ratio < best[0] - 1e-12:
-            x = np.round(res.x[:n]).astype(bool)
-            best = (ratio, list(np.flatnonzero(x)))
-    return float(best[0]), best[1]
+    # Dinkelbach: with b/s the ratio of F, min s |bd F'| - b |F'| over
+    # 1 <= |F'| <= n/2 is negative iff some F' has a smaller ratio
+    if not G.regular_degree:  # the sweep needs a regular graph with edges
+        start = [int(np.argmin(G.degrees))]
+    else:
+        start = _cheeger_sweep(G)[1]
+    F = subset_view(G, start)
+    while True:
+        b, s = F.boundary_size, F.size
+        F_next, value = isoperimetry.cut_program(G, s, -b, (1, G.n // 2))
+        if value >= 0:
+            return b / s, [int(v) for v in F.members]
+        F = F_next
 
 
 def _cheeger_sweep(G):
-    lam, vec = _fiedler(G)
-    order = np.argsort(vec)
-    inset = np.zeros(G.n, dtype=bool)
-    boundary = 0
-    best = (np.inf, None)
-    for i, v in enumerate(order[:-1]):
-        ej, sg = G.incident_edges(v)
-        for e in ej:
-            u = G.tails[e] if G.heads[e] == v else G.heads[e]
-            boundary += -1 if inset[u] else 1
-        inset[v] = True
-        s = i + 1
-        for size, members in ((s, order[:s]), (G.n - s, order[s:])):
-            if size <= G.n // 2:
-                r = boundary / size
-                if r < best[0]:
-                    best = (r, list(map(int, members)))
-    return float(best[0]), best[1]
+    # prefixes of the Fiedler order: an edge is cut by the prefixes that
+    # hold its earlier endpoint and not its later one
+    n = G.n
+    order = np.argsort(_fiedler(G)[1])
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    ends = np.sort(np.column_stack([pos[G.tails], pos[G.heads]]), axis=1)
+    cut = np.cumsum(np.bincount(ends[:, 0], minlength=n)
+                    - np.bincount(ends[:, 1], minlength=n))[:-1]
+    # candidates in the order prefix 1, suffix 1, prefix 2, suffix 2, ...
+    sizes = np.column_stack([np.arange(1, n), np.arange(n - 1, 0, -1)]).ravel()
+    ratio = np.where(sizes <= n // 2, np.repeat(cut, 2) / sizes, np.inf)
+    k, suffix = divmod(int(np.argmin(ratio)), 2)
+    witness = order[k + 1:] if suffix else order[:k + 1]
+    return float(ratio.min()), [int(v) for v in witness]
 
 
 def cheeger_kappa1(G, exact=None):
     """Cheeger constant min |boundary F| / |F| over |F| <= |V|/2.
 
-    Returns (value, witness_vertices, direction).  Exact up to MILP_LIMIT
-    vertices; larger graphs fall back to a sweep cut flagged "upper_bound"
-    (or raise GraphTooLargeForExact when exact=True).
+    Returns (value, witness_vertices, direction); value is the witness's
+    ratio.  Up to BITMASK_LIMIT vertices every subset is scored.  Up to
+    MILP_LIMIT, Dinkelbach's method runs integer programs from the sweep
+    cut; "exact" needs HiGHS status optimal and a dual bound above -1 on
+    the last (integer) objective, else IntegerProgramFailure is raised.
+    Larger graphs fall back to a sweep cut flagged "upper_bound" (or raise
+    GraphTooLargeForExact when exact=True).
     """
     if G.n <= BITMASK_LIMIT:
         val, w = _cheeger_bitmask(G)

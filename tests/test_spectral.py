@@ -1,10 +1,18 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
+import harmlab.cli as cli
+import harmlab.isoperimetry as I
 import harmlab.spectral as S
-from harmlab.errors import GraphTooLargeForExact
-from harmlab.graphs import (complete_graph, cycle_graph, hypercube_graph,
-                            random_regular_graph, subset_view, torus_grid)
+from harmlab.errors import GraphTooLargeForExact, IntegerProgramFailure
+from harmlab.graphs import (OrientedGraph, complete_graph, cycle_graph,
+                            hypercube_graph, random_regular_graph,
+                            subset_view, torus_grid)
 
 
 class TestCheeger:
@@ -144,3 +152,101 @@ class TestChain:
         assert by["cheeger_upper"].status == "asserted"
         # upper-bound rhs forces a slack check
         assert by["item1"].status == "checked-with-slack"
+
+
+def brute_force_cheeger(n, edges):
+    """First minimiser of |boundary F| / |F| over 1 <= |F| <= n/2, in
+    ascending bitmask order, with exact rational ratios."""
+    best = None
+    for mask in range(1, 1 << n):
+        bits = [(mask >> v) & 1 for v in range(n)]
+        F = list(itertools.compress(range(n), bits))
+        if len(F) > n // 2:
+            continue
+        ratio = Fraction(sum(bits[x] != bits[y] for x, y in edges), len(F))
+        if best is None or ratio < best[0]:
+            best = (ratio, F)
+    return best
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on 2..12 vertices: random edge sets (mostly non-regular,
+    often disconnected, sometimes empty) and disjoint unions of cycles
+    (regular, often disconnected)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 12))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = sorted(draw(st.sets(st.sampled_from(pairs))))
+        return n, edges
+    lengths = draw(st.lists(st.integers(3, 6), min_size=1, max_size=3))
+    n = 0
+    edges = []
+    for k in lengths:
+        edges += [tuple(sorted((n + i, n + (i + 1) % k))) for i in range(k)]
+        n += k
+    return n, sorted(edges)
+
+
+class TestExactCheegerAgainstBruteForce:
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs())
+    def test_bitmask_and_milp(self, case):
+        n, edges = case
+        G = OrientedGraph(n, edges)
+        value, first = brute_force_cheeger(n, edges)
+        bitmask = S._cheeger_bitmask(G)
+        for val, wit in (bitmask, S._cheeger_milp(G)):
+            assert val == float(value)
+            F = subset_view(G, wit)
+            assert 1 <= F.size <= n // 2
+            assert Fraction(F.boundary_size, F.size) == value
+        assert bitmask[1] == first
+
+
+def fake_milp(status, dual_bound, incumbent):
+    """A stand-in for scipy.optimize.milp returning a fixed result whose
+    vertex part is the indicator of `incumbent`."""
+    def milp(c, **kwargs):
+        x = np.zeros(len(c))
+        x[list(incumbent)] = 1.0
+        return scipy.optimize.OptimizeResult(
+            status=status, success=status == 0, message=f"status {status}",
+            x=x if status == 0 else None, fun=float(c.dot(x)),
+            mip_dual_bound=dual_bound)
+    return milp
+
+
+class TestIntegerProgramSoundness:
+    # on C26 the sweep start is an arc of 13 vertices, ratio 2/13; an arc
+    # of 13 as incumbent has objective 0, an arc of 20 breaks |F| <= n/2
+    @pytest.mark.parametrize("status, dual_bound, incumbent",
+                             [(1, None, range(13)), (0, -1.0, range(13)),
+                              (0, -5.0, range(13)), (0, 0.0, range(20))],
+                             ids=["time_limit", "bound_-1", "bound_-5",
+                                  "oversized"])
+    def test_unproved_optimum_raises(self, monkeypatch, status, dual_bound,
+                                     incumbent):
+        monkeypatch.setattr(scipy.optimize, "milp",
+                            fake_milp(status, dual_bound, incumbent))
+        with pytest.raises(IntegerProgramFailure):
+            S.cheeger_kappa1(cycle_graph(26))
+
+    def test_min_boundary_exact_raises(self, monkeypatch):
+        monkeypatch.setattr(scipy.optimize, "milp",
+                            fake_milp(1, None, range(4)))
+        with pytest.raises(IntegerProgramFailure):
+            I.min_boundary_exact(torus_grid(4, 4), 4)
+
+    def test_cli_exits_numeric(self, monkeypatch):
+        monkeypatch.setattr(scipy.optimize, "milp",
+                            fake_milp(1, None, range(3)))
+        # no subcommand calls min_boundary_exact, so route iso profile
+        # through it
+        monkeypatch.setattr(I, "profile",
+                            lambda G, size, budget: I.min_boundary_exact(
+                                G, size))
+        assert cli.main(["iso", "profile", "--graph", "cycle:6",
+                         "--max-size", "3"]) == cli.EXIT_NUMERIC
+        assert cli.main(["spectral", "--graph", "cycle:26"]) == \
+            cli.EXIT_NUMERIC
