@@ -5,11 +5,14 @@ reduced words, rational affine maps) so element hashing is collision free.
 Balls are built by breadth-first search from the identity; vertex ids are
 assigned in discovery order, so word length is nondecreasing in the id and
 the canonical x < y edge orientation points away from the identity or
-within a sphere.
+within a sphere.  The search keeps every product g*s as the ball's
+right-multiplication table, from which the edges, the translation tables
+and the edge ids of generator steps are all read.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +82,12 @@ class GroupHandle:
             g = self.multiply(g, s.element)
         return g
 
+    def coordinate_bounds(self, L):
+        """For groups whose elements are int tuples with a row-wise
+        `multiply_rows`: a bound on |coordinate j| over all elements of
+        word length <= L.  None for the other groups."""
+        return None
+
 
 class FreeAbelian(GroupHandle):
     """Z^d with the standard generators."""
@@ -97,6 +106,13 @@ class FreeAbelian(GroupHandle):
 
     def multiply(self, g, h):
         return tuple(a + b for a, b in zip(g, h))
+
+    def multiply_rows(self, g, h):
+        """Products of int arrays of elements, row by row (broadcasting)."""
+        return g + h
+
+    def coordinate_bounds(self, L):
+        return (L,) * self.d
 
     def inverse(self, g):
         return tuple(-a for a in g)
@@ -117,6 +133,9 @@ class FreeGroup(GroupHandle):
         return ()
 
     def multiply(self, g, h):
+        if len(h) == 1:  # one letter: cancel it or append it
+            a = h[0]
+            return g[:-1] if g and g[-1] == -a else g + (a,)
         g = list(g)
         i = 0
         while g and i < len(h) and g[-1] == -h[i]:
@@ -150,6 +169,9 @@ class Lamplighter(GroupHandle):
     def multiply(self, g, h):
         lamps_g, cur_g = g
         lamps_h, cur_h = h
+        cur = tuple(a + b for a, b in zip(cur_g, cur_h))
+        if not lamps_h:  # a pure cursor move keeps the lamps
+            return (lamps_g, cur)
         acc = dict(lamps_g)
         for pos, val in lamps_h:
             p = tuple(a + b for a, b in zip(cur_g, pos))
@@ -158,7 +180,6 @@ class Lamplighter(GroupHandle):
                 acc[p] = v
             else:
                 acc.pop(p, None)
-        cur = tuple(a + b for a, b in zip(cur_g, cur_h))
         return (tuple(sorted(acc.items())), cur)
 
     def inverse(self, g):
@@ -186,6 +207,15 @@ class Heisenberg(GroupHandle):
     def multiply(self, g, h):
         return (g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1])
 
+    def multiply_rows(self, g, h):
+        out = g + h
+        out[..., 2] += g[..., 0] * h[..., 1]
+        return out
+
+    def coordinate_bounds(self, L):
+        # each of the <= L letters moves a or b by 1, or c by |a| < L
+        return (L, L, L * L)
+
     def inverse(self, g):
         return (-g[0], -g[1], g[0] * g[1] - g[2])
 
@@ -212,6 +242,8 @@ class BaumslagSolitar(GroupHandle):
         return (Fraction(0), 0)
 
     def multiply(self, g, h):
+        if h[0] == 0:  # a power of t keeps the translation part
+            return (g[0], g[1] + h[1])
         return (g[0] + Fraction(self.n) ** g[1] * h[0], g[1] + h[1])
 
     def inverse(self, g):
@@ -267,21 +299,41 @@ def build_group(spec):
 class CayleyBall:
     """Radius-R ball of a Cayley graph, truncated to its vertex set.
 
-    graph: OrientedGraph; elements[i] is the canonical form of vertex i;
-    word_length[i] its distance to the identity; edge_labels[j] the shared
-    generator label of edge j; interior marks word_length < R.
+    graph: OrientedGraph, edges sorted by tail * n + head; elements[i] is
+    the canonical form of vertex i; word_length[i] its distance to the
+    identity; edge_labels[j] the shared generator label of edge j; interior
+    marks word_length < R.  nbr is the read-only n x |S| right-multiplication
+    table: nbr[i, k] is the vertex of elements[i] * group.generators[k], or
+    -1 if that product lies outside the ball.  `elements` (when the search
+    ran on int arrays) and the dict `vertex_of` are built on first use.
     """
 
     def __init__(self, group, graph, elements, word_length, radius,
-                 edge_labels):
+                 edge_labels, nbr, vertex_of=None):
         self.group = group
         self.graph = graph
-        self.elements = elements
-        self.vertex_of = {g: i for i, g in enumerate(elements)}
+        self._elements = elements
+        self._vertex_of = vertex_of
         self.word_length = word_length
         self.radius = radius
         self.edge_labels = edge_labels
         self.interior = word_length < radius
+        nbr.flags.writeable = False
+        self.nbr = nbr
+        self._column = {s.name: k for k, s in enumerate(group.generators)}
+        self._edge_keys = graph.tails * graph.n + graph.heads
+
+    @property
+    def elements(self):
+        if isinstance(self._elements, np.ndarray):
+            self._elements = list(map(tuple, self._elements.tolist()))
+        return self._elements
+
+    @property
+    def vertex_of(self):
+        if self._vertex_of is None:
+            self._vertex_of = {g: i for i, g in enumerate(self.elements)}
+        return self._vertex_of
 
     @property
     def n(self):
@@ -296,77 +348,166 @@ class CayleyBall:
 
     def translation_table(self, gen):
         """Array t with t[i] = vertex of elements[i] * gen, or -1 if that
-        product lies outside the ball.  Cached per generator name."""
-        if not hasattr(self, "_ttables"):
-            self._ttables = {}
-        t = self._ttables.get(gen.name)
-        if t is None:
-            mul = self.group.multiply
-            s = gen.element
-            t = np.fromiter(
-                (self.vertex_of.get(mul(g, s), -1) for g in self.elements),
-                dtype=np.int64, count=len(self.elements))
-            self._ttables[gen.name] = t
-        return t
+        product lies outside the ball: a column of `nbr`."""
+        return self.nbr[:, self._column[gen.name]]
+
+    def edge_ids(self, x, y):
+        """Edge ids of the vertex pairs (x[i], y[i]), in either orientation;
+        -1 where a pair is not an edge."""
+        x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+        key = np.minimum(x, y) * self.n + np.maximum(x, y)
+        e = np.searchsorted(self._edge_keys, key)
+        found = e < len(self._edge_keys)
+        found[found] = self._edge_keys[e[found]] == key[found]
+        return np.where(found, e, -1)
 
     def edges_with_label(self, label):
         lab = np.asarray(self.edge_labels)
         return np.flatnonzero(lab == label)
 
 
-def cayley_ball(group, R, cap=DEFAULT_BALL_CAP):
-    """BFS ball of radius R around the identity."""
-    if R < 1:
-        raise ValueError("radius must be >= 1")
+def _search_tuples(group, R, cap):
+    """Breadth-first search on hashed elements.  Returns (elements, word
+    lengths, nbr, vertex_of) with vertex_of the element -> vertex dict."""
+    mul = group.multiply
+    gens = [s.element for s in group.generators]
     elements = [group.identity]
     index = {group.identity: 0}
-    wl = [0]
-    edges = []
-    labels = []
-    frontier = [group.identity]
-    for depth in range(1, R + 1):
-        nxt = []
-        for g in frontier:
-            gi = index[g]
-            for s in group.generators:
-                h = group.multiply(g, s.element)
-                hi = index.get(h)
+    get, record = index.get, []
+    sizes = []
+    start = 0
+    # level `depth` multiplies the sphere depth - 1; the last level
+    # (depth R + 1) only looks its products up
+    for depth in range(1, R + 2):
+        end = len(elements)
+        for g in elements[start:end]:
+            for s in gens:
+                h = mul(g, s)
+                hi = get(h)
                 if hi is None:
-                    hi = len(elements)
-                    if hi >= cap:
-                        raise BallTooLarge(
-                            f"ball of radius {R} exceeds cap {cap}")
-                    index[h] = hi
-                    elements.append(h)
-                    wl.append(depth)
-                    nxt.append(h)
-                # each edge is recorded from its lower-id endpoint only;
-                # BFS order guarantees that endpoint enumerates it
-                if gi < hi:
-                    edges.append((gi, hi))
-                    labels.append(s.label)
-        frontier = nxt
-        if not frontier:
+                    if depth > R:
+                        hi = -1
+                    else:
+                        hi = len(elements)
+                        if hi >= cap:
+                            raise BallTooLarge(
+                                f"ball of radius {R} exceeds cap {cap}")
+                        index[h] = hi
+                        elements.append(h)
+                record.append(hi)
+        sizes.append(end - start)
+        start = end
+    nbr = np.array(record, dtype=np.int64).reshape(len(elements), len(gens))
+    wl = np.repeat(np.arange(len(sizes)), sizes)
+    return elements, wl, nbr, index
+
+
+def _search_rows(group, R, cap, bounds):
+    """Breadth-first search on int arrays: each sphere is multiplied by all
+    generators at once, and its products, packed into int64 keys and
+    sorted, are looked up in the two spheres they can reach (a product of
+    the sphere d - 1 has word length d - 2, d - 1 or d).  New vertices are
+    numbered in order of first occurrence in row-major (vertex, generator)
+    order, as in `_search_tuples`.  Returns (elements as an int array, word
+    lengths, nbr, None): no element dict is built."""
+    d, k = len(bounds), group.degree
+    gens = np.array([s.element for s in group.generators], dtype=np.int64)
+    gens = gens.reshape(k, d)
+    radix = [2 * b + 1 for b in bounds]
+    weights = np.array([math.prod(radix[j + 1:]) for j in range(d)],
+                       dtype=np.int64)
+    bounds = np.array(bounds, dtype=np.int64)
+
+    def pack(rows):
+        return (rows + bounds) @ weights
+
+    frontier = np.array([group.identity], dtype=np.int64)
+    rows, nbr, sizes = [frontier], [], [1]
+    n = 1
+    # (sorted keys, vertex ids) of the spheres d - 2 and d - 1
+    spheres = [(np.empty(0, dtype=np.int64),) * 2,
+               (pack(frontier), np.zeros(1, dtype=np.int64))]
+    for depth in range(1, R + 2):
+        if len(frontier) == 0:
             break
-    # edges inside the outermost sphere are not seen by the loop above
-    for g in frontier:
-        gi = index[g]
-        for s in group.generators:
-            hi = index.get(group.multiply(g, s.element))
-            if hi is not None and gi < hi:
-                edges.append((gi, hi))
-                labels.append(s.label)
-    # dedupe (multi-edges between normal forms collapse to one edge)
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    labels = np.asarray(labels)
-    if len(edges):
-        key = edges[:, 0] * len(elements) + edges[:, 1]
-        _, keep = np.unique(key, return_index=True)
-        edges = edges[keep]
-        labels = labels[keep]
-    graph = OrientedGraph(len(elements), edges, validate=False)
-    return CayleyBall(group, graph, elements, np.asarray(wl, dtype=np.int64),
-                      R, labels)
+        prod = group.multiply_rows(frontier[:, None, :], gens[None, :, :])
+        prod = prod.reshape(len(frontier) * k, d)
+        keys = pack(prod)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        found = np.full(len(keys), -1, dtype=np.int64)
+        for skeys, sids in spheres:
+            if len(skeys):
+                pos = np.minimum(np.searchsorted(skeys, keys), len(skeys) - 1)
+                hit = skeys[pos] == keys
+                found[hit] = sids[pos[hit]]
+        miss = np.flatnonzero(found < 0)
+        new = (np.empty(0, dtype=np.int64),) * 2
+        if depth <= R and len(miss):
+            mkeys = keys[miss]
+            first = np.ones(len(mkeys), dtype=bool)
+            first[1:] = mkeys[1:] != mkeys[:-1]
+            # the stable sort puts the first occurrence of each new key at
+            # the start of its run; rank the runs by that position
+            at = order[miss[first]]
+            rank = np.empty(len(at), dtype=np.int64)
+            rank[np.argsort(at)] = np.arange(len(at))
+            if n + len(at) > cap:
+                raise BallTooLarge(f"ball of radius {R} exceeds cap {cap}")
+            found[miss] = n + rank[np.cumsum(first) - 1]
+            new = (mkeys[first], n + rank)
+            frontier = prod[np.sort(at)]
+            rows.append(frontier)
+            sizes.append(len(frontier))
+            n += len(frontier)
+        else:
+            frontier = frontier[:0]
+        ids = np.empty_like(found)
+        ids[order] = found
+        nbr.append(ids)
+        spheres = [spheres[1], new]
+    word_length = np.repeat(np.arange(len(sizes)), sizes)
+    return (np.concatenate(rows), word_length,
+            np.concatenate(nbr).reshape(n, k), None)
+
+
+def _fits_int64(bounds):
+    return math.prod(2 * b + 1 for b in bounds) <= 2 ** 63
+
+
+def cayley_ball(group, R, cap=DEFAULT_BALL_CAP):
+    """BFS ball of radius R around the identity.
+
+    Z^d and the Heisenberg group search on int arrays when their elements
+    of word length <= R + 1 pack into int64 keys; every other group, and
+    those balls too large to pack, search on hashed tuples.  Both searches
+    number the vertices identically.
+    """
+    if R < 1:
+        raise ValueError("radius must be >= 1")
+    bounds = group.coordinate_bounds(R + 1)
+    if bounds is not None and _fits_int64(bounds):
+        elements, wl, nbr, vertex_of = _search_rows(group, R, cap, bounds)
+    else:
+        elements, wl, nbr, vertex_of = _search_tuples(group, R, cap)
+    # the edges are the pairs (i, nbr[i, k]) with i < nbr[i, k]; a stable
+    # sort by the key i * n + j keeps, of the products that collapse to one
+    # edge, the first in row-major order and with it its label
+    n, k = nbr.shape
+    tail = np.repeat(np.arange(n), k)
+    head = nbr.ravel()
+    sel = np.flatnonzero(head > tail)
+    key = tail[sel] * n + head[sel]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    keep = sel[order[first]]
+    graph = OrientedGraph(n, np.column_stack([tail[keep], head[keep]]),
+                          validate=False)
+    labels = np.asarray([s.label for s in group.generators])
+    return CayleyBall(group, graph, elements, wl, R,
+                      labels[keep - tail[keep] * k], nbr, vertex_of=vertex_of)
 
 
 def path_of_element(ball, word, basepoint=0):
@@ -377,21 +518,16 @@ def path_of_element(ball, word, basepoint=0):
     (edge_index, sign): sign +1 if the step traverses the edge in its
     canonical orientation, -1 otherwise.
     """
-    g = ball.elements[basepoint]
     verts = [basepoint]
-    steps = []
-    cur = basepoint
     for s in word:
-        g = ball.group.multiply(g, s.element)
-        nxt = ball.vertex_of.get(g)
-        if nxt is None:
+        nxt = int(ball.nbr[verts[-1], ball._column[s.name]])
+        if nxt < 0:
             raise PathExitsBall(
                 f"path left the radius-{ball.radius} ball")
-        a, b = (cur, nxt) if cur < nxt else (nxt, cur)
-        e = ball.graph.edge_index.get((a, b))
-        if e is None:
-            raise PathExitsBall("step is not an edge of the ball")
-        steps.append((e, 1 if cur < nxt else -1))
         verts.append(nxt)
-        cur = nxt
+    eids = ball.edge_ids(verts[:-1], verts[1:])
+    if np.any(eids < 0):
+        raise PathExitsBall("step is not an edge of the ball")
+    steps = [(int(e), 1 if x < y else -1)
+             for e, x, y in zip(eids, verts, verts[1:])]
     return verts, steps

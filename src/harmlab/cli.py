@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import (BallTooLarge, DenseBudgetExceeded,
                      EnumerationBudgetExceeded, GraphTooLargeForExact,
-                     HarmlabError, IoError)
+                     HarmlabError, IoError, UnsupportedGroup)
 from . import cayley, graphs, harmonic, isoperimetry, spectral, transport
 from . import walk as walkmod
 from . import window as windowmod
@@ -79,13 +79,34 @@ def emit_json(report, path, config_hash):
 def _ball_cap(args):
     cap = os.environ.get("HARMLAB_BUDGET")
     if cap:
-        return int(cap)
+        try:
+            return int(cap)
+        except ValueError:
+            raise IoError(f"HARMLAB_BUDGET must be an integer, got {cap!r}") \
+                from None
     return getattr(args, "ball_cap", None) or cayley.DEFAULT_BALL_CAP
+
+
+def _generator(group, name):
+    try:
+        return group.gen(name)
+    except KeyError:
+        names = ", ".join(s.name for s in group.generators)
+        raise IoError(f"{group.kind} has no generator {name!r} "
+                      f"(one of {names})") from None
 
 
 def load_graph_spec(spec):
     """Builtin graph spec (cycle:n, complete:n, hypercube:d, grid:w,h,
-    tree:d,depth) or a path to a JSON graph file."""
+    tree:d,depth) or a path to a JSON graph file; the graph needs an
+    edge."""
+    G = _load_graph_spec(spec)
+    if G.m == 0:
+        raise IoError(f"graph {spec} has no edges")
+    return G
+
+
+def _load_graph_spec(spec):
     head, _, rest = spec.partition(":")
     try:
         if head == "cycle":
@@ -148,11 +169,11 @@ def cmd_walk_profile(args, chash):
 def cmd_walk_exit(args, chash):
     group = cayley.build_group(args.group)
     r = args.region
+    gen = _generator(group, args.to) if args.to else None
     b = cayley.cayley_ball(group, r + 1, cap=_ball_cap(args))
     A = graphs.ball(b.graph, b.identity_vertex, r)
     v = b.identity_vertex
-    w = b.vertex_of[group.evaluate(group.word([args.to]))] \
-        if args.to else v
+    w = int(b.translation_table(gen)[v]) if gen is not None else v
     exv, exw = walkmod.exit_distributions(b.graph, A, [v, w])
     rows = []
     for x in np.flatnonzero(exv.a + exw.a):
@@ -235,6 +256,9 @@ def cmd_iso_radial(args, chash):
 
 def cmd_window_stats(args, chash):
     group = cayley.build_group(args.group)
+    if group.kind != "zd:2":
+        raise IoError(f"window stats takes squares of zd:2, not {args.group}")
+    _generator(group, args.label)  # rejects an unknown label
     n = args.square
     b = cayley.cayley_ball(group, 2 * n + 2, cap=_ball_cap(args))
     lo = -(n // 2)
@@ -419,7 +443,7 @@ def main(argv=None):
     except BUDGET_ERRORS as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except IoError as exc:
+    except (IoError, UnsupportedGroup) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (HarmlabError, FloatingPointError) as exc:

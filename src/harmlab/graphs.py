@@ -103,18 +103,6 @@ class OrientedGraph:
             self._A = sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
         return self._A
 
-    def edge_lookup_matrix(self):
-        """CSR matrix holding edge_index + 1 at both (x, y) and (y, x);
-        supports vectorized edge-id lookup for vertex-pair arrays."""
-        if getattr(self, "_elookup", None) is None:
-            ids = np.arange(1, self.m + 1)
-            rows = np.concatenate([self.tails, self.heads])
-            cols = np.concatenate([self.heads, self.tails])
-            self._elookup = sp.csr_matrix(
-                (np.concatenate([ids, ids]), (rows, cols)),
-                shape=(self.n, self.n))
-        return self._elookup
-
     @property
     def regular_degree(self):
         """Common degree if the graph is regular, else None."""

@@ -98,12 +98,16 @@ def cheeger_kappa1(G, exact=None):
     MILP_LIMIT, Dinkelbach's method runs integer programs from the sweep
     cut; "exact" needs HiGHS status optimal and a dual bound above -1 on
     the last (integer) objective, else IntegerProgramFailure is raised.
+    Above BITMASK_LIMIT, a vertex of degree 0 is an exact witness of 0.
     Larger graphs fall back to a sweep cut flagged "upper_bound" (or raise
     GraphTooLargeForExact when exact=True).
     """
     if G.n <= BITMASK_LIMIT:
         val, w = _cheeger_bitmask(G)
         return val, w, "exact"
+    isolated = np.flatnonzero(G.degrees == 0)
+    if len(isolated):  # {v} has no boundary, and kappa_1 >= 0
+        return 0.0, [int(isolated[0])], "exact"
     if G.n <= MILP_LIMIT:
         val, w = _cheeger_milp(G)
         return val, w, "exact"
@@ -116,6 +120,8 @@ def cheeger_kappa1(G, exact=None):
 
 def _dense_laplacian(G):
     d = G.require_regular()
+    if d == 0:
+        raise EigensolveFailure("the walk operator needs degree >= 1")
     if G.n > DENSE_LIMIT:
         raise EigensolveFailure(
             f"{G.n} vertices exceeds the dense eigensolve limit {DENSE_LIMIT}")

@@ -131,24 +131,6 @@ def laplacian_transport(G, F, g, p=2, tol=1e-12):
     return TransportPattern(tau, zero, g)
 
 
-def _gen_edge_ids(ball, gen, table):
-    """Per-vertex edge id of the step x -> x*gen (-1 outside the ball);
-    cached on the ball."""
-    cache = getattr(ball, "_gen_eids", None)
-    if cache is None:
-        cache = ball._gen_eids = {}
-    eids = cache.get(gen.name)
-    if eids is None:
-        G = ball.graph
-        lookup = G.edge_lookup_matrix()
-        ok = np.flatnonzero(table >= 0)
-        eids = np.full(G.n, -1, dtype=np.int64)
-        vals = np.asarray(lookup[ok, table[ok]]).ravel().astype(np.int64) - 1
-        eids[ok] = vals
-        cache[gen.name] = eids
-    return eids
-
-
 def central_transport(ball, word, mu):
     """Transport mu to its right translate by z = product of `word`, by
     routing each atom along the path labelled by the word.  The l^1 cost
@@ -159,13 +141,11 @@ def central_transport(ball, word, mu):
     tau = EdgeField(G)
     cur = supp.copy()
     for gen in word:
-        table = ball.translation_table(gen)
-        eids = _gen_edge_ids(ball, gen, table)
-        nxt = table[cur]
+        nxt = ball.translation_table(gen)[cur]
         if np.any(nxt < 0):
             raise PathExitsBall("translation leaves the ball; increase the "
                                 "radius by the word length")
-        eid = eids[cur]
+        eid = ball.edge_ids(cur, nxt)
         if np.any(eid < 0):
             raise PathExitsBall("missing edge along the word path")
         sign = np.where(cur < nxt, 1.0, -1.0)

@@ -130,13 +130,11 @@ def window_projection_stats(ball, F, label):
     dimV = B.shape[1]
     codim = nE - dimV
     # one s-edge per window vertex: x -> x*s, |F| edges in total
-    tt = ball.translation_table(ball.group.gen(label))
-    lookup = G.edge_lookup_matrix()
-    targets = tt[F.members]
+    targets = ball.translation_table(ball.group.gen(label))[F.members]
     if np.any(targets < 0):
         raise DenseBudgetExceeded("window touches the truncation sphere; "
                                   "enlarge the ball")
-    eids = np.asarray(lookup[F.members, targets]).ravel().astype(np.int64) - 1
+    eids = ball.edge_ids(F.members, targets)
     row_of = {int(e): i for i, e in enumerate(ws.edge_ids)}
     s_rows = np.array([row_of[int(e)] for e in eids], dtype=np.int64)
     # V' = V_F intersected with the coordinate subspace of label edges:

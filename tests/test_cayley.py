@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from harmlab import cayley
 from harmlab.cayley import (BaumslagSolitar, FreeAbelian, FreeGroup,
-                            Heisenberg, build_group, cayley_ball,
-                            path_of_element)
+                            Heisenberg, Lamplighter, build_group,
+                            cayley_ball, path_of_element)
 from harmlab.errors import BallTooLarge, PathExitsBall, UnsupportedGroup
 
 
@@ -71,6 +74,28 @@ class TestBallStructure:
         assert n1 + n2 == B.graph.m
 
 
+def reference_multiply(group, g, h):
+    """The group laws written out letter by letter and lamp by lamp."""
+    if isinstance(group, FreeGroup):
+        w = list(g)
+        for a in h:
+            if w and w[-1] == -a:
+                w.pop()
+            else:
+                w.append(a)
+        return tuple(w)
+    if isinstance(group, Lamplighter):
+        (lamps_g, cur_g), (lamps_h, cur_h) = g, h
+        acc = dict(lamps_g)
+        for pos, val in lamps_h:
+            p = tuple(a + b for a, b in zip(cur_g, pos))
+            acc[p] = (acc.get(p, 0) + val) % group.q
+        return (tuple(sorted((p, v) for p, v in acc.items() if v)),
+                tuple(a + b for a, b in zip(cur_g, cur_h)))
+    # BS(1, n): u -> g0 + n^g1 u composed with u -> h0 + n^h1 u
+    return (g[0] + Fraction(group.n) ** g[1] * h[0], g[1] + h[1])
+
+
 class TestGroupArithmetic:
     @pytest.mark.parametrize("spec", ["zd:2", "free:2", "lamplighter:2,1",
                                       "heisenberg", "bs:1,2", "dinf"])
@@ -83,6 +108,21 @@ class TestGroupArithmetic:
             x = g.evaluate(g.word(w))
             assert g.multiply(x, g.inverse(x)) == g.identity
             assert g.multiply(g.inverse(x), x) == g.identity
+
+    @pytest.mark.parametrize("spec", ["free:2", "lamplighter:2,1",
+                                      "lamplighter:3,2", "bs:1,2"])
+    def test_products_follow_the_group_law(self, spec):
+        # covers the one-letter shortcuts of multiply (generator right
+        # factors) and its general path (word right factors)
+        g = build_group(spec)
+        rng = np.random.default_rng(7)
+        names = [s.name for s in g.generators]
+        for _ in range(200):
+            x, y = (g.evaluate(g.word([names[i] for i in
+                                       rng.integers(0, len(names), L)]))
+                    for L in (5, 3))
+            for h in [s.element for s in g.generators] + [y]:
+                assert g.multiply(x, h) == reference_multiply(g, x, h)
 
     def test_bs_relation(self):
         g = BaumslagSolitar(2)
@@ -142,3 +182,132 @@ class TestPaths:
         assert t[i] == B.vertex_of[(2, 1)]
         far = B.vertex_of[(4, 0)]
         assert t[far] == -1
+
+
+def reference_ball(group, R):
+    """Queue BFS on hashed elements with group.multiply: the elements, word
+    lengths, product table, sorted edge list and, per edge, the label of
+    its first product in row-major order."""
+    elements, wl = [group.identity], [0]
+    index = {group.identity: 0}
+    for g, r in zip(elements, wl):  # both lists grow while iterating
+        if r == R:
+            break
+        for s in group.generators:
+            h = group.multiply(g, s.element)
+            if h not in index:
+                index[h] = len(elements)
+                elements.append(h)
+                wl.append(r + 1)
+    table = [[index.get(group.multiply(g, s.element), -1)
+              for s in group.generators] for g in elements]
+    first_label = {}
+    for x, row in enumerate(table):
+        for s, y in zip(group.generators, row):
+            if y > x:
+                first_label.setdefault((x, y), s.label)
+    edges = sorted(first_label)
+    return elements, wl, table, edges, [first_label[e] for e in edges]
+
+
+# every family; zd:30 at R=2 cannot pack into int64 keys and takes the
+# tuple path, zd and heisenberg otherwise search on int arrays
+TABLE_CASES = [("zd:1", 6), ("zd:3", 4), ("zd:30", 2), ("heisenberg", 9),
+               ("free:2", 4), ("lamplighter:2,1", 5), ("lamplighter:3,2", 3),
+               ("bs:1,2", 5), ("dinf", 7)]
+
+
+class TestMultiplicationTable:
+    def test_int_array_search_needs_int64_keys(self):
+        fits = cayley._fits_int64
+        assert not fits(build_group("zd:30").coordinate_bounds(3))
+        assert fits(build_group("zd:3").coordinate_bounds(5))
+        assert fits(build_group("heisenberg").coordinate_bounds(45))
+        assert build_group("dinf").coordinate_bounds(8) is None
+
+    @pytest.mark.parametrize("spec,R", TABLE_CASES)
+    def test_matches_reference_bfs(self, spec, R):
+        g = build_group(spec)
+        B = cayley_ball(g, R)
+        elements, wl, table, edges, labels = reference_ball(g, R)
+        assert B.elements == elements
+        assert all(type(c) is type(d) for x, y in zip(B.elements, elements)
+                   for c, d in zip(x, y))
+        assert B.word_length.tolist() == wl
+        assert B.nbr.tolist() == table
+        for k, s in enumerate(g.generators):
+            assert B.translation_table(s).tolist() == [row[k]
+                                                       for row in table]
+        assert list(zip(B.graph.tails.tolist(),
+                        B.graph.heads.tolist())) == edges
+        assert B.edge_labels.tolist() == labels
+        assert all(B.vertex_of[x] == i for i, x in enumerate(elements))
+
+    @pytest.mark.parametrize("spec", ["zd:2", "free:2"])
+    def test_multi_edges_keep_the_first_label(self, spec):
+        # listing s1 twice, the second time as u, makes every s1-edge a
+        # multi-edge; it collapses to one edge labelled s1
+        g = build_group(spec)
+        g._add_gen_pair("u", g.gen("s1").element)
+        B = cayley_ball(g, 3)
+        elements, wl, table, edges, labels = reference_ball(g, 3)
+        assert B.nbr.tolist() == table
+        assert list(zip(B.graph.tails.tolist(),
+                        B.graph.heads.tolist())) == edges
+        assert B.edge_labels.tolist() == labels
+        assert "s1" in labels and "u" not in labels
+
+    def test_products_within_a_sphere(self):
+        # Z^2 with a third generator (1, 1) is the triangular lattice: some
+        # products of a sphere lie in the same sphere
+        g = build_group("zd:2")
+        g._add_gen_pair("t", (1, 1))
+        B = cayley_ball(g, 5)
+        elements, wl, table, edges, labels = reference_ball(g, 5)
+        assert B.elements == elements and B.nbr.tolist() == table
+        assert np.any(B.word_length[B.graph.tails]
+                      == B.word_length[B.graph.heads])
+
+    @pytest.mark.parametrize("spec,R", TABLE_CASES)
+    def test_edge_ids_match_edge_index(self, spec, R):
+        B = cayley_ball(build_group(spec), R)
+        x = np.repeat(np.arange(B.n), B.group.degree)
+        y = B.nbr.ravel()
+        ok = y >= 0
+        got = B.edge_ids(x[ok], y[ok])
+        want = [B.graph.edge_index[(min(a, b), max(a, b))]
+                for a, b in zip(x[ok].tolist(), y[ok].tolist())]
+        assert got.tolist() == want
+        # both orientations, and -1 for pairs that are not edges
+        assert np.array_equal(B.edge_ids(y[ok], x[ok]), got)
+        far = B.sphere(R)
+        assert np.all(B.edge_ids(np.zeros(len(far), dtype=np.int64), far)
+                      == -1)
+
+    @pytest.mark.parametrize("spec,R", TABLE_CASES)
+    def test_cap_is_exact(self, spec, R):
+        g = build_group(spec)
+        n = cayley_ball(g, R).n
+        assert cayley_ball(g, R, cap=n).n == n
+        with pytest.raises(BallTooLarge):
+            cayley_ball(g, R, cap=n - 1)
+
+    def test_table_is_read_only(self):
+        B = cayley_ball(build_group("zd:2"), 3)
+        with pytest.raises(ValueError):
+            B.translation_table(B.group.gen("s1"))[0] = 5
+
+    @pytest.mark.parametrize("spec", ["zd:2", "heisenberg", "free:2"])
+    def test_path_from_basepoint(self, spec):
+        g = build_group(spec)
+        B = cayley_ball(g, 4)
+        base = int(B.sphere(3)[-1])
+        verts, steps = path_of_element(B, g.word(["s1", "s1'"]),
+                                       basepoint=base)
+        x = B.elements[base]
+        assert verts == [base, B.vertex_of[g.multiply(x, g.gen("s1").element)],
+                         base]
+        assert steps[0][0] == steps[1][0] and steps[0][1] == -steps[1][1]
+        # |x s1^9| >= 9 - |x| = 6 > 4 in all three groups
+        with pytest.raises(PathExitsBall):
+            path_of_element(B, g.word(["s1"] * 9), basepoint=base)

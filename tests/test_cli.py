@@ -152,6 +152,35 @@ class TestPlumbing:
         assert run(["walk", "profile", "--group", "free:2", "--radius", "6",
                     "--steps", "2", "--out", str(tmp_path / "x.csv")]) == 3
 
+    def test_edgeless_graph(self, tmp_path, capsys):
+        one = tmp_path / "one.json"
+        one.write_text('{"vertices": 1, "edges": []}')
+        assert run(["spectral", "--graph", str(one)]) == 2
+        assert "no edges" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["nosuch", "zd:x"])
+    def test_unknown_group(self, spec, capsys):
+        assert run(["walk", "profile", "--group", spec, "--radius", "3",
+                    "--steps", "2"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_unknown_generator(self, capsys):
+        assert run(["walk", "exit", "--group", "zd:2", "--region", "3",
+                    "--to", "nosuch"]) == 2
+        assert "nosuch" in capsys.readouterr().err
+
+    def test_window_stats_needs_z2(self, capsys):
+        assert run(["window", "stats", "--group", "free:2",
+                    "--square", "3"]) == 2
+        assert run(["window", "stats", "--square", "3", "--label", "q"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_ball_cap_env_not_an_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("HARMLAB_BUDGET", "abc")
+        assert run(["walk", "profile", "--group", "zd:2", "--radius", "3",
+                    "--steps", "2"]) == 2
+        assert "HARMLAB_BUDGET" in capsys.readouterr().err
+
     def test_console_script(self):
         proc = subprocess.run([sys.executable, "-m", "harmlab.cli",
                                "spectral", "--graph", "cycle:4", "--p", "3"],

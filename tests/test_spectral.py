@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import harmlab.cli as cli
 import harmlab.isoperimetry as I
 import harmlab.spectral as S
-from harmlab.errors import GraphTooLargeForExact, IntegerProgramFailure
+from harmlab.errors import (EigensolveFailure, GraphTooLargeForExact,
+                            IntegerProgramFailure)
 from harmlab.graphs import (OrientedGraph, complete_graph, cycle_graph,
                             hypercube_graph, random_regular_graph,
                             subset_view, torus_grid)
@@ -61,8 +62,19 @@ class TestCheeger:
         with pytest.raises(GraphTooLargeForExact):
             S.cheeger_kappa1(G, exact=True)
 
+    def test_isolated_vertex_is_exact_zero(self):
+        # above the bitmask limit, before any eigensolve or integer program
+        assert S.cheeger_kappa1(OrientedGraph(70, [])) == (0.0, [0], "exact")
+        C = cycle_graph(29)
+        G = OrientedGraph(30, np.column_stack([C.tails, C.heads]))
+        assert S.cheeger_kappa1(G) == (0.0, [29], "exact")
+
 
 class TestEigen:
+    def test_degree_zero_is_a_library_error(self):
+        with pytest.raises(EigensolveFailure):
+            S.lambda2(OrientedGraph(3, []))
+
     def test_cycle_lambda2(self):
         for n in (3, 4, 5, 6, 8, 12):
             assert abs(S.lambda2(cycle_graph(n))
