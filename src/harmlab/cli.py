@@ -49,23 +49,18 @@ def _fmt(x):
 def emit_csv(rows, path, header, config_hash):
     lines = [f"# harmlab {__version__} config {config_hash}",
              ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[h]) for h in header))
-    text = "\n".join(lines) + "\n"
-    try:
-        if path in (None, "-"):
-            sys.stdout.write(text)
-        else:
-            with open(path, "w") as fh:
-                fh.write(text)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    lines += [",".join(_fmt(row[h]) for h in header) for row in rows]
+    _write("\n".join(lines) + "\n", path)
 
 
 def emit_json(report, path, config_hash):
     obj = {"tool": f"harmlab {__version__}", "config_hash": config_hash,
            "report": report}
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n",
+           path)
+
+
+def _write(text, path):
     try:
         if path in (None, "-"):
             sys.stdout.write(text)
@@ -74,6 +69,15 @@ def emit_json(report, path, config_hash):
                 fh.write(text)
     except OSError as exc:
         raise IoError(str(exc)) from exc
+
+
+def _read(path, what, parse=json.loads):
+    """parse() of a file's text; IoError if either fails."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise IoError(f"cannot read {what}: {exc}") from None
 
 
 def _ball_cap(args):
@@ -96,43 +100,41 @@ def _generator(group, name):
                       f"(one of {names})") from None
 
 
+GRAPH_FAMILIES = {"cycle": graphs.cycle_graph, "tree": graphs.regular_tree,
+                  "complete": graphs.complete_graph, "grid": graphs.torus_grid,
+                  "hypercube": graphs.hypercube_graph}
+
+
 def load_graph_spec(spec):
     """Builtin graph spec (cycle:n, complete:n, hypercube:d, grid:w,h,
     tree:d,depth) or a path to a JSON graph file; the graph needs an
     edge."""
-    G = _load_graph_spec(spec)
+    head, _, rest = spec.partition(":")
+    if head in GRAPH_FAMILIES:
+        try:
+            G = GRAPH_FAMILIES[head](*(int(a) for a in rest.split(",")))
+        except (TypeError, ValueError) as exc:
+            raise IoError(f"bad graph spec {spec!r}: {exc}") from exc
+    elif os.path.exists(spec):
+        G = graphs.load_graph(spec)
+    else:
+        raise IoError(f"unknown graph spec or missing file: {spec}")
     if G.m == 0:
         raise IoError(f"graph {spec} has no edges")
     return G
 
 
-def _load_graph_spec(spec):
-    head, _, rest = spec.partition(":")
-    try:
-        if head == "cycle":
-            return graphs.cycle_graph(int(rest))
-        if head == "complete":
-            return graphs.complete_graph(int(rest))
-        if head == "hypercube":
-            return graphs.hypercube_graph(int(rest))
-        if head == "grid":
-            w, h = (int(a) for a in rest.split(","))
-            return graphs.torus_grid(w, h)
-        if head == "tree":
-            d, depth = (int(a) for a in rest.split(","))
-            return graphs.regular_tree(d, depth)
-    except ValueError as exc:
-        raise IoError(f"bad graph spec {spec!r}: {exc}") from exc
-    if os.path.exists(spec):
-        return graphs.load_graph(spec)
-    raise IoError(f"unknown graph spec or missing file: {spec}")
-
-
 def _parse_radii(text):
-    if ".." in text:
-        a, b = text.split("..")
-        return list(range(int(a), int(b) + 1))
-    return [int(x) for x in text.split(",")]
+    a, dots, b = text.partition("..")
+    try:
+        radii = (list(range(int(a), int(b) + 1)) if dots
+                 else [int(x) for x in text.split(",")])
+    except ValueError:
+        radii = []
+    if not radii or min(radii) < 0:
+        raise IoError(f"radii must be a..b or a comma list of integers "
+                      f">= 0, got {text!r}")
+    return radii
 
 
 # -- command implementations ----------------------------------------------
@@ -140,7 +142,12 @@ def _parse_radii(text):
 
 def cmd_spectral(args, chash):
     G = load_graph_spec(args.graph)
-    p_list = [float(p) for p in args.p.split(",") if float(p) not in (1.0, 2.0)]
+    try:
+        p_list = [p for p in map(float, args.p.split(","))
+                  if p not in (1.0, 2.0)]
+    except ValueError:
+        raise IoError(f"--p takes comma-separated numbers, not {args.p!r}") \
+            from None
     rep = spectral.verify_gap_chain(G, p_list=p_list or (1.5, 3.0))
     report = {
         "graph": args.graph,
@@ -199,14 +206,22 @@ def cmd_transport_wasserstein(args, chash):
 
 
 def _load_measure(G, path):
+    """Rows "vertex,mass"; blank, "#" and "vertex" lines are skipped."""
     vals = np.zeros(G.n)
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("vertex"):
-                continue
+    lines = _read(path, "measure file", str.splitlines)
+    for num, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#") or line.startswith("vertex"):
+            continue
+        try:
             v, m = line.split(",")
-            vals[int(v)] = float(m)
+            v, m = int(v), float(m)
+            if not (0 <= v < G.n and np.isfinite(m)):
+                raise ValueError
+        except ValueError:
+            raise IoError(f"{path} line {num}: expected vertex,mass with a "
+                          f"vertex in 0..{G.n - 1}, got {line!r}") from None
+        vals[v] = m
     return graphs.VertexField(G, vals)
 
 
@@ -247,8 +262,11 @@ def cmd_iso_profile(args, chash):
 
 def cmd_iso_radial(args, chash):
     G = load_graph_spec(args.graph)
-    with open(args.set) as fh:
-        members = json.load(fh)
+    members = _read(args.set, "vertex set")
+    if not (isinstance(members, list) and members
+            and all(type(v) is int and 0 <= v < G.n for v in members)):
+        raise IoError(f"{args.set} must hold a JSON list of vertices in "
+                      f"0..{G.n - 1}")
     res = isoperimetry.radial_iso_check(G, members, K=args.K, k=args.k)
     emit_json(res, args.out, chash)
     return EXIT_OK
@@ -321,16 +339,19 @@ def build_parser():
     top.add_argument("--config", help="JSON file with default option values")
     sub = top.add_subparsers(dest="command")
 
-    def common(p):
+    def common(p, func):
+        # ends a subcommand: `options` maps the dest of each of its options
+        # to the option's action, for --config values
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--ball-cap", type=int, default=None)
         p.add_argument("--dry-run", action="store_true")
+        p.set_defaults(func=func, options={a.dest: a for a in p._actions
+                                           if a.default != argparse.SUPPRESS})
 
     p = sub.add_parser("spectral")
     p.add_argument("--graph", required=True)
     p.add_argument("--p", default="1.5,3,4")
-    common(p)
-    p.set_defaults(func=cmd_spectral)
+    common(p, cmd_spectral)
 
     p = sub.add_parser("walk")
     wsub = p.add_subparsers(dest="subcommand")
@@ -339,16 +360,14 @@ def build_parser():
     q.add_argument("--radius", type=int, required=True)
     q.add_argument("--steps", type=int, required=True)
     q.add_argument("--laziness", type=float, default=0.5)
-    common(q)
-    q.set_defaults(func=cmd_walk_profile)
+    common(q, cmd_walk_profile)
     q = wsub.add_parser("exit")
     q.add_argument("--group", required=True)
     q.add_argument("--region", type=int, required=True,
                    help="ball radius for the stopping region")
     q.add_argument("--to", default=None,
                    help="generator name for the second origin")
-    common(q)
-    q.set_defaults(func=cmd_walk_exit)
+    common(q, cmd_walk_exit)
 
     p = sub.add_parser("transport")
     tsub = p.add_subparsers(dest="subcommand")
@@ -356,14 +375,12 @@ def build_parser():
     q.add_argument("--graph", required=True)
     q.add_argument("--src", required=True)
     q.add_argument("--dst", required=True)
-    common(q)
-    q.set_defaults(func=cmd_transport_wasserstein)
+    common(q, cmd_transport_wasserstein)
     q = tsub.add_parser("chain")
     q.add_argument("--group", required=True)
     q.add_argument("--p", type=float, default=2.0)
     q.add_argument("--levels", required=True)
-    common(q)
-    q.set_defaults(func=cmd_transport_chain)
+    common(q, cmd_transport_chain)
 
     p = sub.add_parser("iso")
     isub = p.add_subparsers(dest="subcommand")
@@ -371,15 +388,13 @@ def build_parser():
     q.add_argument("--graph", required=True)
     q.add_argument("--max-size", type=int, required=True)
     q.add_argument("--budget", type=int, default=isoperimetry.ENUM_BUDGET)
-    common(q)
-    q.set_defaults(func=cmd_iso_profile)
+    common(q, cmd_iso_profile)
     q = isub.add_parser("radial")
     q.add_argument("--graph", required=True)
     q.add_argument("--set", required=True, help="JSON list of vertices")
     q.add_argument("--K", type=float, default=1.0)
     q.add_argument("--k", type=float, default=1.0)
-    common(q)
-    q.set_defaults(func=cmd_iso_radial)
+    common(q, cmd_iso_radial)
 
     p = sub.add_parser("window")
     wsub2 = p.add_subparsers(dest="subcommand")
@@ -387,58 +402,63 @@ def build_parser():
     q.add_argument("--group", default="zd:2")
     q.add_argument("--square", type=int, required=True)
     q.add_argument("--label", default="s1")
-    common(q)
-    q.set_defaults(func=cmd_window_stats)
+    common(q, cmd_window_stats)
 
     p = sub.add_parser("harmonic")
     hsub = p.add_subparsers(dest="subcommand")
     q = hsub.add_parser("probe")
     q.add_argument("--group", required=True)
     q.add_argument("--radii", required=True, help="e.g. 5..40 or 5,10,20")
-    common(q)
-    q.set_defaults(func=cmd_harmonic_probe)
+    common(q, cmd_harmonic_probe)
     q = hsub.add_parser("divergence")
     q.add_argument("--group", required=True)
     q.add_argument("--K", type=int, default=2)
     q.add_argument("--n", type=int, required=True)
-    common(q)
-    q.set_defaults(func=cmd_harmonic_divergence)
+    common(q, cmd_harmonic_divergence)
     q = hsub.add_parser("witness")
     q.add_argument("--group", required=True)
     q.add_argument("--n", type=int, required=True)
-    common(q)
-    q.set_defaults(func=cmd_harmonic_witness)
+    common(q, cmd_harmonic_witness)
     return top
+
+
+def _apply_config(args, overrides):
+    """Set the options named in a --config object: a flag takes true or
+    false, any other option the text of its value, converted by the
+    option's own type.  Keys that name no option are ignored."""
+    if not isinstance(overrides, dict):
+        raise IoError("config must be a JSON object")
+    for key, val in overrides.items():
+        act = args.options.get(key.replace("-", "_"))
+        if act is None:
+            continue
+        if act.nargs == 0:
+            if not isinstance(val, bool):
+                raise IoError(f"{key} takes true or false, not {val!r}")
+        else:
+            try:
+                val = (act.type or str)(str(val))
+            except ValueError:
+                raise IoError(f"invalid {key} {val!r}") from None
+        setattr(args, act.dest, val)
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_CONFIG
     if getattr(args, "func", None) is None:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"bad config: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        for key, val in overrides.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr):
-                setattr(args, attr, val)
-    cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("func", "config", "out", "dry_run")}
-    chash = hashlib.sha256(
-        json.dumps(cfg, sort_keys=True, default=str).encode()).hexdigest()[:12]
-    if getattr(args, "dry_run", False):
-        print(f"config ok ({chash})")
-        return EXIT_OK
     try:
+        if args.config:
+            _apply_config(args, _read(args.config, "config"))
+        cfg = {k: v for k, v in sorted(vars(args).items())
+               if k not in ("func", "options", "config", "out", "dry_run")}
+        chash = hashlib.sha256(json.dumps(cfg, sort_keys=True, default=str)
+                               .encode()).hexdigest()[:12]
+        if getattr(args, "dry_run", False):
+            print(f"config ok ({chash})")
+            return EXIT_OK
         return args.func(args, chash)
     except BUDGET_ERRORS as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -42,11 +42,9 @@ class OrientedGraph:
                 raise ValueError("edge endpoint out of range")
             if np.any(edges[:, 0] == edges[:, 1]):
                 raise ValueError("self-loops are not allowed")
-            lo = edges.min(axis=1)
-            hi = edges.max(axis=1)
             if np.any(edges[:, 0] > edges[:, 1]):
                 raise ValueError("edges must be canonically oriented (x < y)")
-            keys = lo * self.n + hi
+            keys = edges[:, 0] * self.n + edges[:, 1]
             if len(_sorted_unique(keys)) != len(keys):
                 raise ValueError("duplicate edge (or both orientations present)")
         self.tails = np.ascontiguousarray(edges[:, 0])
@@ -191,9 +189,6 @@ class VertexField:
     def support(self):
         return np.flatnonzero(self.a)
 
-    def as_dict(self):
-        return {int(v): float(self.a[v]) for v in self.support}
-
     def copy(self):
         return VertexField(self.graph, self.a.copy())
 
@@ -248,12 +243,6 @@ class EdgeField:
     @property
     def support(self):
         return np.flatnonzero(self.a)
-
-    def as_dict(self):
-        return {
-            (int(self.graph.tails[i]), int(self.graph.heads[i])): float(self.a[i])
-            for i in self.support
-        }
 
     def copy(self):
         return EdgeField(self.graph, self.a.copy())
@@ -538,7 +527,7 @@ def load_graph(path):
     try:
         G = OrientedGraph(obj["vertices"], obj["edges"],
                           labels=obj.get("labels"))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise IoError(f"invalid graph file {path}: {exc}") from exc
     if not G.is_connected:
         raise IoError(f"graph in {path} is not connected")

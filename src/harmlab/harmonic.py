@@ -7,14 +7,14 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .errors import NotATree, SingularSystem, SupportHitsBoundary
+from .errors import NotATree, SupportHitsBoundary
 from .graphs import (EdgeField, VertexField, ball_from_distances,
                      bfs_distances, divergence, gradient, lp_norm,
                      subset_view)
-from .walk import exit_distribution, exit_distributions
+from .walk import (direct_solve, exit_distribution, exit_distributions,
+                   green_partial)
 
 
 def harmonic_residual(f, G=None, interior=None):
@@ -29,13 +29,13 @@ def harmonic_residual(f, G=None, interior=None):
 def dirichlet_extend(G, A, boundary_values, method="solve"):
     """Unique function harmonic inside A with the given values on the
     outer boundary.  method="exit" instead averages the boundary data
-    against per-vertex exit distributions (slow; cross-check path)."""
+    against per-vertex exit distributions (slow; cross-check path).
+    Raises SingularSystem if some vertex of A cannot reach the boundary."""
     bv = np.zeros(G.n)
-    given = set()
     for v, val in boundary_values.items():
         bv[v] = val
-        given.add(int(v))
-    missing = [int(v) for v in A.outer_boundary if int(v) not in given]
+    missing = [int(v) for v in A.outer_boundary
+               if int(v) not in boundary_values]
     if missing:
         raise ValueError(f"boundary values missing on {missing[:5]}...")
     if method == "exit":
@@ -45,9 +45,7 @@ def dirichlet_extend(G, A, boundary_values, method="solve"):
             out[x] = float(np.dot(ex.a, bv))
         return VertexField(G, out)
     P, E = A.interior_operator()
-    sol = spla.spsolve((sp.identity(A.size) - P).tocsc(), E @ bv)
-    if not np.all(np.isfinite(sol)):
-        raise SingularSystem("Dirichlet solve failed")
+    sol = direct_solve(sp.identity(A.size) - P, E @ bv)
     out = bv.copy()
     out[A.members] = sol
     return VertexField(G, out)
@@ -225,7 +223,6 @@ def laplacian_witness(G_or_ball, kind, n, center=0):
     kind="l1": f = Green partial sum over n+1 steps, ||Delta f||_1
     <= 2/(n+1).  Returns (field, ratio).
     """
-    from .walk import green_partial
     if kind == "c0":
         if hasattr(G_or_ball, "graph"):
             G = G_or_ball.graph
@@ -239,6 +236,5 @@ def laplacian_witness(G_or_ball, kind, n, center=0):
         f = VertexField(G, vals)
         return f, lp_norm(gradient(f, G), np.inf)
     if kind == "l1":
-        g, resid = green_partial(G_or_ball, center, n + 1)
-        return g, resid
+        return green_partial(G_or_ball, center, n + 1)
     raise ValueError("kind must be 'c0' or 'l1'")

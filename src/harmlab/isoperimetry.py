@@ -84,7 +84,6 @@ def connected_subsets(G, max_size, allowed=None, budget=ENUM_BUDGET):
                 stack.append((S + [u], Sset | {u}, set(forb),
                               b + int(deg[u]) - 2 * join))
                 forb.add(u)
-    _ = produced
 
 
 def profile(G, max_size, allowed=None, budget=ENUM_BUDGET):
@@ -206,8 +205,7 @@ def growth_functions(G, R, vertices=None):
     hi = np.zeros(R + 1)
     for v in vertices:
         d = bfs_distances(G, v)
-        sizes = np.array([(np.count_nonzero((d >= 0) & (d <= r)))
-                          for r in range(R + 1)], dtype=float)
+        sizes = np.cumsum(np.bincount(d[d >= 0], minlength=R + 1))[:R + 1]
         lo = np.minimum(lo, sizes)
         hi = np.maximum(hi, sizes)
     return lo, hi

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 import networkx as nx
 
@@ -18,7 +17,7 @@ from .errors import (DisconnectedRegion, Infeasible, MassMismatch,
                      NonRegularGraph, NonZeroSum, PathExitsBall)
 from .graphs import (Distribution, EdgeField, VertexField, adjacency_slots,
                      divergence, lp_norm)
-from .walk import _interior_solve
+from .walk import _interior_solve, direct_solve
 
 FLOW_SCALE = 10 ** 15
 RESIDUAL_TOL = 1e-9
@@ -77,22 +76,19 @@ def wasserstein1(G, source, target):
     return cost / FLOW_SCALE, TransportPattern(tau, source, target)
 
 
-def random_step_transport(G, mu, A, ambient_degree=None):
+def random_step_transport(G, mu, A):
     """One simple-walk step applied to the part of mu inside A: each vertex
     splits its mass evenly over all d neighbours.  The divergence is
-    P_A mu - mu restricted to moves out of A-vertices."""
+    P_A mu - mu restricted to moves out of A-vertices.  Raises
+    NonRegularGraph if the vertices of A carrying mass have mixed
+    degrees."""
     active = np.flatnonzero((mu.a != 0) & A.mask)
     deg = G.degrees[active]
-    d = ambient_degree
-    if d is None:
-        if np.any(deg != deg[:1]):
-            raise NonRegularGraph("region has mixed degrees; pass "
-                                  "ambient_degree explicitly")
-        d = int(deg[0]) if len(active) else G.d_max
-    bad = np.flatnonzero(deg != d)
+    bad = np.flatnonzero(deg != deg[:1])
     if len(bad):
-        x = active[bad[0]]
-        raise NonRegularGraph(f"vertex {x} has degree {deg[bad[0]]} != {d}")
+        raise NonRegularGraph(f"vertex {active[bad[0]]} has degree "
+                              f"{deg[bad[0]]} != {deg[0]}")
+    d = int(deg[0]) if len(active) else G.d_max
     slots, _ = adjacency_slots(G, active)
     w = np.repeat(mu.a[active] / d, d)
     tau = EdgeField(G, np.bincount(G._adj_edge[slots],
@@ -104,9 +100,11 @@ def random_step_transport(G, mu, A, ambient_degree=None):
     return TransportPattern(tau, mu, VertexField(G, out))
 
 
-def laplacian_transport(G, F, g, p=2, tol=1e-12):
-    """tau = grad h with L h = g solved on the region F (combinatorial
-    induced Laplacian), so div tau = g exactly up to solver residual."""
+def laplacian_transport(G, F, g):
+    """tau = grad h with L h = g on the region F, L the Laplacian of the
+    graph induced on F, so div tau = g up to the solver residual.  g is
+    centred on F and h grounded to 0 at the first vertex of F: one sparse
+    LU solve of the reduced, positive definite Laplacian."""
     if np.any(g.a[~F.mask] != 0):
         raise NonZeroSum("g must be supported on the region")
     b = g.a[F.members]
@@ -118,15 +116,12 @@ def laplacian_transport(G, F, g, p=2, tol=1e-12):
     L = (sp.diags(sub.degrees.astype(float))
          - sub.adjacency_matrix()).tocsr()
     b = b - b.mean()
-    h, info = spla.cg(L, b, rtol=tol, atol=0.0, maxiter=100 * sub.n)
-    if info != 0:
-        h = np.linalg.lstsq(L.toarray(), b, rcond=None)[0]
-    h -= h.mean()
+    h = np.zeros(G.n)
+    if sub.n > 1:
+        h[members[1:]] = direct_solve(L[1:, 1:], b[1:])
     tau = EdgeField(G)
-    hz = np.zeros(G.n)
-    hz[members] = h
-    tau.a[F.induced_edges] = (hz[G.heads[F.induced_edges]]
-                              - hz[G.tails[F.induced_edges]])
+    tau.a[F.induced_edges] = (h[G.heads[F.induced_edges]]
+                              - h[G.tails[F.induced_edges]])
     zero = VertexField(G)
     return TransportPattern(tau, zero, g)
 

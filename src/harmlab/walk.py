@@ -9,6 +9,8 @@ silently leaking mass.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -44,11 +46,28 @@ class ExitDistribution(Distribution):
         self.region = region
 
 
+def direct_solve(M, b):
+    """Solve the square sparse system M x = b (b a vector or one column per
+    right-hand side) by sparse LU: SuperLU through spsolve, default column
+    ordering.  Raises SingularSystem when SuperLU finds M singular or the
+    solution is not finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", spla.MatrixRankWarning)
+        try:
+            x = spla.spsolve(M.tocsc(), b)
+        except spla.MatrixRankWarning:
+            raise SingularSystem("singular sparse system") from None
+    if not np.all(np.isfinite(x)):
+        raise SingularSystem("sparse solve gave a non-finite solution")
+    return x.reshape(np.shape(b))
+
+
 def _interior_solve(G, A, sources):
     """Expected visit counts inside A of the walk killed on leaving A: column
-    j of h solves h = delta_{sources[j]} + P^T h, with P the interior block
-    of A.interior_operator().  Returns (h, exit laws), the exit law of
-    column j being the flux E^T h[:, j] out of A."""
+    j of h solves (I - P^T) h = delta_{sources[j]}, P the interior block of
+    A.interior_operator(), all columns by one sparse LU solve.  Returns (h,
+    exit laws), the exit law of column j being the flux E^T h[:, j] out of
+    A.  Raises SingularSystem if the walk from a source cannot leave A."""
     sources = [int(v) for v in sources]
     if not np.all(A.mask[sources]):
         raise ValueError("origin must lie inside the region")
@@ -58,22 +77,7 @@ def _interior_solve(G, A, sources):
     k = A.size
     b = np.zeros((k, len(sources)))
     b[np.searchsorted(A.members, sources), np.arange(len(sources))] = 1.0
-    deg = G.degrees[A.members]
-    if np.all(deg == deg[0]):
-        # constant degree makes P symmetric, so I - P^T = I - P is SPD
-        M = sp.identity(k, format="csr") - P
-        h = np.empty_like(b)
-        for j in range(b.shape[1]):
-            h[:, j], info = spla.cg(M, b[:, j], rtol=1e-14, atol=0.0,
-                                    maxiter=20 * k + 100)
-            if info != 0:
-                h[:, j] = spla.spsolve(M.tocsc(), b[:, j])
-    else:
-        M = sp.identity(k, format="csc") - P.T
-        h = spla.spsolve(M, b).reshape(k, -1)
-    if not np.all(np.isfinite(h)):
-        raise SingularSystem("absorbing solve failed; region may not reach "
-                             "its boundary")
+    h = direct_solve(sp.identity(k, format="csc") - P.T, b)
     exits = [E.T @ col for col in h.T]
     for ex in exits:
         total = ex.sum()
@@ -105,11 +109,8 @@ def fire(nu, v, r, signed=False):
     G = nu.graph
     a = nu.a.copy()
     a[v] -= r
-    ej, _ = G.incident_edges(v)
-    w = r / len(ej)
-    for e in ej:
-        y = G.tails[e] if G.heads[e] == v else G.heads[e]
-        a[y] += w
+    nbrs = G.neighbors(v)
+    a[nbrs] += r / len(nbrs)
     return Distribution(G, a, check=False)
 
 

@@ -187,3 +187,85 @@ class TestPlumbing:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert '"kappa1"' in proc.stdout
+
+
+def one_line_exit_2(argv, capsys):
+    """The command exits 2 with a single line on stderr and no output."""
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    return err
+
+
+class TestFileInputs:
+    @pytest.mark.parametrize("row", ["-1,1", "99,1", "1,abc", "1", "1,2,3",
+                                     "x,1", "1,nan"])
+    def test_bad_measure_row(self, row, tmp_path, capsys):
+        src, dst = tmp_path / "src.csv", tmp_path / "dst.csv"
+        src.write_text("vertex,mass\n0,1\n")
+        dst.write_text(f"vertex,mass\n{row}\n")
+        err = one_line_exit_2(["transport", "wasserstein", "--graph",
+                               "cycle:6", "--src", str(src), "--dst",
+                               str(dst)], capsys)
+        assert "line 2" in err
+
+    def test_missing_measure_file(self, tmp_path, capsys):
+        src = tmp_path / "src.csv"
+        src.write_text("0,1\n")
+        one_line_exit_2(["transport", "wasserstein", "--graph", "cycle:6",
+                         "--src", str(src), "--dst",
+                         str(tmp_path / "missing.csv")], capsys)
+
+    @pytest.mark.parametrize("content", [None, "[0, 1", "[0, 99]", "[-1]",
+                                         "[]", '{"a": 1}', "[0.5]"])
+    def test_bad_vertex_set(self, content, tmp_path, capsys):
+        path = tmp_path / "set.json"
+        if content is not None:
+            path.write_text(content)
+        one_line_exit_2(["iso", "radial", "--graph", "cycle:10",
+                         "--set", str(path)], capsys)
+
+    def test_graph_file_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text("[1, 2]")
+        one_line_exit_2(["spectral", "--graph", str(path)], capsys)
+
+
+class TestArgumentValues:
+    @pytest.mark.parametrize("radii", ["a..b", "3..x", "1,,2", "5..3", "-1",
+                                       "1..2..3"])
+    def test_bad_radii(self, radii, capsys):
+        one_line_exit_2(["harmonic", "probe", "--group", "zd:1",
+                         "--radii", radii], capsys)
+
+    def test_bad_levels(self, capsys):
+        one_line_exit_2(["transport", "chain", "--group", "zd:1",
+                         "--levels", "1..x"], capsys)
+
+    @pytest.mark.parametrize("p", ["x", "1.5,,3"])
+    def test_bad_spectral_p(self, p, capsys):
+        one_line_exit_2(["spectral", "--graph", "cycle:6", "--p", p], capsys)
+
+    @pytest.mark.parametrize("config", [{"radius": "x"}, {"radius": 2.5},
+                                        {"radius": True},
+                                        {"laziness": "lazy"},
+                                        {"dry_run": "yes"}, [1, 2]])
+    def test_bad_config_value(self, config, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        one_line_exit_2(["--config", str(path), "walk", "profile", "--group",
+                         "zd:1", "--radius", "6", "--steps", "2"], capsys)
+
+    @pytest.mark.parametrize("value", ["0.25", 0.25])
+    def test_config_values_take_the_option_type(self, value, tmp_path):
+        # a value converts as on the command line, so the output (config
+        # hash included) matches the flag; unknown keys are ignored
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"laziness": value, "unrelated": 1}))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["walk", "profile", "--group", "zd:1", "--radius", "8",
+                "--steps", "3"]
+        assert run(["--config", str(cfg)] + argv + ["--out", str(a)]) == 0
+        assert run(argv + ["--laziness", "0.25", "--out", str(b)]) == 0
+        assert a.read_text() == b.read_text()

@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import harmlab.harmonic as H
 from harmlab.cayley import build_group, cayley_ball
-from harmlab.errors import NotATree, SupportHitsBoundary
-from harmlab.graphs import (VertexField, ball, bfs_distances, cycle_graph,
-                            gradient, lp_norm, path_graph, regular_tree,
-                            subset_view, torus_grid)
+from harmlab.errors import NotATree, SingularSystem, SupportHitsBoundary
+from harmlab.graphs import (OrientedGraph, VertexField, ball, bfs_distances,
+                            cycle_graph, gradient, lp_norm, path_graph,
+                            regular_tree, subset_view, torus_grid)
 
 
 class TestDirichlet:
@@ -50,6 +52,17 @@ class TestDirichlet:
             inner = f.a[A.members]
             assert inner.min() >= lo - 1e-10
             assert inner.max() <= hi + 1e-10
+
+    def test_whole_component_inside_raises(self):
+        # the triangle 0-1-2 is a whole component inside A
+        G = OrientedGraph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5),
+                              (5, 6)])
+        A = subset_view(G, [0, 1, 2, 4])
+        bv = {int(v): 1.0 for v in A.outer_boundary}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystem):
+                H.dirichlet_extend(G, A, bv)
 
     def test_missing_boundary_value(self):
         G = cycle_graph(8)

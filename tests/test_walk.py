@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +75,28 @@ class TestExit:
             assert np.abs(ex.a - alone.a).max() <= 1e-12
             assert ex.origin == origin and ex.region is A
 
+    @pytest.mark.parametrize("case", ["torus", "tree"])
+    def test_exit_laws_match_dense_solve(self, case):
+        if case == "torus":  # constant degree inside the region
+            G = torus_grid(9, 9)
+            A = ball(G, 0, 3)
+        else:  # the region reaches the degree-1 leaves
+            G = regular_tree(3, 4)
+            A = ball(G, 4, 3)
+        origins = [int(v) for v in A.members[::3]]
+        # killed walk: visit counts solve (I - Q^T) h = delta, exits are R^T h
+        P = G.adjacency_matrix().toarray() / G.degrees[:, None]
+        inside = A.members
+        Q = P[np.ix_(inside, inside)]
+        R = P[inside] * ~A.mask
+        delta = np.eye(A.size)[:, np.searchsorted(inside, origins)]
+        h = np.linalg.solve(np.eye(A.size) - Q.T, delta)
+        exits = W.exit_distributions(G, A, origins)
+        assert len(exits) == len(origins) > 1
+        for j, ex in enumerate(exits):
+            assert ex.origin == origins[j]
+            assert np.abs(ex.a - R.T @ h[:, j]).max() <= 1e-12
+
     def test_stopped_walk_converges_to_exit_law(self):
         G = torus_grid(6, 6)
         A = ball(G, 0, 2)
@@ -92,8 +116,14 @@ class TestExit:
                               (5, 6)])
         A = subset_view(G, [0, 1, 2, 4])
         assert len(A.outer_boundary) > 0
-        with pytest.raises(SingularSystem):
-            W.exit_distribution(G, A, 0)
+        # the solver's singular-matrix warning becomes the error; nothing
+        # is emitted on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystem):
+                W.exit_distribution(G, A, 0)
+            with pytest.raises(SingularSystem):
+                W.exit_distributions(G, A, [4, 0])
 
 
 class TestFire:
