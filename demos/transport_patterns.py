@@ -1,7 +1,7 @@
 """Transport patterns: edge flows with a prescribed divergence.
 
 Four constructions of the same kind of object:
-  1. optimal transport (Wasserstein-1 via min-cost flow),
+  1. optimal transport (Wasserstein-1 as a linear program on the edges),
   2. a single random-walk step,
   3. the gradient of an inverse-Laplacian solve on a region,
   4. translation of a measure by a fixed group element along its word.

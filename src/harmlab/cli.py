@@ -20,9 +20,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (BallTooLarge, DenseBudgetExceeded,
-                     EnumerationBudgetExceeded, GraphTooLargeForExact,
-                     HarmlabError, IoError, UnsupportedGroup)
+from .errors import (BallTooLarge, ComplementDisconnected,
+                     DenseBudgetExceeded, EnumerationBudgetExceeded,
+                     GraphTooLargeForExact, HarmlabError, IoError,
+                     MassMismatch, UnsupportedGroup)
 from . import cayley, graphs, harmonic, isoperimetry, spectral, transport
 from . import walk as walkmod
 from . import window as windowmod
@@ -141,13 +142,15 @@ def _parse_radii(text):
 
 
 def cmd_spectral(args, chash):
-    G = load_graph_spec(args.graph)
     try:
-        p_list = [p for p in map(float, args.p.split(","))
-                  if p not in (1.0, 2.0)]
+        p_list = [float(p) for p in args.p.split(",")]
+        if not all(1 <= p < np.inf for p in p_list):
+            raise ValueError
     except ValueError:
-        raise IoError(f"--p takes comma-separated numbers, not {args.p!r}") \
-            from None
+        raise IoError(f"--p takes comma-separated finite numbers >= 1, not "
+                      f"{args.p!r}") from None
+    p_list = [p for p in p_list if p not in (1.0, 2.0)]
+    G = load_graph_spec(args.graph)
     rep = spectral.verify_gap_chain(G, p_list=p_list or (1.5, 3.0))
     report = {
         "graph": args.graph,
@@ -226,6 +229,8 @@ def _load_measure(G, path):
 
 
 def cmd_transport_chain(args, chash):
+    if not (args.p == 0 or args.p >= 1):
+        raise IoError(f"--p must be 0 or at least 1, not {args.p}")
     group = cayley.build_group(args.group)
     levels = _parse_radii(args.levels)
     R = max(levels) + 2
@@ -463,7 +468,8 @@ def main(argv=None):
     except BUDGET_ERRORS as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (IoError, UnsupportedGroup) as exc:
+    except (IoError, UnsupportedGroup, MassMismatch,
+            ComplementDisconnected) as exc:  # properties of the input
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (HarmlabError, FloatingPointError) as exc:

@@ -210,6 +210,15 @@ class TestFileInputs:
                                str(dst)], capsys)
         assert "line 2" in err
 
+    def test_unequal_masses(self, tmp_path, capsys):
+        src, dst = tmp_path / "src.csv", tmp_path / "dst.csv"
+        src.write_text("0,1\n")
+        dst.write_text("3,0.5\n")
+        err = one_line_exit_2(["transport", "wasserstein", "--graph",
+                               "cycle:8", "--src", str(src), "--dst",
+                               str(dst)], capsys)
+        assert "masses differ" in err
+
     def test_missing_measure_file(self, tmp_path, capsys):
         src = tmp_path / "src.csv"
         src.write_text("0,1\n")
@@ -218,7 +227,8 @@ class TestFileInputs:
                          str(tmp_path / "missing.csv")], capsys)
 
     @pytest.mark.parametrize("content", [None, "[0, 1", "[0, 99]", "[-1]",
-                                         "[]", '{"a": 1}', "[0.5]"])
+                                         "[]", '{"a": 1}', "[0.5]",
+                                         "[0, 5]"])
     def test_bad_vertex_set(self, content, tmp_path, capsys):
         path = tmp_path / "set.json"
         if content is not None:
@@ -243,9 +253,14 @@ class TestArgumentValues:
         one_line_exit_2(["transport", "chain", "--group", "zd:1",
                          "--levels", "1..x"], capsys)
 
-    @pytest.mark.parametrize("p", ["x", "1.5,,3"])
+    @pytest.mark.parametrize("p", ["x", "1.5,,3", "0.5", "inf", "nan"])
     def test_bad_spectral_p(self, p, capsys):
         one_line_exit_2(["spectral", "--graph", "cycle:6", "--p", p], capsys)
+
+    @pytest.mark.parametrize("p", ["0.5", "nan"])
+    def test_bad_chain_p(self, p, capsys):
+        one_line_exit_2(["transport", "chain", "--group", "zd:1", "--levels",
+                         "2..3", "--p", p], capsys)
 
     @pytest.mark.parametrize("config", [{"radius": "x"}, {"radius": 2.5},
                                         {"radius": True},

@@ -1,12 +1,15 @@
 import warnings
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import harmlab.transport as T
 from harmlab.cayley import build_group, cayley_ball
-from harmlab.errors import (MassMismatch, NonRegularGraph, NonZeroSum,
-                            PathExitsBall, SingularSystem)
+from harmlab.errors import (Infeasible, MassMismatch, NonConvergence,
+                            NonRegularGraph, NonZeroSum, PathExitsBall,
+                            SingularSystem)
 from harmlab.graphs import (Distribution, OrientedGraph, VertexField, ball,
                             bfs_distances, cycle_graph, divergence,
                             regular_tree, subset_view, torus_grid)
@@ -50,6 +53,130 @@ class TestWasserstein:
         bad = VertexField(G, mu.a * 0.5)
         with pytest.raises(MassMismatch):
             T.wasserstein1(G, mu, bad)
+
+
+    def test_two_components_infeasible(self):
+        G = OrientedGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        with pytest.raises(Infeasible):
+            T.wasserstein1(G, Distribution.dirac(G, 0),
+                           Distribution.dirac(G, 5))
+        # balanced on each component: feasible
+        cost, pat = T.wasserstein1(G, Distribution.uniform(G, [0, 3]),
+                                   Distribution.uniform(G, [2, 5]))
+        assert abs(cost - 2.0) < 1e-12 and pat.residual < 1e-12
+
+    def test_edgeless_graph(self):
+        G = OrientedGraph(2, [])
+        cost, pat = T.wasserstein1(G, Distribution.dirac(G, 1),
+                                   Distribution.dirac(G, 1))
+        assert cost == 0.0 and pat.residual == 0.0
+        with pytest.raises(Infeasible):
+            T.wasserstein1(G, Distribution.dirac(G, 0),
+                           Distribution.dirac(G, 1))
+
+    @pytest.mark.parametrize("gap", [1e-12, 5e-10, 9e-10])
+    def test_mass_gap_within_tolerance(self, gap):
+        # a gap that passes the MassMismatch check is solved, not Infeasible
+        G = torus_grid(6, 6)
+        target = VertexField(G, Distribution.dirac(G, 14).a * (1 + gap))
+        cost, pat = T.wasserstein1(G, Distribution.dirac(G, 0), target)
+        assert abs(cost - 4.0) < 1e-8 and pat.residual <= 1e-9
+
+    def test_unsolved_program_raises(self, monkeypatch):
+        G = cycle_graph(6)
+        real = T.linprog
+
+        def stopped(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.status, res.message = 1, "Iteration limit reached."
+            return res
+
+        monkeypatch.setattr(T, "linprog", stopped)
+        with pytest.raises(NonConvergence, match="Iteration limit"):
+            T.wasserstein1(G, Distribution.dirac(G, 0),
+                           Distribution.dirac(G, 3))
+
+    def test_residual_above_tolerance_raises(self, monkeypatch):
+        G = cycle_graph(6)
+        real = T.linprog
+
+        def off(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.x[0] += 1e-8  # moves tau on edge 0 only
+            return res
+
+        monkeypatch.setattr(T, "linprog", off)
+        with pytest.raises(NonConvergence, match="residual"):
+            T.wasserstein1(G, Distribution.dirac(G, 0),
+                           Distribution.dirac(G, 3))
+
+
+def network_simplex_w1(G, source, target):
+    """Reference W1 cost: integer min-cost flow on masses scaled by 10^15,
+    solved by networkx's network simplex."""
+    scale = 10 ** 15
+    demand = np.round((target.a - source.a) * scale).astype(object)
+    demand[int(np.argmax(np.abs(target.a - source.a)))] -= sum(demand)
+    g = nx.DiGraph()
+    total = sum(int(d) for d in demand if d > 0)
+    for v in range(G.n):
+        g.add_node(v, demand=int(demand[v]))
+    # finite capacities keep networkx off its uncapacitated code path
+    for x, y in zip(G.tails, G.heads):
+        g.add_edge(int(x), int(y), weight=1, capacity=total)
+        g.add_edge(int(y), int(x), weight=1, capacity=total)
+    return nx.network_simplex(g)[0] / scale
+
+
+@st.composite
+def connected_graph_and_measures(draw):
+    """A random connected graph (a random tree plus extra edges) and two
+    probability measures that are sparse, dense or share their support."""
+    n = draw(st.integers(2, 24))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=2 * n))
+    edges |= {(min(a, b), max(a, b)) for a, b in pairs if a != b}
+    G = OrientedGraph(n, sorted(edges))
+    kind = draw(st.sampled_from(["sparse", "dense", "overlapping"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = min(n, int(rng.integers(1, 4)))
+    supports = [rng.choice(n, k, replace=False) for _ in range(2)]
+    if kind == "dense":
+        supports = [np.arange(n)] * 2
+    elif kind == "overlapping":
+        supports[1] = np.union1d(supports[0][:1], supports[1])
+    measures = []
+    for supp in supports:
+        a = np.zeros(n)
+        a[supp] = rng.random(len(supp)) + 1e-3
+        measures.append(Distribution(G, a / a.sum()))
+    return G, measures[0], measures[1]
+
+
+class TestWassersteinAgainstNetworkSimplex:
+    @settings(max_examples=150, deadline=None)
+    @given(connected_graph_and_measures())
+    def test_matches_reference(self, case):
+        G, mu, nu = case
+        cost, pat = T.wasserstein1(G, mu, nu)
+        ref = network_simplex_w1(G, mu, nu)
+        assert abs(cost - ref) <= 1e-12
+        assert pat.residual <= 1e-9
+        assert abs(pat.norm(1) - cost) <= 1e-9
+
+    def test_dense_pair_on_free_ball(self):
+        # at HiGHS's default feasibility tolerances (1e-7) this pair's cost
+        # came out 1.9e-7 above the optimum
+        G = cayley_ball(build_group("free:2"), 5).graph
+        rng = np.random.default_rng(30)
+        a, b = rng.random(G.n), rng.random(G.n)
+        mu, nu = Distribution(G, a / a.sum()), Distribution(G, b / b.sum())
+        cost, pat = T.wasserstein1(G, mu, nu)
+        ref = network_simplex_w1(G, mu, nu)
+        assert abs(cost - ref) <= 1e-12
+        assert pat.residual <= 1e-9
+        assert abs(pat.norm(1) - cost) <= 1e-9
 
 
 class TestRandomStep:
