@@ -428,9 +428,10 @@ def build_parser():
 
 
 def _apply_config(args, overrides):
-    """Set the options named in a --config object: a flag takes true or
-    false, any other option the text of its value, converted by the
-    option's own type.  Keys that name no option are ignored."""
+    """Make the options named in a --config object default to its values:
+    a flag takes true or false, any other option the text of its value,
+    converted by the option's own type.  Keys that name no option are
+    ignored."""
     if not isinstance(overrides, dict):
         raise IoError("config must be a JSON object")
     for key, val in overrides.items():
@@ -445,7 +446,7 @@ def _apply_config(args, overrides):
                 val = (act.type or str)(str(val))
             except ValueError:
                 raise IoError(f"invalid {key} {val!r}") from None
-        setattr(args, act.dest, val)
+        act.default = val
 
 
 def main(argv=None):
@@ -455,8 +456,9 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
     try:
-        if args.config:
+        if args.config:  # parse again: a flag on the command line wins
             _apply_config(args, _read(args.config, "config"))
+            args = parser.parse_args(argv)
         cfg = {k: v for k, v in sorted(vars(args).items())
                if k not in ("func", "options", "config", "out", "dry_run")}
         chash = hashlib.sha256(json.dumps(cfg, sort_keys=True, default=str)

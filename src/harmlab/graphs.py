@@ -138,6 +138,34 @@ def adjacency_slots(G, verts):
     return shift + np.arange(len(shift)), counts
 
 
+# -- vertex sets as bitmask rows of ceil(n / 64) uint64 words, vertex v
+# being bit v % 64 of word v // 64
+
+
+def bitmask_rows(n, rows, vertices, k):
+    """k bitmask rows, with vertices[i] put into row rows[i]."""
+    out = np.zeros((k, -(-n // 64)), dtype=np.uint64)
+    np.bitwise_or.at(out, (rows, vertices // 64),
+                     np.uint64(1) << (vertices % 64).astype(np.uint64))
+    return out
+
+
+def neighbour_masks(G):
+    """Bitmask rows of the neighbourhoods N(u), u = 0..n-1."""
+    ends = np.concatenate([G.tails, G.heads])
+    return bitmask_rows(G.n, np.roll(ends, G.m), ends, G.n)
+
+
+def boundary_gain(deg, nbr, v, sets):
+    """|bd(S + v)| - |bd S| for v outside the bitmask rows S: deg v minus
+    twice the edges from v into S, read off the neighbour masks `nbr`.
+    v is one vertex or one per row."""
+    gain = np.bitwise_count(nbr[v] & sets).sum(axis=-1, dtype=np.int32)
+    gain *= -2
+    gain += deg[v]
+    return gain
+
+
 def bfs_distances(G, sources):
     """Distances from the given source vertex/vertices; -1 if unreachable."""
     dist = np.full(G.n, -1, dtype=np.int64)

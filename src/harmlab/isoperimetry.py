@@ -1,8 +1,8 @@
 """Isoperimetric profiles and the geometry of finite vertex sets.
 
 The profile G_down(x) = min { |boundary F| / |F| : |F| <= x } is computed
-exactly by duplicate-free enumeration of connected subsets (a minimizing
-set can be replaced by its best connected component).  An independent
+exactly by enumerating the connected subsets size by size, as bitmask
+rows (a minimizing set can be replaced by its best connected component).  An independent
 integer-programming route gives exact minimal boundaries for spot checks
 without the connectivity restriction.
 """
@@ -17,7 +17,9 @@ import scipy.sparse as sp
 
 from .errors import (ComplementDisconnected, DisconnectedSet,
                      EnumerationBudgetExceeded, IntegerProgramFailure)
-from .graphs import SubsetView, bfs_distances, subset_view
+from .graphs import (SubsetView, _sorted_unique, adjacency_slots,
+                     bfs_distances, bitmask_rows, boundary_gain,
+                     neighbour_masks, subset_view)
 
 ENUM_BUDGET = 10 ** 7
 
@@ -47,54 +49,113 @@ class IsoProfile:
         return min(self.ratio(s) for s in sizes)
 
 
+# Candidates for the next level are built and deduplicated this many words
+# at a time: the 9 * 10^6 candidates of size 12 in profile(torus_grid(5, 5),
+# 12) took the process to a 690 MiB peak when built at once, 259 MiB in
+# slices.
+SLICE_WORDS = 1 << 20
+# Sets are enumerated by their least vertex, this many least vertices at a
+# time.  A connected set of size <= s lies within distance s - 1 of its
+# least vertex, so each block needs bitmask rows only as wide as that
+# window: on torus_grid(100, 100) to size 4, at most 466 vertices, not
+# 10^4.
+ROOT_BLOCK = 64
+
+
+def _members(rows):
+    # (row, vertex) pairs of bitmask rows, by row and ascending vertex
+    return np.nonzero(np.unpackbits(rows.view(np.uint8), axis=-1,
+                                    bitorder="little"))
+
+
+def _distinct(sets, *cols):
+    # the distinct rows of `sets` in ascending order (np.lexsort sorts on
+    # its last key, the top word, first), with their entries of `cols`
+    order = np.lexsort(sets.T)
+    sets = sets[order]
+    keep = np.ones(len(sets), dtype=bool)
+    keep[1:] = np.any(sets[1:] != sets[:-1], axis=1)
+    return (sets[keep],) + tuple(c[order[keep]] for c in cols)
+
+
+def _block_levels(G, a, inside, max_size):
+    """Yield (window, sets, boundaries) for each size 1..max_size: the
+    connected sets inside the mask `inside` whose least vertex is one of
+    a..a + ROOT_BLOCK - 1, as bitmask rows over `window`, in ascending
+    order.  A set of size s + 1 is a set S of size s plus a vertex of N(S)
+    outside S, so each set carries N(S) along; boundaries count the edges
+    of all of G."""
+    window = a + np.flatnonzero(inside[a:a + ROOT_BLOCK])
+    k = len(window)
+    for _ in range(max_size - 1):  # vertices >= a of `inside` within reach
+        window = _sorted_unique(np.concatenate(
+            [window, G._adj_nbr[adjacency_slots(G, window)[0]]]))
+        window = window[inside[window] & (window >= a)]
+    nbr = neighbour_masks(subset_view(G, window).induced_graph()[0])
+    ids = np.arange(len(window))
+    one = bitmask_rows(len(window), ids, ids, len(window))
+    deg = G.degrees[window]
+    sets, bnd, reach = one[:k], deg[:k], nbr[:k]
+
+    def grow(lo):  # the sets S + v of one slice of the level, deduplicated
+        row, v = _members(cand[lo:lo + step])
+        S = sets[row + lo]
+        return _distinct(S | one[v], bnd[row + lo] + boundary_gain(
+            deg, nbr, v, S), reach[row + lo] | nbr[v])
+
+    for size in range(1, max_size + 1):
+        yield window, sets, bnd
+        if size < max_size and len(sets):
+            cand = reach & ~sets
+            most = int(np.bitwise_count(cand).sum(axis=1).max(initial=1))
+            step = max(SLICE_WORDS // (sets.shape[1] * most), 1)
+            sets, bnd, reach = _distinct(*map(np.concatenate, zip(
+                *map(grow, range(0, len(sets), step)))))
+
+
+def _levels(G, max_size, allowed, budget):
+    """Yield, for each size 1..max_size, the connected vertex sets of that
+    size inside `allowed`, as a list of (window, sets, boundaries) with one
+    entry per block of least vertices that has such sets."""
+    inside = (np.ones(G.n, dtype=bool) if allowed is None
+              else subset_view(G, allowed).mask)
+    total = 0
+    for level in zip(*(_block_levels(G, a, inside, max_size)
+                       for a in range(0, G.n, ROOT_BLOCK))):
+        level = [(w, sets, bnd) for w, sets, bnd in level if len(sets)]
+        total += sum(len(sets) for _, sets, _ in level)
+        if total > budget:
+            raise EnumerationBudgetExceeded(
+                f"more than {budget} connected sets", partial=None)
+        if not level:
+            return
+        yield level
+
+
 def connected_subsets(G, max_size, allowed=None, budget=ENUM_BUDGET):
     """Yield every connected vertex set of size <= max_size exactly once,
-    as (members, boundary_size).  Boundary edges are counted in the full
-    graph, including edges leaving the allowed region."""
-    if allowed is None:
-        allowed_mask = np.ones(G.n, dtype=bool)
-    else:
-        allowed_mask = np.zeros(G.n, dtype=bool)
-        allowed_mask[np.asarray(list(allowed))] = True
-    produced = 0
-    nbrs = [list(map(int, G.neighbors(v))) for v in range(G.n)]
-    deg = G.degrees
-    for root in range(G.n):
-        if not allowed_mask[root]:
-            continue
-        # binary branch-and-extend: include or forbid one candidate at a time
-        stack = [([root], {root}, set(), int(deg[root]))]
-        while stack:
-            S, Sset, X, b = stack.pop()
-            produced += 1
-            if produced > budget:
-                raise EnumerationBudgetExceeded(
-                    f"more than {budget} connected sets", partial=None)
-            yield S, b
-            if len(S) >= max_size:
-                continue
-            cand = [u for v in S for u in nbrs[v]
-                    if u > root and u not in Sset and u not in X
-                    and allowed_mask[u]]
-            seen = set()
-            cand = [u for u in cand if not (u in seen or seen.add(u))]
-            forb = set(X)
-            for u in cand:
-                join = sum(1 for w in nbrs[u] if w in Sset)
-                stack.append((S + [u], Sset | {u}, set(forb),
-                              b + int(deg[u]) - 2 * join))
-                forb.add(u)
+    as (members, boundary_size), by size.  Boundary edges are counted in
+    the full graph, including edges leaving the allowed region."""
+    for level in _levels(G, max_size, allowed, budget):
+        for window, sets, bnd in level:
+            members = window[_members(sets)[1]].reshape(len(sets), -1)
+            yield from zip(members.tolist(), bnd.tolist())
 
 
 def profile(G, max_size, allowed=None, budget=ENUM_BUDGET):
-    """Exact isoperimetric table size -> (min boundary, witness set)."""
+    """Exact isoperimetric table size -> (min boundary, witness set); the
+    witness is the least bitmask among the minimisers."""
     prof = IsoProfile(max_size=max_size)
     try:
-        for S, b in connected_subsets(G, max_size, allowed, budget):
-            s = len(S)
-            cur = prof.table.get(s)
-            if cur is None or b < cur[0]:
-                prof.table[s] = (b, list(S))
+        levels = _levels(G, max_size, allowed, budget)
+        for size, level in enumerate(levels, 1):
+            # per window the first minimiser is the least; across windows
+            # the least bitmask is the least list of members, top first
+            b, top_first = min(
+                (int(bnd.min()),
+                 window[_members(sets[np.argmin(bnd)])[0]][::-1].tolist())
+                for window, sets, bnd in level)
+            prof.table[size] = (b, top_first[::-1])
     except EnumerationBudgetExceeded as exc:
         prof.complete = False
         exc.partial = prof
@@ -195,20 +256,6 @@ def mean_boundary_distance(G, F):
         # largest finite value (thick components of closed regions)
         d[d < 0] = d.max()
     return float(d.mean())
-
-
-def growth_functions(G, R, vertices=None):
-    """Minimal and maximal ball volumes f_v(r), f_V(r) for r = 0..R."""
-    if vertices is None:
-        vertices = range(G.n)
-    lo = np.full(R + 1, np.inf)
-    hi = np.zeros(R + 1)
-    for v in vertices:
-        d = bfs_distances(G, v)
-        sizes = np.cumsum(np.bincount(d[d >= 0], minlength=R + 1))[:R + 1]
-        lo = np.minimum(lo, sizes)
-        hi = np.maximum(hi, sizes)
-    return lo, hi
 
 
 def radial_iso_check(G, A, K=1.0, k=1.0):

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from . import isoperimetry
 from .errors import EigensolveFailure, GraphTooLargeForExact, NonConvergence
-from .graphs import lp_norm, subset_view
+from .graphs import boundary_gain, lp_norm, neighbour_masks, subset_view
 
 BITMASK_LIMIT = 24
 MILP_LIMIT = 64
@@ -36,18 +36,16 @@ def _gradient_matrix(G):
 
 
 def _cheeger_bitmask(G):
-    # boundary[S] for every bitmask S, filled one vertex b at a time: adding
-    # b to a set S of lower vertices adds deg(b) and removes twice the edges
-    # from b into S.  Neighbour bitmasks are exact in float64 up to 2^53.
+    # boundary[S] for every bitmask S, filled one vertex b at a time from
+    # the sets S of lower vertices
     n = G.n
-    nbr = (G.adjacency_matrix() @ 2.0 ** np.arange(n)).astype(np.int64)
+    nbr = neighbour_masks(G)[:, :1].astype(np.uint32)  # word 0: n <= 24
     boundary = np.zeros(1 << n, dtype=np.int16)
     size = np.zeros(1 << n, dtype=np.uint8)
     for b in range(n):
         low, high = slice(0, 1 << b), slice(1 << b, 2 << b)
-        joins = np.bitwise_count(np.arange(1 << b, dtype=np.uint32)
-                                 & int(nbr[b])).astype(np.int16)
-        boundary[high] = boundary[low] + (int(G.degrees[b]) - 2 * joins)
+        lower = np.arange(1 << b, dtype=np.uint32)[:, None]
+        boundary[high] = boundary[low] + boundary_gain(G.degrees, nbr, b, lower)
         size[high] = size[low] + 1
     ratio = np.full(1 << n, np.inf)
     np.divide(boundary, size, out=ratio, where=(size >= 1) & (size <= n // 2))

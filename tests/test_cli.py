@@ -284,3 +284,11 @@ class TestArgumentValues:
         assert run(["--config", str(cfg)] + argv + ["--out", str(a)]) == 0
         assert run(argv + ["--laziness", "0.25", "--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
+
+    def test_command_line_wins_over_config(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"steps": 2}))
+        assert run(["--config", str(cfg), "walk", "profile", "--group",
+                    "zd:1", "--radius", "6", "--steps", "4"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[2:]
+        assert [r.split(",")[0] for r in rows] == ["0", "1", "2", "3", "4"]

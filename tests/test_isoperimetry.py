@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import harmlab.isoperimetry as I
 import harmlab.spectral as S
 from harmlab.cayley import build_group, cayley_ball
 from harmlab.errors import (ComplementDisconnected, DisconnectedSet,
                             EnumerationBudgetExceeded)
-from harmlab.graphs import (cycle_graph, hypercube_graph,
-                            random_regular_graph, subset_view, torus_grid)
+from harmlab.graphs import (OrientedGraph, bfs_distances, cycle_graph,
+                            hypercube_graph, random_regular_graph,
+                            subset_view, torus_grid)
 
 
 def square_in_z2(ball_obj, n):
@@ -17,6 +19,75 @@ def square_in_z2(ball_obj, n):
 @pytest.fixture(scope="module")
 def z2ball():
     return cayley_ball(build_group("zd:2"), 12)
+
+
+def branch_and_extend(G, max_size, allowed=None):
+    """Reference enumeration (Wernicke's ESU): each connected set is grown
+    from its least vertex, including or forbidding one candidate at a
+    time.  Yields (members, boundary_size)."""
+    ok = set(range(G.n)) if allowed is None else set(allowed)
+    nbrs = [list(map(int, G.neighbors(v))) for v in range(G.n)]
+    deg = G.degrees
+    for root in sorted(ok):
+        stack = [([root], {root}, set(), int(deg[root]))]
+        while stack:
+            S, Sset, X, b = stack.pop()
+            yield S, b
+            if len(S) >= max_size:
+                continue
+            cand = [u for v in S for u in nbrs[v]
+                    if u > root and u not in Sset and u not in X and u in ok]
+            seen = set()
+            cand = [u for u in cand if not (u in seen or seen.add(u))]
+            forb = set(X)
+            for u in cand:
+                join = sum(1 for w in nbrs[u] if w in Sset)
+                stack.append((S + [u], Sset | {u}, set(forb),
+                              b + int(deg[u]) - 2 * join))
+                forb.add(u)
+
+
+def random_connected_graph(rng, n):
+    """A random spanning tree on n vertices plus up to n extra edges."""
+    edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    for u, v in rng.integers(0, n, size=(int(rng.integers(0, n + 1)), 2)):
+        if u != v:
+            edges.add((int(min(u, v)), int(max(u, v))))
+    return OrientedGraph(n, sorted(edges))
+
+
+class TestLevelsAgainstBranchAndExtend:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.booleans())
+    def test_matches_reference(self, seed, restrict):
+        rng = np.random.default_rng(seed)
+        # n up to 150 reaches bitmask rows of three words
+        n = int(rng.integers(2, 151))
+        G = random_connected_graph(rng, n)
+        allowed = None
+        if restrict:
+            allowed = [int(v) for v in np.flatnonzero(rng.random(n) < 0.6)]
+        max_size = 5 if n <= 40 else 3
+        want, least = {}, {}
+        for S, b in branch_and_extend(G, max_size, allowed):
+            want.setdefault(len(S), []).append(frozenset(S))
+            key = (b, sum(1 << v for v in S))  # least bitmask breaks ties
+            least[len(S)] = min(least.get(len(S), key), key)
+        got = {}
+        for S, b in I.connected_subsets(G, max_size, allowed):
+            assert b == subset_view(G, S).boundary_size
+            got.setdefault(len(S), []).append(frozenset(S))
+        assert {s: len(v) for s, v in got.items()} == \
+            {s: len(v) for s, v in want.items()}
+        for sets in got.values():
+            assert len(set(sets)) == len(sets)
+        assert {s: set(v) for s, v in got.items()} == \
+            {s: set(v) for s, v in want.items()}
+        prof = I.profile(G, max_size, allowed)
+        assert sorted(prof.table) == sorted(least)
+        for s, (b, mask) in least.items():
+            assert prof.table[s][0] == b
+            assert prof.table[s][1] == [v for v in range(n) if mask >> v & 1]
 
 
 class TestEnumeration:
@@ -41,6 +112,16 @@ class TestEnumeration:
         G = hypercube_graph(4)
         with pytest.raises(EnumerationBudgetExceeded):
             list(I.connected_subsets(G, 8, budget=100))
+
+    def test_budget_keeps_completed_sizes(self):
+        # Q4 has 16 vertices, 32 edges and 96 connected sets of size 3
+        G = hypercube_graph(4)
+        full = I.profile(G, 8)
+        with pytest.raises(EnumerationBudgetExceeded) as info:
+            I.profile(G, 8, budget=100)
+        partial = info.value.partial
+        assert partial.complete is False
+        assert partial.table == {s: full.table[s] for s in (1, 2)}
 
     def test_allowed_restriction(self):
         G = cycle_graph(8)
@@ -96,11 +177,11 @@ class TestGeometry:
 
     def test_inradius_ball_fits(self, z2ball):
         G = z2ball.graph
+        d = bfs_distances(G, 0)
         for n in (3, 4, 6):
             F = square_in_z2(z2ball, n)
             r = I.inradius(G, F)
-            lo, _ = I.growth_functions(G, r, vertices=[0])
-            assert lo[r] <= len(F)
+            assert np.count_nonzero((0 <= d) & (d <= r)) <= len(F)
 
     def test_diameter_disconnected(self):
         G = cycle_graph(8)
@@ -109,9 +190,10 @@ class TestGeometry:
 
     def test_growth_z2(self, z2ball):
         G = z2ball.graph
-        lo, hi = I.growth_functions(G, 5, vertices=[0])
+        d = bfs_distances(G, 0)
+        volumes = np.cumsum(np.bincount(d[d >= 0]))[:6]
         want = [2 * r * r + 2 * r + 1 for r in range(6)]
-        assert list(lo) == want and list(hi) == want
+        assert list(volumes) == want
 
     def test_radial_check_square(self, z2ball):
         G = z2ball.graph
