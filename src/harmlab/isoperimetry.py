@@ -2,9 +2,9 @@
 
 The profile G_down(x) = min { |boundary F| / |F| : |F| <= x } is computed
 exactly by enumerating the connected subsets size by size, as bitmask
-rows (a minimizing set can be replaced by its best connected component).  An independent
-integer-programming route gives exact minimal boundaries for spot checks
-without the connectivity restriction.
+rows (a minimizing set can be replaced by its best connected component).
+An independent integer-programming route gives exact minimal boundaries
+for spot checks without the connectivity restriction.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class IsoProfile:
 
 # Candidates for the next level are built and deduplicated this many words
 # at a time: the 9 * 10^6 candidates of size 12 in profile(torus_grid(5, 5),
-# 12) took the process to a 690 MiB peak when built at once, 259 MiB in
+# 12) took the process to a 696 MiB peak when built at once, 232 MiB in
 # slices.
 SLICE_WORDS = 1 << 20
 # Sets are enumerated by their least vertex, this many least vertices at a
@@ -78,58 +78,85 @@ def _distinct(sets, *cols):
     return (sets[keep],) + tuple(c[order[keep]] for c in cols)
 
 
-def _block_levels(G, a, inside, max_size):
-    """Yield (window, sets, boundaries) for each size 1..max_size: the
-    connected sets inside the mask `inside` whose least vertex is one of
-    a..a + ROOT_BLOCK - 1, as bitmask rows over `window`, in ascending
-    order.  A set of size s + 1 is a set S of size s plus a vertex of N(S)
-    outside S, so each set carries N(S) along; boundaries count the edges
-    of all of G."""
-    window = a + np.flatnonzero(inside[a:a + ROOT_BLOCK])
-    k = len(window)
-    for _ in range(max_size - 1):  # vertices >= a of `inside` within reach
-        window = _sorted_unique(np.concatenate(
-            [window, G._adj_nbr[adjacency_slots(G, window)[0]]]))
-        window = window[inside[window] & (window >= a)]
-    nbr = neighbour_masks(subset_view(G, window).induced_graph()[0])
-    ids = np.arange(len(window))
-    one = bitmask_rows(len(window), ids, ids, len(window))
-    deg = G.degrees[window]
-    sets, bnd, reach = one[:k], deg[:k], nbr[:k]
+class _Block:
+    """The connected sets of one size inside the mask `inside` whose least
+    vertex is one of a..a + ROOT_BLOCK - 1: ascending bitmask rows `sets`
+    over `window`, their boundaries `bnd` in all of G and their
+    neighbourhoods `reach`.  A set of size s + 1 is a set S of size s plus
+    a vertex of N(S) outside S."""
 
-    def grow(lo):  # the sets S + v of one slice of the level, deduplicated
-        row, v = _members(cand[lo:lo + step])
-        S = sets[row + lo]
-        return _distinct(S | one[v], bnd[row + lo] + boundary_gain(
-            deg, nbr, v, S), reach[row + lo] | nbr[v])
+    def __init__(self, G, a, inside, max_size):
+        window = a + np.flatnonzero(inside[a:a + ROOT_BLOCK])
+        k = len(window)
+        for _ in range(max_size - 1):  # vertices >= a of `inside` within reach
+            window = _sorted_unique(np.concatenate(
+                [window, G._adj_nbr[adjacency_slots(G, window)[0]]]))
+            window = window[inside[window] & (window >= a)]
+        self.window, self.deg = window, G.degrees[window]
+        self.nbr = neighbour_masks(subset_view(G, window).induced_graph()[0])
+        self.sets = self.rows(np.arange(k))
+        self.bnd, self.reach = self.deg[:k], self.nbr[:k]
 
-    for size in range(1, max_size + 1):
-        yield window, sets, bnd
-        if size < max_size and len(sets):
-            cand = reach & ~sets
-            most = int(np.bitwise_count(cand).sum(axis=1).max(initial=1))
-            step = max(SLICE_WORDS // (sets.shape[1] * most), 1)
-            sets, bnd, reach = _distinct(*map(np.concatenate, zip(
-                *map(grow, range(0, len(sets), step)))))
+    def rows(self, v):
+        # one bitmask row per vertex of v
+        return bitmask_rows(len(self.window), np.arange(len(v)), v, len(v))
+
+    def candidates(self):
+        return self.reach & ~self.sets
+
+    def grow(self, last):
+        """Move to the next size: each set S plus each vertex of N(S) \\ S,
+        deduplicated slice by slice and then once more.  The `last` size
+        needs no neighbourhoods."""
+        cand = self.candidates()
+        most = int(np.bitwise_count(cand).sum(axis=1).max(initial=1))
+        step = max(SLICE_WORDS // (cand.shape[1] * most), 1)
+
+        def part(lo):  # the sets of one slice, deduplicated
+            row, v = _members(cand[lo:lo + step])
+            row += lo
+            S = self.sets[row]
+            cols = [self.bnd[row] + boundary_gain(self.deg, self.nbr, v, S)]
+            if not last:
+                cols.append(self.reach[row] | self.nbr[v])
+            return _distinct(S | self.rows(v), *cols)
+
+        # no list of the slices outlives the concatenation
+        self.sets, self.bnd, *reach = _distinct(*map(
+            np.concatenate, zip(*map(part, range(0, len(cand), step)))))
+        self.reach = reach[0] if reach else None
 
 
 def _levels(G, max_size, allowed, budget):
     """Yield, for each size 1..max_size, the connected vertex sets of that
-    size inside `allowed`, as a list of (window, sets, boundaries) with one
-    entry per block of least vertices that has such sets."""
+    size inside `allowed`, as the list of the blocks of least vertices
+    that have such sets."""
     inside = (np.ones(G.n, dtype=bool) if allowed is None
               else subset_view(G, allowed).mask)
-    total = 0
-    for level in zip(*(_block_levels(G, a, inside, max_size)
-                       for a in range(0, G.n, ROOT_BLOCK))):
-        level = [(w, sets, bnd) for w, sets, bnd in level if len(sets)]
-        total += sum(len(sets) for _, sets, _ in level)
-        if total > budget:
+    blocks = [_Block(G, a, inside, max_size) for a in range(0, G.n, ROOT_BLOCK)
+              if inside[a:a + ROOT_BLOCK].any()]
+
+    def check(count):
+        if count > budget:
             raise EnumerationBudgetExceeded(
                 f"more than {budget} connected sets", partial=None)
-        if not level:
+
+    total = 0
+    for size in range(1, max_size + 1):
+        if size > 1:
+            # a set of this size is a set of the last size plus one of its
+            # candidates in at most `size` ways: the budget is checked
+            # before the level is built
+            check(total + sum(int(np.bitwise_count(b.candidates()).sum())
+                              for b in blocks) / size)
+            for b in blocks:
+                b.grow(size == max_size)
+            blocks = [b for b in blocks if len(b.sets)]
+        total += sum(len(b.sets) for b in blocks)
+        check(total)
+        if not blocks:
             return
-        yield level
+        yield blocks
 
 
 def connected_subsets(G, max_size, allowed=None, budget=ENUM_BUDGET):
@@ -137,9 +164,9 @@ def connected_subsets(G, max_size, allowed=None, budget=ENUM_BUDGET):
     as (members, boundary_size), by size.  Boundary edges are counted in
     the full graph, including edges leaving the allowed region."""
     for level in _levels(G, max_size, allowed, budget):
-        for window, sets, bnd in level:
-            members = window[_members(sets)[1]].reshape(len(sets), -1)
-            yield from zip(members.tolist(), bnd.tolist())
+        for b in level:
+            members = b.window[_members(b.sets)[1]].reshape(len(b.sets), -1)
+            yield from zip(members.tolist(), b.bnd.tolist())
 
 
 def profile(G, max_size, allowed=None, budget=ENUM_BUDGET):
@@ -149,13 +176,13 @@ def profile(G, max_size, allowed=None, budget=ENUM_BUDGET):
     try:
         levels = _levels(G, max_size, allowed, budget)
         for size, level in enumerate(levels, 1):
-            # per window the first minimiser is the least; across windows
+            # per block the first minimiser is the least; across blocks
             # the least bitmask is the least list of members, top first
-            b, top_first = min(
-                (int(bnd.min()),
-                 window[_members(sets[np.argmin(bnd)])[0]][::-1].tolist())
-                for window, sets, bnd in level)
-            prof.table[size] = (b, top_first[::-1])
+            bnd, top_first = min(
+                (int(b.bnd.min()), b.window[_members(
+                    b.sets[np.argmin(b.bnd)])[0]][::-1].tolist())
+                for b in level)
+            prof.table[size] = (bnd, top_first[::-1])
     except EnumerationBudgetExceeded as exc:
         prof.complete = False
         exc.partial = prof

@@ -7,8 +7,8 @@ import harmlab.spectral as S
 from harmlab.cayley import build_group, cayley_ball
 from harmlab.errors import (ComplementDisconnected, DisconnectedSet,
                             EnumerationBudgetExceeded)
-from harmlab.graphs import (OrientedGraph, bfs_distances, cycle_graph,
-                            hypercube_graph, random_regular_graph,
+from harmlab.graphs import (OrientedGraph, bfs_distances, complete_graph,
+                            cycle_graph, hypercube_graph, random_regular_graph,
                             subset_view, torus_grid)
 
 
@@ -112,6 +112,24 @@ class TestEnumeration:
         G = hypercube_graph(4)
         with pytest.raises(EnumerationBudgetExceeded):
             list(I.connected_subsets(G, 8, budget=100))
+
+    def test_budget_checked_before_the_level_is_built(self, monkeypatch):
+        # K30 has 30 + 435 + 4060 connected sets of size <= 3; the 435 * 28
+        # candidates for size 3 exceed a budget of 4524 before any set of
+        # size 3 is formed
+        G = complete_graph(30)
+        assert len(list(I.connected_subsets(G, 3, budget=4525))) == 4525
+        built = []
+        distinct = I._distinct
+
+        def recording(sets, *cols):
+            built.append(int(np.bitwise_count(sets).sum(axis=1).max()))
+            return distinct(sets, *cols)
+
+        monkeypatch.setattr(I, "_distinct", recording)
+        with pytest.raises(EnumerationBudgetExceeded):
+            list(I.connected_subsets(G, 3, budget=4524))
+        assert max(built) == 2
 
     def test_budget_keeps_completed_sizes(self):
         # Q4 has 16 vertices, 32 edges and 96 connected sets of size 3
