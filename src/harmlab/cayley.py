@@ -1,17 +1,18 @@
 """Truncated Cayley graphs of concrete finitely generated groups.
 
 Each group handle carries exact-arithmetic normal forms (integer tuples,
-reduced words, rational affine maps) so element hashing is collision free.
-Balls are built by breadth-first search from the identity; vertex ids are
-assigned in discovery order, so word length is nondecreasing in the id and
-the canonical x < y edge orientation points away from the identity or
-within a sphere.  The search keeps every product g*s as the ball's
-right-multiplication table, from which the edges, the translation tables
-and the edge ids of generator steps are all read.
+reduced words, rational affine maps) and an int-row encoding of them.
+Balls are built by breadth-first search from the identity on the rows;
+vertex ids are assigned in discovery order, so word length is nondecreasing
+in the id and the canonical x < y edge orientation points away from the
+identity or within a sphere.  The search keeps every product g*s as the
+ball's right-multiplication table, from which the edges, the translation
+tables, the edge ids of generator steps and the elements are all read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -39,7 +40,10 @@ class Generator:
 
 
 class GroupHandle:
-    """Multiplication, inversion and a symmetric generating set."""
+    """Multiplication, inversion, a symmetric generating set and int rows of
+    the elements, the identity being the zero row: coordinate_bounds(L)[j]
+    bounds |row[j]| at word length <= L, and multiply_rows(rows, h, L) maps
+    rows of g (word length < L) to rows of g * h in the same int dtype."""
 
     kind = "abstract"
 
@@ -82,12 +86,6 @@ class GroupHandle:
             g = self.multiply(g, s.element)
         return g
 
-    def coordinate_bounds(self, L):
-        """For groups whose elements are int tuples with a row-wise
-        `multiply_rows`: a bound on |coordinate j| over all elements of
-        word length <= L.  None for the other groups."""
-        return None
-
 
 class FreeAbelian(GroupHandle):
     """Z^d with the standard generators."""
@@ -107,9 +105,8 @@ class FreeAbelian(GroupHandle):
     def multiply(self, g, h):
         return tuple(a + b for a, b in zip(g, h))
 
-    def multiply_rows(self, g, h):
-        """Products of int arrays of elements, row by row (broadcasting)."""
-        return g + h
+    def multiply_rows(self, rows, h, L):
+        return rows + h
 
     def coordinate_bounds(self, L):
         return (L,) * self.d
@@ -143,6 +140,18 @@ class FreeGroup(GroupHandle):
             i += 1
         return tuple(g) + tuple(h[i:])
 
+    def coordinate_bounds(self, L):
+        # the reduced word is one base-(2k+1) number whose least significant
+        # digit is the last letter; letter a is digit a mod 2k + 1
+        return ((2 * self.k + 1) ** L - 1,)
+
+    def multiply_rows(self, rows, h, L):
+        base = 2 * self.k + 1
+        for a in h:
+            rows = np.where(rows % base == -a % base, rows // base,
+                            rows * base + a % base)
+        return rows
+
     def inverse(self, g):
         return tuple(-a for a in reversed(g))
 
@@ -153,6 +162,8 @@ class Lamplighter(GroupHandle):
 
     def __init__(self, q, d):
         super().__init__()
+        if q < 1 or d < 0:
+            raise UnsupportedGroup("lamplighter:q,d needs q >= 1, d >= 0")
         self.kind = f"lamplighter:{q},{d}"
         self.q = q
         self.d = d
@@ -182,6 +193,23 @@ class Lamplighter(GroupHandle):
                 acc.pop(p, None)
         return (tuple(sorted(acc.items())), cur)
 
+    def coordinate_bounds(self, L):
+        # the cursor, then the lamps of the window [-L, L]^d as one base-q
+        # number: lamp x is digit sum_j (x_j + L) (2L + 1)^(d - 1 - j)
+        return (L,) * self.d + (self.q ** (2 * L + 1) ** self.d - 1,)
+
+    def multiply_rows(self, rows, h, L):
+        (lamps_h, cur_h), d, q = h, self.d, self.q
+        cur, lamps = rows[:, :d], rows[:, d]
+        for pos, val in lamps_h:
+            x = cur + pos
+            if np.any(np.abs(x) > L):
+                raise UnsupportedGroup(f"{self.kind}: lamp outside the window")
+            place = q ** ((x + L) @ (2 * L + 1) ** np.arange(d - 1, -1, -1))
+            old = lamps // place % q
+            lamps = lamps + ((old + val) % q - old) * place
+        return np.column_stack([cur + cur_h, lamps])
+
     def inverse(self, g):
         lamps, cur = g
         neg = tuple(
@@ -207,9 +235,9 @@ class Heisenberg(GroupHandle):
     def multiply(self, g, h):
         return (g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1])
 
-    def multiply_rows(self, g, h):
-        out = g + h
-        out[..., 2] += g[..., 0] * h[..., 1]
+    def multiply_rows(self, rows, h, L):
+        out = rows + h
+        out[:, 2] += rows[:, 0] * h[1]
         return out
 
     def coordinate_bounds(self, L):
@@ -246,6 +274,17 @@ class BaumslagSolitar(GroupHandle):
             return (g[0], g[1] + h[1])
         return (g[0] + Fraction(self.n) ** g[1] * h[0], g[1] + h[1])
 
+    def coordinate_bounds(self, L):
+        # the t-exponent, then the translation part times n^L: each of the
+        # <= L letters adds a multiple of n^e with |e| < L to it
+        return (L, L * self.n ** (2 * L - 1))
+
+    def multiply_rows(self, rows, h, L):
+        if h[0].denominator != 1:
+            raise UnsupportedGroup(f"{self.kind}: fractional generator")
+        e, r = rows[:, 0], rows[:, 1]
+        return np.column_stack([e + h[1], r + int(h[0]) * self.n ** (e + L)])
+
     def inverse(self, g):
         return (-(Fraction(self.n) ** -g[1]) * g[0], -g[1])
 
@@ -265,6 +304,13 @@ class InfiniteDihedral(GroupHandle):
 
     def multiply(self, g, h):
         return (g[0] + (h[0] if g[1] == 0 else -h[0]), g[1] ^ h[1])
+
+    def coordinate_bounds(self, L):
+        return (L, 1)
+
+    def multiply_rows(self, rows, h, L):
+        k, eps = rows[:, 0], rows[:, 1]
+        return np.column_stack([k + np.where(eps, -h[0], h[0]), eps ^ h[1]])
 
     def inverse(self, g):
         return (-g[0] if g[1] == 0 else g[0], g[1])
@@ -304,16 +350,13 @@ class CayleyBall:
     identity; edge_labels[j] the shared generator label of edge j; interior
     marks word_length < R.  nbr is the read-only n x |S| right-multiplication
     table: nbr[i, k] is the vertex of elements[i] * group.generators[k], or
-    -1 if that product lies outside the ball.  `elements` (when the search
-    ran on int arrays) and the dict `vertex_of` are built on first use.
+    -1 if that product lies outside the ball.  `elements` and the dict
+    `vertex_of` are built on first use.
     """
 
-    def __init__(self, group, graph, elements, word_length, radius,
-                 edge_labels, nbr, vertex_of=None):
+    def __init__(self, group, graph, word_length, radius, edge_labels, nbr):
         self.group = group
         self.graph = graph
-        self._elements = elements
-        self._vertex_of = vertex_of
         self.word_length = word_length
         self.radius = radius
         self.edge_labels = edge_labels
@@ -323,17 +366,21 @@ class CayleyBall:
         self._column = {s.name: k for k, s in enumerate(group.generators)}
         self._edge_keys = graph.tails * graph.n + graph.heads
 
-    @property
+    @functools.cached_property
     def elements(self):
-        if isinstance(self._elements, np.ndarray):
-            self._elements = list(map(tuple, self._elements.tolist()))
-        return self._elements
+        # replay with the group law, for each vertex v > 0, the first
+        # product in row-major order that reached it
+        vals, first = np.unique(self.nbr, return_index=True)
+        k, mul = self.group.degree, self.group.multiply
+        gens = [s.element for s in self.group.generators]
+        els = [self.group.identity]
+        for i in first[vals > 0].tolist():
+            els.append(mul(els[i // k], gens[i % k]))
+        return els
 
-    @property
+    @functools.cached_property
     def vertex_of(self):
-        if self._vertex_of is None:
-            self._vertex_of = {g: i for i, g in enumerate(self.elements)}
-        return self._vertex_of
+        return {g: i for i, g in enumerate(self.elements)}
 
     @property
     def n(self):
@@ -366,74 +413,40 @@ class CayleyBall:
         return np.flatnonzero(lab == label)
 
 
-def _search_tuples(group, R, cap):
-    """Breadth-first search on hashed elements.  Returns (elements, word
-    lengths, nbr, vertex_of) with vertex_of the element -> vertex dict."""
-    mul = group.multiply
-    gens = [s.element for s in group.generators]
-    elements = [group.identity]
-    index = {group.identity: 0}
-    get, record = index.get, []
-    sizes = []
-    start = 0
-    # level `depth` multiplies the sphere depth - 1; the last level
-    # (depth R + 1) only looks its products up
-    for depth in range(1, R + 2):
-        end = len(elements)
-        for g in elements[start:end]:
-            for s in gens:
-                h = mul(g, s)
-                hi = get(h)
-                if hi is None:
-                    if depth > R:
-                        hi = -1
-                    else:
-                        hi = len(elements)
-                        if hi >= cap:
-                            raise BallTooLarge(
-                                f"ball of radius {R} exceeds cap {cap}")
-                        index[h] = hi
-                        elements.append(h)
-                record.append(hi)
-        sizes.append(end - start)
-        start = end
-    nbr = np.array(record, dtype=np.int64).reshape(len(elements), len(gens))
-    wl = np.repeat(np.arange(len(sizes)), sizes)
-    return elements, wl, nbr, index
-
-
-def _search_rows(group, R, cap, bounds):
-    """Breadth-first search on int arrays: each sphere is multiplied by all
-    generators at once, and its products, packed into int64 keys and
-    sorted, are looked up in the two spheres they can reach (a product of
-    the sphere d - 1 has word length d - 2, d - 1 or d).  New vertices are
-    numbered in order of first occurrence in row-major (vertex, generator)
-    order, as in `_search_tuples`.  Returns (elements as an int array, word
-    lengths, nbr, None): no element dict is built."""
-    d, k = len(bounds), group.degree
-    gens = np.array([s.element for s in group.generators], dtype=np.int64)
-    gens = gens.reshape(k, d)
+def _search(group, R, cap):
+    """Breadth-first search on the int rows: each sphere is multiplied by
+    all generators at once, and its products, packed into keys and sorted,
+    are looked up in the two spheres they can reach (a product of the
+    sphere d - 1 has word length d - 2, d - 1 or d).  New vertices are
+    numbered by first occurrence in row-major (vertex, generator) order.
+    Rows and keys are int64 if the radix product prod(2b + 1) at L = R + 1
+    fits, Python ints in object arrays if not.  Returns (word lengths, nbr).
+    """
+    L, k = R + 1, group.degree
+    bounds = group.coordinate_bounds(L)
     radix = [2 * b + 1 for b in bounds]
-    weights = np.array([math.prod(radix[j + 1:]) for j in range(d)],
-                       dtype=np.int64)
-    bounds = np.array(bounds, dtype=np.int64)
+    dtype = np.int64 if math.prod(radix) <= 2 ** 63 else object
+    weights = np.array([math.prod(radix[j + 1:]) for j in range(len(radix))],
+                       dtype=dtype)
+    bounds = np.array(bounds, dtype=dtype)
+    gens = [s.element for s in group.generators]
 
-    def pack(rows):
-        return (rows + bounds) @ weights
-
-    frontier = np.array([group.identity], dtype=np.int64)
-    rows, nbr, sizes = [frontier], [], [1]
+    frontier = np.zeros((1, len(radix)), dtype=dtype)
+    nbr, sizes = [], [1]
     n = 1
     # (sorted keys, vertex ids) of the spheres d - 2 and d - 1
-    spheres = [(np.empty(0, dtype=np.int64),) * 2,
-               (pack(frontier), np.zeros(1, dtype=np.int64))]
+    spheres = [(np.empty(0, dtype=dtype),) * 2,
+               ((frontier + bounds) @ weights, np.zeros(1, dtype=np.int64))]
     for depth in range(1, R + 2):
         if len(frontier) == 0:
             break
-        prod = group.multiply_rows(frontier[:, None, :], gens[None, :, :])
-        prod = prod.reshape(len(frontier) * k, d)
-        keys = pack(prod)
-        order = np.argsort(keys, kind="stable")
+        prod = np.stack([group.multiply_rows(frontier, h, L) for h in gens],
+                        axis=1).reshape(len(frontier) * k, len(radix))
+        if np.any(np.abs(prod) > bounds):
+            raise UnsupportedGroup(f"{group.kind}: a product leaves the "
+                                   f"coordinate bounds of radius {L}")
+        keys = (prod + bounds) @ weights
+        order = np.argsort(keys)
         keys = keys[order]
         found = np.full(len(keys), -1, dtype=np.int64)
         for skeys, sids in spheres:
@@ -442,14 +455,13 @@ def _search_rows(group, R, cap, bounds):
                 hit = skeys[pos] == keys
                 found[hit] = sids[pos[hit]]
         miss = np.flatnonzero(found < 0)
-        new = (np.empty(0, dtype=np.int64),) * 2
+        new = (np.empty(0, dtype=dtype),) * 2
         if depth <= R and len(miss):
             mkeys = keys[miss]
             first = np.ones(len(mkeys), dtype=bool)
             first[1:] = mkeys[1:] != mkeys[:-1]
-            # the stable sort puts the first occurrence of each new key at
-            # the start of its run; rank the runs by that position
-            at = order[miss[first]]
+            # rank the runs of equal new keys by their first occurrence
+            at = np.minimum.reduceat(order[miss], np.flatnonzero(first))
             rank = np.empty(len(at), dtype=np.int64)
             rank[np.argsort(at)] = np.arange(len(at))
             if n + len(at) > cap:
@@ -457,7 +469,6 @@ def _search_rows(group, R, cap, bounds):
             found[miss] = n + rank[np.cumsum(first) - 1]
             new = (mkeys[first], n + rank)
             frontier = prod[np.sort(at)]
-            rows.append(frontier)
             sizes.append(len(frontier))
             n += len(frontier)
         else:
@@ -467,29 +478,17 @@ def _search_rows(group, R, cap, bounds):
         nbr.append(ids)
         spheres = [spheres[1], new]
     word_length = np.repeat(np.arange(len(sizes)), sizes)
-    return (np.concatenate(rows), word_length,
-            np.concatenate(nbr).reshape(n, k), None)
-
-
-def _fits_int64(bounds):
-    return math.prod(2 * b + 1 for b in bounds) <= 2 ** 63
+    return word_length, np.concatenate(nbr).reshape(n, k)
 
 
 def cayley_ball(group, R, cap=DEFAULT_BALL_CAP):
-    """BFS ball of radius R around the identity.
-
-    Z^d and the Heisenberg group search on int arrays when their elements
-    of word length <= R + 1 pack into int64 keys; every other group, and
-    those balls too large to pack, search on hashed tuples.  Both searches
-    number the vertices identically.
-    """
+    """BFS ball of radius R around the identity, one search (`_search`) on
+    the int rows of every group."""
     if R < 1:
         raise ValueError("radius must be >= 1")
-    bounds = group.coordinate_bounds(R + 1)
-    if bounds is not None and _fits_int64(bounds):
-        elements, wl, nbr, vertex_of = _search_rows(group, R, cap, bounds)
-    else:
-        elements, wl, nbr, vertex_of = _search_tuples(group, R, cap)
+    if not group.generators:
+        raise UnsupportedGroup(f"{group.kind} has no generators")
+    wl, nbr = _search(group, R, cap)
     # the edges are the pairs (i, nbr[i, k]) with i < nbr[i, k]; a stable
     # sort by the key i * n + j keeps, of the products that collapse to one
     # edge, the first in row-major order and with it its label
@@ -506,8 +505,7 @@ def cayley_ball(group, R, cap=DEFAULT_BALL_CAP):
     graph = OrientedGraph(n, np.column_stack([tail[keep], head[keep]]),
                           validate=False)
     labels = np.asarray([s.label for s in group.generators])
-    return CayleyBall(group, graph, elements, wl, R,
-                      labels[keep - tail[keep] * k], nbr, vertex_of=vertex_of)
+    return CayleyBall(group, graph, wl, R, labels[keep - tail[keep] * k], nbr)
 
 
 def path_of_element(ball, word, basepoint=0):

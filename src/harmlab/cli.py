@@ -125,17 +125,40 @@ def load_graph_spec(spec):
     return G
 
 
-def _parse_radii(text):
+def _parse_radii(text, lo):
     a, dots, b = text.partition("..")
     try:
         radii = (list(range(int(a), int(b) + 1)) if dots
                  else [int(x) for x in text.split(",")])
     except ValueError:
         radii = []
-    if not radii or min(radii) < 0:
+    if not radii or min(radii) < lo:
         raise IoError(f"radii must be a..b or a comma list of integers "
-                      f">= 0, got {text!r}")
+                      f">= {lo}, got {text!r}")
     return radii
+
+
+def _at_least(lo):
+    """type= converter: an integer >= lo."""
+    def convert(text):
+        x = int(text)
+        if x < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, not {x}")
+        return x
+    convert.__name__ = "int"  # argparse names the type in its messages
+    return convert
+
+
+def _real(lo=-np.inf, hi=np.inf):
+    """type= converter: a finite number in [lo, hi)."""
+    def convert(text):
+        x = float(text)
+        if not (np.isfinite(x) and lo <= x < hi):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number in [{lo}, {hi}), not {x}")
+        return x
+    convert.__name__ = "float"
+    return convert
 
 
 # -- command implementations ----------------------------------------------
@@ -144,11 +167,11 @@ def _parse_radii(text):
 def cmd_spectral(args, chash):
     try:
         p_list = [float(p) for p in args.p.split(",")]
-        if not all(1 <= p < np.inf for p in p_list):
+        if not all(1 <= p <= spectral.P_MAX for p in p_list):
             raise ValueError
     except ValueError:
-        raise IoError(f"--p takes comma-separated finite numbers >= 1, not "
-                      f"{args.p!r}") from None
+        raise IoError(f"--p takes comma-separated numbers in "
+                      f"[1, {spectral.P_MAX:g}], not {args.p!r}") from None
     p_list = [p for p in p_list if p not in (1.0, 2.0)]
     G = load_graph_spec(args.graph)
     rep = spectral.verify_gap_chain(G, p_list=p_list or (1.5, 3.0))
@@ -232,7 +255,7 @@ def cmd_transport_chain(args, chash):
     if not (args.p == 0 or args.p >= 1):
         raise IoError(f"--p must be 0 or at least 1, not {args.p}")
     group = cayley.build_group(args.group)
-    levels = _parse_radii(args.levels)
+    levels = _parse_radii(args.levels, 1)
     R = max(levels) + 2
     b = cayley.cayley_ball(group, R, cap=_ball_cap(args))
     v = b.identity_vertex
@@ -296,7 +319,7 @@ def cmd_window_stats(args, chash):
 
 def cmd_harmonic_probe(args, chash):
     group = cayley.build_group(args.group)
-    radii = _parse_radii(args.radii)
+    radii = _parse_radii(args.radii, 1)
     b = cayley.cayley_ball(group, max(radii) + 1, cap=_ball_cap(args))
     v = b.identity_vertex
     w = int(b.graph.neighbors(v)[0])
@@ -348,7 +371,7 @@ def build_parser():
         # ends a subcommand: `options` maps the dest of each of its options
         # to the option's action, for --config values
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--ball-cap", type=int, default=None)
+        p.add_argument("--ball-cap", type=_at_least(1), default=None)
         p.add_argument("--dry-run", action="store_true")
         p.set_defaults(func=func, options={a.dest: a for a in p._actions
                                            if a.default != argparse.SUPPRESS})
@@ -362,13 +385,13 @@ def build_parser():
     wsub = p.add_subparsers(dest="subcommand")
     q = wsub.add_parser("profile")
     q.add_argument("--group", required=True)
-    q.add_argument("--radius", type=int, required=True)
-    q.add_argument("--steps", type=int, required=True)
-    q.add_argument("--laziness", type=float, default=0.5)
+    q.add_argument("--radius", type=_at_least(1), required=True)
+    q.add_argument("--steps", type=_at_least(0), required=True)
+    q.add_argument("--laziness", type=_real(0, 1), default=0.5)
     common(q, cmd_walk_profile)
     q = wsub.add_parser("exit")
     q.add_argument("--group", required=True)
-    q.add_argument("--region", type=int, required=True,
+    q.add_argument("--region", type=_at_least(0), required=True,
                    help="ball radius for the stopping region")
     q.add_argument("--to", default=None,
                    help="generator name for the second origin")
@@ -391,21 +414,22 @@ def build_parser():
     isub = p.add_subparsers(dest="subcommand")
     q = isub.add_parser("profile")
     q.add_argument("--graph", required=True)
-    q.add_argument("--max-size", type=int, required=True)
-    q.add_argument("--budget", type=int, default=isoperimetry.ENUM_BUDGET)
+    q.add_argument("--max-size", type=_at_least(1), required=True)
+    q.add_argument("--budget", type=_at_least(0),
+                   default=isoperimetry.ENUM_BUDGET)
     common(q, cmd_iso_profile)
     q = isub.add_parser("radial")
     q.add_argument("--graph", required=True)
     q.add_argument("--set", required=True, help="JSON list of vertices")
-    q.add_argument("--K", type=float, default=1.0)
-    q.add_argument("--k", type=float, default=1.0)
+    q.add_argument("--K", type=_real(), default=1.0)
+    q.add_argument("--k", type=_real(), default=1.0)
     common(q, cmd_iso_radial)
 
     p = sub.add_parser("window")
     wsub2 = p.add_subparsers(dest="subcommand")
     q = wsub2.add_parser("stats")
     q.add_argument("--group", default="zd:2")
-    q.add_argument("--square", type=int, required=True)
+    q.add_argument("--square", type=_at_least(1), required=True)
     q.add_argument("--label", default="s1")
     common(q, cmd_window_stats)
 
@@ -417,12 +441,12 @@ def build_parser():
     common(q, cmd_harmonic_probe)
     q = hsub.add_parser("divergence")
     q.add_argument("--group", required=True)
-    q.add_argument("--K", type=int, default=2)
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--K", type=_at_least(2), default=2)
+    q.add_argument("--n", type=_at_least(1), required=True)
     common(q, cmd_harmonic_divergence)
     q = hsub.add_parser("witness")
     q.add_argument("--group", required=True)
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=_at_least(1), required=True)
     common(q, cmd_harmonic_witness)
     return top
 
@@ -444,7 +468,7 @@ def _apply_config(args, overrides):
         else:
             try:
                 val = (act.type or str)(str(val))
-            except ValueError:
+            except (ValueError, argparse.ArgumentTypeError):
                 raise IoError(f"invalid {key} {val!r}") from None
         act.default = val
 

@@ -341,11 +341,16 @@ def laplacian(f, G=None):
     return VertexField(G, f.a - G.adjacency_matrix().dot(f.a) / d)
 
 
+def check_laziness(laziness):
+    """A lazy walk stays put with probability `laziness`, in [0, 1)."""
+    if not 0.0 <= laziness < 1.0:
+        raise ValueError("laziness must lie in [0, 1)")
+
+
 def walk_step(nu, G=None, laziness=0.0):
     """One step of the (lazy) simple random walk applied to a distribution."""
     G = G or nu.graph
-    if not 0.0 <= laziness < 1.0:
-        raise ValueError("laziness must lie in [0, 1)")
+    check_laziness(laziness)
     d = G.require_regular()
     a = laziness * nu.a + (1.0 - laziness) * G.adjacency_matrix().dot(nu.a) / d
     return Distribution(G, a, check=False)

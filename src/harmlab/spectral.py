@@ -25,6 +25,18 @@ MILP_LIMIT = 64
 DENSE_LIMIT = 5000
 SLACK_FACTOR = 1.10
 ASSERT_EPS = 1e-9
+# the p-estimates are multi-start searches from a fixed seed, so identical
+# inputs give identical output
+ESTIMATE_SEED = 0
+KAPPA_STARTS = 8  # the Fiedler vector and 7 random starts of L-BFGS
+LAMBDA_STARTS = 64  # power iterations; each can only raise the norm estimate
+# steps per start: any iterate's ||L+ x||_p is a lower bound on the norm, so
+# a start cut short still leaves lambda_p an upper bound
+LAMBDA_MAX_ITER = 500
+LAMBDA_TOL = 1e-9  # relative change of the norm estimate that ends a start
+# largest exponent the CLI takes: from p = 200 on, the descent for kappa_p
+# and the power iterates for lambda_p leave the float64 range on cycle:5
+P_MAX = 100.0
 
 
 def _gradient_matrix(G):
@@ -138,7 +150,7 @@ def _fiedler(G):
     return float(ev[0]), V[:, 0]
 
 
-def kappa_p_estimate(G, p, n_starts=8, seed=0):
+def kappa_p_estimate(G, p):
     """Estimate kappa_p.  Returns (value, direction, witness or None).
 
     p=1 and p=2 are exact; other p use multi-start projected descent on
@@ -152,7 +164,7 @@ def kappa_p_estimate(G, p, n_starts=8, seed=0):
         return float(np.sqrt(d * lambda2(G))), "exact", None
     B = _gradient_matrix(G)
     n = G.n
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ESTIMATE_SEED)
 
     def ratio_and_grad(x):
         f = x - x.mean()
@@ -168,7 +180,7 @@ def kappa_p_estimate(G, p, n_starts=8, seed=0):
 
     best = (np.inf, None)
     _, fv = _fiedler(G)
-    starts = [fv] + [rng.normal(size=n) for _ in range(n_starts - 1)]
+    starts = [fv] + [rng.normal(size=n) for _ in range(KAPPA_STARTS - 1)]
     for x0 in starts:
         res = scipy.optimize.minimize(
             lambda x: ratio_and_grad(x)[1:], x0, jac=True, method="L-BFGS-B",
@@ -181,7 +193,7 @@ def kappa_p_estimate(G, p, n_starts=8, seed=0):
     return float(best[0]), "upper_bound", best[1]
 
 
-def lambda_p_estimate(G, p, n_starts=64, max_iter=500, tol=1e-9, seed=0):
+def lambda_p_estimate(G, p):
     """Estimate lambda_p = 1 / ||inverse Laplacian||_{p->p} on zero-mean
     functions.  Power iteration under-estimates the operator norm, so the
     returned value is an upper bound on lambda_p; p=2 is exact.
@@ -194,14 +206,14 @@ def lambda_p_estimate(G, p, n_starts=64, max_iter=500, tol=1e-9, seed=0):
     L = _dense_laplacian(G)
     M = scipy.linalg.pinvh(L)  # inverse on the zero-mean subspace
     q = p / (p - 1.0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ESTIMATE_SEED)
     best = 0.0
-    for _ in range(n_starts):
+    for _ in range(LAMBDA_STARTS):
         x = rng.normal(size=G.n)
         x -= x.mean()
         x /= lp_norm(x, p)
         prev = 0.0
-        for _ in range(max_iter):
+        for _ in range(LAMBDA_MAX_ITER):
             y = M.dot(x)
             est = lp_norm(y, p)
             # dual step: z = M^T psi_p(y), next x = psi_q(z) normalized
@@ -209,7 +221,7 @@ def lambda_p_estimate(G, p, n_starts=64, max_iter=500, tol=1e-9, seed=0):
             x = np.sign(z) * np.abs(z) ** (q - 1)
             x -= x.mean()
             x /= lp_norm(x, p)
-            if abs(est - prev) <= tol * max(est, 1e-300):
+            if abs(est - prev) <= LAMBDA_TOL * max(est, 1e-300):
                 break
             prev = est
         best = max(best, est)
@@ -251,7 +263,7 @@ class GapReport:
         return [q for q in self.inequalities if not q.holds]
 
 
-def _judge(item, p, lhs, rhs, lhs_dir, rhs_dir, slack=SLACK_FACTOR):
+def _judge(item, p, lhs, rhs, lhs_dir, rhs_dir):
     """LHS >= RHS is asserted outright when the LHS value can only
     over-shoot (upper_bound/exact) and the RHS can only under-shoot;
     any other direction pairing is checked with multiplicative slack."""
@@ -261,10 +273,10 @@ def _judge(item, p, lhs, rhs, lhs_dir, rhs_dir, slack=SLACK_FACTOR):
         return Inequality(item, p, lhs, rhs, "asserted",
                           lhs >= rhs - ASSERT_EPS)
     return Inequality(item, p, lhs, rhs, "checked-with-slack",
-                      lhs * slack >= rhs - ASSERT_EPS)
+                      lhs * SLACK_FACTOR >= rhs - ASSERT_EPS)
 
 
-def verify_gap_chain(G, p_list=(1.5, 3, 4), slack=SLACK_FACTOR):
+def verify_gap_chain(G, p_list=(1.5, 3, 4)):
     """Evaluate the inequality chain relating kappa_p and lambda_p."""
     d = G.require_regular()
     k1, w1, k1dir = cheeger_kappa1(G)
@@ -296,17 +308,16 @@ def verify_gap_chain(G, p_list=(1.5, 3, 4), slack=SLACK_FACTOR):
         pbar = max(p, p / (p - 1)) if p > 1 else np.inf
         # item 1: 2^{p-1} kappa_1 >= kappa_p^p
         rep.inequalities.append(_judge(
-            "item1", p, 2.0 ** (p - 1) * k1, kp ** p, k1dir, kdir, slack))
+            "item1", p, 2.0 ** (p - 1) * k1, kp ** p, k1dir, kdir))
         # item 3: max{2,p} d^{(p-1)/p} kappa_p >= 2^{(p-1)/p} kappa_1
         rep.inequalities.append(_judge(
             "item3", p, max(2.0, p) * d ** ((p - 1) / p) * kp,
-            2.0 ** ((p - 1) / p) * k1, kdir, k1dir, slack))
+            2.0 ** ((p - 1) / p) * k1, kdir, k1dir))
         if 1 < p < np.inf:
             # item 4 in its lemma form: kappa_p >= (d^{1/p}/2) lambda_p
             rep.inequalities.append(_judge(
-                "item4_lemma", p, kp, d ** (1 / p) / 2 * lp, kdir, ldir,
-                slack))
+                "item4_lemma", p, kp, d ** (1 / p) / 2 * lp, kdir, ldir))
             # item 5: max{p, p'} lambda_p >= 2 lambda_2
             rep.inequalities.append(_judge(
-                "item5", p, pbar * lp, 2 * l2, ldir, "exact", slack))
+                "item5", p, pbar * lp, 2 * l2, ldir, "exact"))
     return rep

@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (MaxNormTooLarge, NegativeMass, SingularSystem,
                      SupportHitsBoundary)
-from .graphs import Distribution, gradient, lp_norm
+from .graphs import Distribution, check_laziness, gradient, lp_norm
 
 
 class StoppedWalk:
@@ -176,6 +176,7 @@ def _check_interior(ball, a, need_margin=0):
 
 def distribution(ball, n, laziness=0.0):
     """P^n applied to the Dirac at the identity of a Cayley ball."""
+    check_laziness(laziness)
     a = np.zeros(ball.n)
     a[ball.identity_vertex] = 1.0
     for _ in range(n):
@@ -190,6 +191,7 @@ def green_partial(ball, x, n, laziness=0.0):
     of its Laplacian (which contracts like 2/n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_laziness(laziness)
     a = np.zeros(ball.n)
     a[x] = 1.0
     acc = np.zeros(ball.n)
@@ -207,6 +209,7 @@ def green_partial(ball, x, n, laziness=0.0):
 def entropy_profile(ball, N, laziness=0.5):
     """Per-step table of entropies, speed, gradient norm and return
     probability for the walk started at the identity."""
+    check_laziness(laziness)
     a = np.zeros(ball.n)
     a[ball.identity_vertex] = 1.0
     rows = []

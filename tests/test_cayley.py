@@ -1,9 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from harmlab import cayley
 from harmlab.cayley import (BaumslagSolitar, FreeAbelian, FreeGroup,
                             Heisenberg, Lamplighter, build_group,
                             cayley_ball, path_of_element)
@@ -210,20 +210,48 @@ def reference_ball(group, R):
     return elements, wl, table, edges, [first_label[e] for e in edges]
 
 
-# every family; zd:30 at R=2 cannot pack into int64 keys and takes the
-# tuple path, zd and heisenberg otherwise search on int arrays
+# every family; zd:30 at R=2, lamplighter:3,2 at R=3 and the last three
+# cases overflow int64 keys and search on exact Python ints
 TABLE_CASES = [("zd:1", 6), ("zd:3", 4), ("zd:30", 2), ("heisenberg", 9),
                ("free:2", 4), ("lamplighter:2,1", 5), ("lamplighter:3,2", 3),
-               ("bs:1,2", 5), ("dinf", 7)]
+               ("bs:1,2", 5), ("dinf", 7), ("free:1", 45), ("bs:1,10", 9),
+               ("lamplighter:2,2", 4)]
+
+
+def keys_fit_int64(spec, R):
+    bounds = build_group(spec).coordinate_bounds(R + 1)
+    return math.prod(2 * b + 1 for b in bounds) <= 2 ** 63
 
 
 class TestMultiplicationTable:
-    def test_int_array_search_needs_int64_keys(self):
-        fits = cayley._fits_int64
-        assert not fits(build_group("zd:30").coordinate_bounds(3))
-        assert fits(build_group("zd:3").coordinate_bounds(5))
-        assert fits(build_group("heisenberg").coordinate_bounds(45))
-        assert build_group("dinf").coordinate_bounds(8) is None
+    @pytest.mark.parametrize("spec,R,fits", [
+        ("free:1", 38, True), ("free:1", 39, False), ("bs:1,10", 7, True),
+        ("bs:1,10", 8, False), ("lamplighter:2,1", 26, True),
+        ("lamplighter:2,1", 27, False), ("zd:30", 2, False),
+        ("heisenberg", 44, True)])
+    def test_keys_on_both_sides_of_int64(self, spec, R, fits):
+        # the int64 keys end where the radix product passes 2^63; both
+        # sides of that line give the reference ball
+        assert keys_fit_int64(spec, R) is fits
+        if spec in ("free:1", "bs:1,10"):
+            g = build_group(spec)
+            B = cayley_ball(g, R)
+            elements, wl, table, edges, labels = reference_ball(g, R)
+            assert B.elements == elements and B.nbr.tolist() == table
+
+    @pytest.mark.parametrize("spec,h", [("zd:2", (2, 0)),
+                                        ("lamplighter:2,2", ((((0, 3), 1),),
+                                                             (0, 0))),
+                                        ("bs:1,2", (Fraction(1, 2), 0))])
+    def test_products_outside_the_bounds_raise(self, spec, h):
+        # such generators break the encoding; the search must not number
+        # the out-of-bounds rows as if they were elements (a lamp past the
+        # window's edge in the second coordinate would land in the next
+        # row of the window)
+        g = build_group(spec)
+        g._add_gen_pair("u", h)
+        with pytest.raises(UnsupportedGroup):
+            cayley_ball(g, 3)
 
     @pytest.mark.parametrize("spec,R", TABLE_CASES)
     def test_matches_reference_bfs(self, spec, R):

@@ -1,16 +1,28 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from harmlab.cli import main
 
 
 def run(argv):
     return main(argv)
+
+
+def exit_code(argv):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestSpectral:
@@ -265,7 +277,9 @@ class TestArgumentValues:
     @pytest.mark.parametrize("config", [{"radius": "x"}, {"radius": 2.5},
                                         {"radius": True},
                                         {"laziness": "lazy"},
-                                        {"dry_run": "yes"}, [1, 2]])
+                                        {"dry_run": "yes"}, [1, 2],
+                                        {"radius": 0}, {"steps": -1},
+                                        {"laziness": 1.5}, {"ball_cap": 0}])
     def test_bad_config_value(self, config, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
@@ -292,3 +306,120 @@ class TestArgumentValues:
                     "zd:1", "--radius", "6", "--steps", "4"]) == 0
         rows = capsys.readouterr().out.strip().split("\n")[2:]
         assert [r.split(",")[0] for r in rows] == ["0", "1", "2", "3", "4"]
+
+
+OUT_OF_RANGE = [
+    "walk profile --group zd:2 --radius 0 --steps 2",
+    "walk profile --group zd:2 --radius 4 --steps -1",
+    "walk profile --group zd:2 --radius 4 --steps 2 --laziness 1.5",
+    "walk profile --group zd:2 --radius 4 --steps 2 --laziness -0.1",
+    "walk profile --group zd:2 --radius 4 --steps 2 --ball-cap 0",
+    "walk exit --group zd:2 --region -1",
+    "harmonic divergence --group zd:2 --K 1 --n 2",
+    "harmonic divergence --group zd:2 --n 0",
+    "harmonic witness --group zd:2 --n -2",
+    "harmonic witness --group zd:2 --n 0",
+    "harmonic probe --group zd:2 --radii 0..3",
+    "transport chain --group zd:2 --levels 0..2",
+    "window stats --square 0",
+    "iso profile --graph cycle:6 --max-size 0",
+    "iso profile --graph cycle:6 --max-size 2 --budget -1",
+    "iso radial --graph cycle:6 --set s.json --K nan",
+    "spectral --graph cycle:6 --p 1e5",
+    "walk profile --group zd:0 --radius 2 --steps 1",
+    "harmonic probe --group free:0 --radii 1..2",
+    "walk profile --group lamplighter:0,1 --radius 2 --steps 1",
+]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE)
+def test_out_of_range_values_exit_2(argv, tmp_path, capsys):
+    (tmp_path / "s.json").write_text("[0]")
+    argv = [str(tmp_path / a) if a == "s.json" else a for a in argv.split()]
+    assert exit_code(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+
+
+# the argv fuzz: every subcommand with its options drawn as (valid,
+# invalid) values, the invalid ones out of range, non-numeric or malformed
+INTS = (["1", "2", "3"], ["-1", "0", "x", "2.5", ""])
+FLOATS = (["0", "0.25", "0.5"], ["1", "1.5", "-1", "nan", "inf", "x"])
+GROUPS = (["zd:1", "zd:2", "free:2", "heisenberg", "lamplighter:2,1",
+           "bs:1,2", "dinf"],
+          ["zd:0", "free:-1", "lamplighter:0,1", "bs:1,1", "zd:x", "nosuch"])
+GRAPHS = (["cycle:5", "complete:4", "grid:3,3", "hypercube:3", "tree:3,2"],
+          ["cycle:1", "cycle:2", "complete:1", "grid:1,1", "hypercube:0",
+           "cycle:x", "nope:3", "missing.json"])
+RADII = (["1..3", "2,4"], ["0..2", "3..1", "-1", "x", ""])
+MEASURES = (["good.csv"], ["bad.json", "missing.csv"])
+SETS = (["good.json"], ["bad.json", "missing.csv"])
+FILES = {"good.csv": "0,1\n", "good.json": "[0, 1]\n", "bad.json": "[0, 99]\n"}
+SUBCOMMANDS = {
+    "spectral": {"--graph": GRAPHS, "--p": (["1.5", "3", "1.5,3"],
+                                            ["0.5", "inf", "nan", "x",
+                                             "101"])},
+    "walk profile": {"--group": GROUPS, "--radius": INTS, "--steps": INTS,
+                     "--laziness": FLOATS},
+    "walk exit": {"--group": GROUPS, "--region": INTS,
+                  "--to": (["s1", "s", "t", "a"], ["nosuch"])},
+    "transport wasserstein": {"--graph": GRAPHS, "--src": MEASURES,
+                              "--dst": MEASURES},
+    "transport chain": {"--group": GROUPS, "--levels": RADII,
+                        "--p": (["0", "1", "2", "inf"], ["0.5", "nan", "x"])},
+    "iso profile": {"--graph": GRAPHS, "--max-size": INTS, "--budget": INTS},
+    "iso radial": {"--graph": GRAPHS, "--set": SETS, "--K": FLOATS,
+                   "--k": FLOATS},
+    "window stats": {"--group": GROUPS, "--square": INTS,
+                     "--label": (["s1", "s2"], ["q"])},
+    "harmonic probe": {"--group": GROUPS, "--radii": RADII},
+    "harmonic divergence": {"--group": GROUPS, "--K": INTS, "--n": INTS},
+    "harmonic witness": {"--group": GROUPS, "--n": INTS},
+}
+CONFIG_VALUES = st.one_of(st.integers(-2, 3), st.sampled_from(
+    [0.5, 1.5, -1.0, "x", "", True, None, [1], {"a": 1}]))
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    options = dict(SUBCOMMANDS[command], **{"--ball-cap": INTS})
+    flags = sorted(options)
+    # half of the lines have no invalid value, no gap and no config
+    bad = draw(st.lists(st.sampled_from(flags), max_size=2)
+               if draw(st.booleans()) else st.just([]))
+    argv = command.split()
+    for flag in flags:
+        if bad and draw(st.integers(0, 7)) == 0:  # left out
+            continue
+        argv += [flag, draw(st.sampled_from(options[flag][flag in bad]))]
+    if bad and draw(st.booleans()):  # a flag whose value is missing
+        argv.append(draw(st.sampled_from(flags)))
+    keys = sorted({f[2:] for f in flags} | {"ball_cap", "dry_run"})
+    config = None
+    if bad and draw(st.booleans()):
+        config = draw(st.one_of(st.lists(st.integers()),
+                                st.dictionaries(st.sampled_from(keys),
+                                                CONFIG_VALUES, max_size=2)))
+    return argv, config
+
+
+@settings(max_examples=60, deadline=None)
+@given(command_lines())
+def test_cli_fuzz_exit_codes(tmp_path_factory, case):
+    argv, config = case
+    tmp = tmp_path_factory.mktemp("fuzz")
+    for name, text in FILES.items():
+        (tmp / name).write_text(text)
+    argv = [str(tmp / a) if a in FILES or a.startswith("missing.") else a
+            for a in argv]
+    if config is not None:
+        (tmp / "c.json").write_text(json.dumps(config))
+        argv = ["--config", str(tmp / "c.json")] + argv
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"HARMLAB_BUDGET": "400"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = exit_code(argv)
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4), (argv, config, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -266,6 +266,16 @@ class TestBallWalks:
         n = np.arange(1, 51)
         assert np.all(res <= 2.0 / n + 1e-12)
 
+    @pytest.mark.parametrize("laziness", [-0.5, 1.0, 1.5, np.nan])
+    def test_laziness_outside_unit_interval(self, laziness):
+        # as in graphs.walk_step: a holding probability lies in [0, 1)
+        B = cayley_ball(build_group("zd:1"), 6)
+        for walk in (lambda: W.distribution(B, 2, laziness),
+                     lambda: W.green_partial(B, 0, 2, laziness),
+                     lambda: W.entropy_profile(B, 2, laziness)):
+            with pytest.raises(ValueError):
+                walk()
+
     def test_entropy_profile_rows(self):
         B = cayley_ball(build_group("free:2"), 8)
         rows = W.entropy_profile(B, 6)
