@@ -202,13 +202,14 @@ class Lamplighter(GroupHandle):
         (lamps_h, cur_h), d, q = h, self.d, self.q
         cur, lamps = rows[:, :d], rows[:, d]
         for pos, val in lamps_h:
-            x = cur + pos
+            x = cur + np.asarray(pos, dtype=rows.dtype)  # numpy reads () as float
             if np.any(np.abs(x) > L):
                 raise UnsupportedGroup(f"{self.kind}: lamp outside the window")
             place = q ** ((x + L) @ (2 * L + 1) ** np.arange(d - 1, -1, -1))
             old = lamps // place % q
             lamps = lamps + ((old + val) % q - old) * place
-        return np.column_stack([cur + cur_h, lamps])
+        return np.column_stack([cur + np.asarray(cur_h, dtype=rows.dtype),
+                                lamps])
 
     def inverse(self, g):
         lamps, cur = g

@@ -125,16 +125,16 @@ def load_graph_spec(spec):
     return G
 
 
-def _parse_radii(text, lo):
+def _parse_radii(text):
     a, dots, b = text.partition("..")
     try:
         radii = (list(range(int(a), int(b) + 1)) if dots
                  else [int(x) for x in text.split(",")])
     except ValueError:
         radii = []
-    if not radii or min(radii) < lo:
+    if not radii or min(radii) < 1:
         raise IoError(f"radii must be a..b or a comma list of integers "
-                      f">= {lo}, got {text!r}")
+                      f">= 1, got {text!r}")
     return radii
 
 
@@ -255,7 +255,7 @@ def cmd_transport_chain(args, chash):
     if not (args.p == 0 or args.p >= 1):
         raise IoError(f"--p must be 0 or at least 1, not {args.p}")
     group = cayley.build_group(args.group)
-    levels = _parse_radii(args.levels, 1)
+    levels = _parse_radii(args.levels)
     R = max(levels) + 2
     b = cayley.cayley_ball(group, R, cap=_ball_cap(args))
     v = b.identity_vertex
@@ -319,7 +319,7 @@ def cmd_window_stats(args, chash):
 
 def cmd_harmonic_probe(args, chash):
     group = cayley.build_group(args.group)
-    radii = _parse_radii(args.radii, 1)
+    radii = _parse_radii(args.radii)
     b = cayley.cayley_ball(group, max(radii) + 1, cap=_ball_cap(args))
     v = b.identity_vertex
     w = int(b.graph.neighbors(v)[0])

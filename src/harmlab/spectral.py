@@ -34,8 +34,12 @@ LAMBDA_STARTS = 64  # power iterations; each can only raise the norm estimate
 # a start cut short still leaves lambda_p an upper bound
 LAMBDA_MAX_ITER = 500
 LAMBDA_TOL = 1e-9  # relative change of the norm estimate that ends a start
-# largest exponent the CLI takes: from p = 200 on, the descent for kappa_p
-# and the power iterates for lambda_p leave the float64 range on cycle:5
+# largest exponent of the p-estimates.  |f|^p leaves the float64 range as p
+# grows: on cycle:5, 12, 30 and 50, hypercube:3, 4 and 6, grid:4,4, 6,6 and
+# 8,8 and complete:6 and 20 every estimate returns up to p = 200, and
+# grid:6,6 fails from 400 on.  A returned estimate can still be wrong: the
+# norms underflow, and kappa_p comes out 0 from p = 30 on cycle:50, 50 on
+# cycle:30 and 80 on hypercube:6
 P_MAX = 100.0
 
 
@@ -156,6 +160,8 @@ def kappa_p_estimate(G, p):
     p=1 and p=2 are exact; other p use multi-start projected descent on
     the Rayleigh-type ratio, whose witnesses bound kappa_p from above.
     """
+    if not 1 <= p <= P_MAX:
+        raise ValueError(f"kappa_p needs p in [1, {P_MAX:g}], not {p}")
     if p == 1:
         val, w, direction = cheeger_kappa1(G)
         return val, direction, w
@@ -199,8 +205,8 @@ def lambda_p_estimate(G, p):
     returned value is an upper bound on lambda_p; p=2 is exact.
     """
     d = G.require_regular()
-    if p <= 1 or p == np.inf:
-        raise ValueError("lambda_p needs p in (1, inf)")
+    if not 1 < p <= P_MAX:
+        raise ValueError(f"lambda_p needs p in (1, {P_MAX:g}], not {p}")
     if p == 2:
         return lambda2(G), "exact"
     L = _dense_laplacian(G)

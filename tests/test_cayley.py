@@ -210,12 +210,13 @@ def reference_ball(group, R):
     return elements, wl, table, edges, [first_label[e] for e in edges]
 
 
-# every family; zd:30 at R=2, lamplighter:3,2 at R=3 and the last three
-# cases overflow int64 keys and search on exact Python ints
+# every family; zd:30 at R=2, lamplighter:3,2 at R=3, free:1 at R=45,
+# bs:1,10 at R=9 and lamplighter:2,2 at R=4 overflow int64 keys and search
+# on exact Python ints; lamplighter:2,0 has a cursor of no coordinates
 TABLE_CASES = [("zd:1", 6), ("zd:3", 4), ("zd:30", 2), ("heisenberg", 9),
                ("free:2", 4), ("lamplighter:2,1", 5), ("lamplighter:3,2", 3),
                ("bs:1,2", 5), ("dinf", 7), ("free:1", 45), ("bs:1,10", 9),
-               ("lamplighter:2,2", 4)]
+               ("lamplighter:2,2", 4), ("lamplighter:2,0", 3)]
 
 
 def keys_fit_int64(spec, R):
@@ -252,6 +253,14 @@ class TestMultiplicationTable:
         g._add_gen_pair("u", h)
         with pytest.raises(UnsupportedGroup):
             cayley_ball(g, 3)
+
+    @pytest.mark.parametrize("spec", sorted({s for s, _ in TABLE_CASES}))
+    def test_multiply_rows_keeps_the_dtype(self, spec):
+        g = build_group(spec)
+        for dtype in (np.int64, object):
+            rows = np.zeros((2, len(g.coordinate_bounds(1))), dtype=dtype)
+            for s in g.generators:
+                assert g.multiply_rows(rows, s.element, 1).dtype == dtype
 
     @pytest.mark.parametrize("spec,R", TABLE_CASES)
     def test_matches_reference_bfs(self, spec, R):

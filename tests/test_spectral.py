@@ -120,6 +120,15 @@ class TestEstimates:
         val, d = S.lambda_p_estimate(G, 2)
         assert d == "exact" and abs(val - S.lambda2(G)) < 1e-12
 
+    @pytest.mark.parametrize("p", [0.5, S.P_MAX * 1.01, 1e5, np.inf])
+    def test_exponents_outside_the_range_raise(self, p):
+        # the CLI's --p check and the library share S.P_MAX
+        G = cycle_graph(5)
+        with pytest.raises(ValueError):
+            S.kappa_p_estimate(G, p)
+        with pytest.raises(ValueError):
+            S.lambda_p_estimate(G, p)
+
     def test_lambda_p_is_certified_upper_bound(self):
         # the operator norm estimate from any single vector is a lower
         # bound, hence the reported lambda_p over-shoots
