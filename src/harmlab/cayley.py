@@ -202,7 +202,7 @@ class Lamplighter(GroupHandle):
         (lamps_h, cur_h), d, q = h, self.d, self.q
         cur, lamps = rows[:, :d], rows[:, d]
         for pos, val in lamps_h:
-            x = cur + np.asarray(pos, dtype=rows.dtype)  # numpy reads () as float
+            x = cur + np.asarray(pos, dtype=rows.dtype)  # () reads as float
             if np.any(np.abs(x) > L):
                 raise UnsupportedGroup(f"{self.kind}: lamp outside the window")
             place = q ** ((x + L) @ (2 * L + 1) ** np.arange(d - 1, -1, -1))
