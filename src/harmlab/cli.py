@@ -359,7 +359,9 @@ def cmd_harmonic_witness(args, chash):
 # -- argument plumbing -----------------------------------------------------
 
 
-def build_parser():
+def build_parser(supplied=()):
+    """The harmlab parser; options whose dest is in `supplied` (the keys
+    of a --config object) are not required."""
     top = argparse.ArgumentParser(
         prog="harmlab",
         description="numerical laboratory for discrete calculus, spectral "
@@ -373,6 +375,9 @@ def build_parser():
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--ball-cap", type=_at_least(1), default=None)
         p.add_argument("--dry-run", action="store_true")
+        for a in p._actions:
+            if a.dest in supplied:
+                a.required = False
         p.set_defaults(func=func, options={a.dest: a for a in p._actions
                                            if a.default != argparse.SUPPRESS})
 
@@ -451,13 +456,25 @@ def build_parser():
     return top
 
 
+def _read_config(argv):
+    """The --config object ({} without one), read before the full parse so
+    that it can supply required options."""
+    pre = argparse.ArgumentParser(prog="harmlab", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return {}
+    overrides = _read(path, "config")
+    if not isinstance(overrides, dict):
+        raise IoError("config must be a JSON object")
+    return overrides
+
+
 def _apply_config(args, overrides):
     """Make the options named in a --config object default to its values:
     a flag takes true or false, any other option the text of its value,
     converted by the option's own type.  Keys that name no option are
     ignored."""
-    if not isinstance(overrides, dict):
-        raise IoError("config must be a JSON object")
     for key, val in overrides.items():
         act = args.options.get(key.replace("-", "_"))
         if act is None:
@@ -474,14 +491,15 @@ def _apply_config(args, overrides):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "func", None) is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_CONFIG
     try:
-        if args.config:  # parse again: a flag on the command line wins
-            _apply_config(args, _read(args.config, "config"))
+        overrides = _read_config(argv)
+        parser = build_parser({k.replace("-", "_") for k in overrides})
+        args = parser.parse_args(argv)
+        if getattr(args, "func", None) is None:
+            parser.print_usage(sys.stderr)
+            return EXIT_CONFIG
+        if overrides:  # parse again: a flag on the command line wins
+            _apply_config(args, overrides)
             args = parser.parse_args(argv)
         cfg = {k: v for k, v in sorted(vars(args).items())
                if k not in ("func", "options", "config", "out", "dry_run")}

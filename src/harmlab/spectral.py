@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from . import isoperimetry
 from .errors import EigensolveFailure, GraphTooLargeForExact, NonConvergence
-from .graphs import boundary_gain, lp_norm, neighbour_masks, subset_view
+from .graphs import boundary_gain, neighbour_masks, subset_view
 
 BITMASK_LIMIT = 24
 MILP_LIMIT = 64
@@ -159,6 +159,12 @@ def kappa_p_estimate(G, p):
 
     p=1 and p=2 are exact; other p use multi-start projected descent on
     the Rayleigh-type ratio, whose witnesses bound kappa_p from above.
+    The KAPPA_STARTS starts run one after another through scipy's
+    L-BFGS-B.  The objective builds B^T once per call, takes the gradient
+    as f[heads] - f[tails] and the mean as x.sum() / n, and raises |f| and
+    |g| to both powers; each of these equals the sparse product or numpy
+    call it replaces bit for bit, so the value and witness do not depend
+    on how the objective is evaluated.
     """
     if not 1 <= p <= P_MAX:
         raise ValueError(f"kappa_p needs p in [1, {P_MAX:g}], not {p}")
@@ -168,20 +174,22 @@ def kappa_p_estimate(G, p):
     d = G.require_regular()
     if p == 2:
         return float(np.sqrt(d * lambda2(G))), "exact", None
-    B = _gradient_matrix(G)
+    BT = _gradient_matrix(G).T
+    heads, tails = G.heads, G.tails
     n = G.n
     rng = np.random.default_rng(ESTIMATE_SEED)
 
     def ratio_and_grad(x):
-        f = x - x.mean()
-        g = B.dot(f)
-        nf = lp_norm(f, p)
-        ng = lp_norm(g, p)
+        f = x - x.sum() / n
+        g = f[heads] - f[tails]
+        af, ag = np.abs(f), np.abs(g)
+        nf = float((af ** p).sum() ** (1.0 / p))  # lp_norm(f, p)
+        ng = float((ag ** p).sum() ** (1.0 / p))
         # gradient of log(ng) - log(nf)
-        gg = B.T.dot(np.sign(g) * np.abs(g) ** (p - 1)) / ng ** p
-        gf = np.sign(f) * np.abs(f) ** (p - 1) / nf ** p
+        gg = BT.dot(np.sign(g) * ag ** (p - 1)) / ng ** p
+        gf = np.sign(f) * af ** (p - 1) / nf ** p
         grad = gg - gf
-        grad -= grad.mean()
+        grad -= grad.sum() / n
         return ng / nf, np.log(ng) - np.log(nf), grad
 
     best = (np.inf, None)
@@ -199,10 +207,28 @@ def kappa_p_estimate(G, p):
     return float(best[0]), "upper_bound", best[1]
 
 
+def _row_norms(X, p):
+    """lp_norm of every row of X: the sums along the contiguous last axis
+    equal the 1-D sums, and the root is taken per scalar because numpy's
+    array pow can differ from the scalar one in the last bit."""
+    r = 1.0 / p
+    return np.array([s ** r for s in (np.abs(X) ** p).sum(axis=1)])
+
+
 def lambda_p_estimate(G, p):
     """Estimate lambda_p = 1 / ||inverse Laplacian||_{p->p} on zero-mean
     functions.  Power iteration under-estimates the operator norm, so the
     returned value is an upper bound on lambda_p; p=2 is exact.
+
+    The LAMBDA_STARTS starts iterate together, one row each of a K x n
+    array drawn in start order.  A row retires when its norm estimate
+    changes by at most LAMBDA_TOL relative, or after LAMBDA_MAX_ITER
+    steps, and only the rows still active are iterated.  Each row sees the
+    arithmetic of a lone start: the stacked matvec M @ X[:, :, None] runs
+    one BLAS gemv per row (X @ M, one gemm, rounds differently), row sums
+    over n are the means, and the norms' roots are scalar (_row_norms).
+    The best estimate is Python's max over the starts in order, so a NaN
+    start drops out.
     """
     d = G.require_regular()
     if not 1 < p <= P_MAX:
@@ -211,26 +237,28 @@ def lambda_p_estimate(G, p):
         return lambda2(G), "exact"
     L = _dense_laplacian(G)
     M = scipy.linalg.pinvh(L)  # inverse on the zero-mean subspace
+    n = G.n
     q = p / (p - 1.0)
     rng = np.random.default_rng(ESTIMATE_SEED)
-    best = 0.0
-    for _ in range(LAMBDA_STARTS):
-        x = rng.normal(size=G.n)
-        x -= x.mean()
-        x /= lp_norm(x, p)
-        prev = 0.0
-        for _ in range(LAMBDA_MAX_ITER):
-            y = M.dot(x)
-            est = lp_norm(y, p)
-            # dual step: z = M^T psi_p(y), next x = psi_q(z) normalized
-            z = M.dot(np.sign(y) * np.abs(y) ** (p - 1))
-            x = np.sign(z) * np.abs(z) ** (q - 1)
-            x -= x.mean()
-            x /= lp_norm(x, p)
-            if abs(est - prev) <= LAMBDA_TOL * max(est, 1e-300):
-                break
-            prev = est
-        best = max(best, est)
+    X = rng.normal(size=(LAMBDA_STARTS, n))
+    X -= (X.sum(axis=1) / n)[:, None]
+    X /= _row_norms(X, p)[:, None]
+    est = np.zeros(LAMBDA_STARTS)
+    active = np.arange(LAMBDA_STARTS)  # the start of each row of X
+    prev = np.zeros(LAMBDA_STARTS)
+    for _ in range(LAMBDA_MAX_ITER):
+        Y = (M @ X[:, :, None])[:, :, 0]
+        est[active] = now = _row_norms(Y, p)
+        going = ~(np.abs(now - prev) <= LAMBDA_TOL * np.maximum(now, 1e-300))
+        if not going.any():
+            break
+        Y, active, prev = Y[going], active[going], now[going]
+        # dual step: z = M^T psi_p(y), next x = psi_q(z) normalized
+        Z = (M @ (np.sign(Y) * np.abs(Y) ** (p - 1))[:, :, None])[:, :, 0]
+        X = np.sign(Z) * np.abs(Z) ** (q - 1)
+        X -= (X.sum(axis=1) / n)[:, None]
+        X /= _row_norms(X, p)[:, None]
+    best = max([0.0] + est.tolist())
     if best <= 0:
         raise NonConvergence("norm iteration collapsed", witness=None)
     return float(1.0 / best), "upper_bound"

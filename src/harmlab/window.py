@@ -10,6 +10,7 @@ entries, quantified here.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,9 @@ def _spanning_forest(sub):
             continue
         ncomp += 1
         seen[root] = True
-        queue = [root]
+        queue = deque([root])
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             ej, _ = sub.incident_edges(v)
             for e in ej:
                 u = int(sub.tails[e]) if sub.heads[e] == v else int(sub.heads[e])

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from harmlab.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run(argv):
@@ -35,6 +38,15 @@ class TestSpectral:
         assert abs(rep["kappa1"] - 2 / 3) < 1e-12
         assert abs(rep["lambda2"] - 0.5) < 1e-12
         assert all(q["holds"] for q in rep["inequalities"])
+
+    def test_output_matches_frozen_fixture(self, monkeypatch, capsys):
+        # every number, witness and config hash byte for byte; the JSON
+        # graph is named relative to the fixture directory
+        monkeypatch.chdir(FIXTURES)
+        cases = json.loads((FIXTURES / "spectral_cli.json").read_text())
+        for case in cases:
+            assert run(case["argv"]) == 0
+            assert capsys.readouterr().out == case["stdout"], case["argv"]
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -306,6 +318,22 @@ class TestArgumentValues:
                     "zd:1", "--radius", "6", "--steps", "4"]) == 0
         rows = capsys.readouterr().out.strip().split("\n")[2:]
         assert [r.split(",")[0] for r in rows] == ["0", "1", "2", "3", "4"]
+
+    def test_config_supplies_a_required_option(self, tmp_path, capsys):
+        # same bytes (config hash included) as the flag; a flag still wins
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"graph": "cycle:6"}))
+        assert run(["--config", str(cfg), "spectral", "--p", "3"]) == 0
+        from_config = capsys.readouterr().out
+        assert run(["spectral", "--graph", "cycle:6", "--p", "3"]) == 0
+        assert capsys.readouterr().out == from_config
+        assert run(["--config", str(cfg), "spectral", "--graph", "cycle:5",
+                    "--p", "3"]) == 0
+        assert '"graph": "cycle:5"' in capsys.readouterr().out
+        # an option the config leaves out is still required
+        cfg.write_text(json.dumps({"radius": 4}))
+        assert exit_code(["--config", str(cfg), "walk", "profile",
+                          "--group", "zd:1"]) == 2
 
 
 OUT_OF_RANGE = [

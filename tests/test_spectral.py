@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
@@ -10,9 +11,9 @@ import harmlab.cli as cli
 import harmlab.isoperimetry as I
 import harmlab.spectral as S
 from harmlab.errors import (EigensolveFailure, GraphTooLargeForExact,
-                            IntegerProgramFailure)
+                            IntegerProgramFailure, NonConvergence)
 from harmlab.graphs import (OrientedGraph, complete_graph, cycle_graph,
-                            hypercube_graph, random_regular_graph,
+                            hypercube_graph, lp_norm, random_regular_graph,
                             subset_view, torus_grid)
 
 
@@ -145,6 +146,110 @@ class TestEstimates:
                 x -= x.mean()
                 est = lp_norm(M.dot(x), p) / lp_norm(x, p)
                 assert val <= 1.0 / est + 1e-9
+
+
+def per_start_lambda_p(G, p):
+    """Reference lambda_p estimate: the power iteration run one start at a
+    time, with one matvec and one lp_norm per step."""
+    M = scipy.linalg.pinvh(S._dense_laplacian(G))
+    q = p / (p - 1.0)
+    rng = np.random.default_rng(S.ESTIMATE_SEED)
+    best = 0.0
+    for _ in range(S.LAMBDA_STARTS):
+        x = rng.normal(size=G.n)
+        x -= x.mean()
+        x /= lp_norm(x, p)
+        prev = 0.0
+        for _ in range(S.LAMBDA_MAX_ITER):
+            y = M.dot(x)
+            est = lp_norm(y, p)
+            z = M.dot(np.sign(y) * np.abs(y) ** (p - 1))
+            x = np.sign(z) * np.abs(z) ** (q - 1)
+            x -= x.mean()
+            x /= lp_norm(x, p)
+            if abs(est - prev) <= S.LAMBDA_TOL * max(est, 1e-300):
+                break
+            prev = est
+        best = max(best, est)
+    return float(1.0 / best), "upper_bound"
+
+
+def per_call_kappa_p(G, p):
+    """Reference kappa_p estimate: an objective that multiplies by the
+    sparse incidence matrix and its transpose on every call."""
+    B = S._gradient_matrix(G)
+    rng = np.random.default_rng(S.ESTIMATE_SEED)
+
+    def ratio_and_grad(x):
+        f = x - x.mean()
+        g = B.dot(f)
+        nf = lp_norm(f, p)
+        ng = lp_norm(g, p)
+        gg = B.T.dot(np.sign(g) * np.abs(g) ** (p - 1)) / ng ** p
+        gf = np.sign(f) * np.abs(f) ** (p - 1) / nf ** p
+        grad = gg - gf
+        grad -= grad.mean()
+        return ng / nf, np.log(ng) - np.log(nf), grad
+
+    best = (np.inf, None)
+    starts = [S._fiedler(G)[1]] + [rng.normal(size=G.n)
+                                   for _ in range(S.KAPPA_STARTS - 1)]
+    for x0 in starts:
+        res = scipy.optimize.minimize(
+            lambda x: ratio_and_grad(x)[1:], x0, jac=True, method="L-BFGS-B",
+            options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12})
+        r = ratio_and_grad(res.x)[0]
+        if r < best[0]:
+            best = (r, res.x - res.x.mean())
+    return float(best[0]), "upper_bound", best[1]
+
+
+REFERENCE_GRAPHS = [random_regular_graph(3, 10, seed=1),
+                    random_regular_graph(4, 13, seed=2),
+                    random_regular_graph(3, 16, seed=3), hypercube_graph(3)]
+
+
+class TestEstimatesMatchPerStartLoops:
+    # the batched and the per-start loops do the same float operations on
+    # each start, so every value and witness is equal, not just close
+    @pytest.mark.parametrize("p", [1.5, 3.0, 7.0])
+    @pytest.mark.parametrize("G", REFERENCE_GRAPHS,
+                             ids=["rr3_10", "rr4_13", "rr3_16", "Q3"])
+    def test_equal_to_reference(self, G, p):
+        assert S.lambda_p_estimate(G, p) == per_start_lambda_p(G, p)
+        val, direction, wit = S.kappa_p_estimate(G, p)
+        ref_val, ref_direction, ref_wit = per_call_kappa_p(G, p)
+        assert (val, direction) == (ref_val, ref_direction)
+        assert np.array_equal(wit, ref_wit)
+
+    @pytest.mark.parametrize("max_iter", [1, 3, 40])
+    @pytest.mark.parametrize("G", REFERENCE_GRAPHS,
+                             ids=["rr3_10", "rr4_13", "rr3_16", "Q3"])
+    def test_equal_under_an_iteration_cap(self, monkeypatch, G, max_iter):
+        # starts on Q3 retire after 2 to 281 steps: a low cap stops some
+        # mid-way while others have retired
+        monkeypatch.setattr(S, "LAMBDA_MAX_ITER", max_iter)
+        for p in (1.5, 4.0):
+            assert S.lambda_p_estimate(G, p) == per_start_lambda_p(G, p)
+
+
+class TestEstimateFailures:
+    def test_lambda_p_collapse_raises(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg, "pinvh", np.zeros_like)
+        with pytest.raises(NonConvergence, match="collapsed"):
+            S.lambda_p_estimate(cycle_graph(6), 3.0)
+        assert cli.main(["spectral", "--graph", "cycle:6", "--p", "3"]) == \
+            cli.EXIT_NUMERIC
+
+    def test_kappa_p_without_finite_ratio_raises(self, monkeypatch):
+        # every start ends at NaN: no ratio is below infinity
+        monkeypatch.setattr(scipy.optimize, "minimize",
+                            lambda fun, x0, **kw: scipy.optimize.OptimizeResult(
+                                x=np.full(len(x0), np.nan)))
+        with pytest.raises(NonConvergence, match="no finite ratio"):
+            S.kappa_p_estimate(cycle_graph(6), 3.0)
+        assert cli.main(["spectral", "--graph", "cycle:6", "--p", "3"]) == \
+            cli.EXIT_NUMERIC
 
 
 class TestChain:
