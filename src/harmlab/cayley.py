@@ -7,7 +7,7 @@ vertex ids are assigned in discovery order, so word length is nondecreasing
 in the id and the canonical x < y edge orientation points away from the
 identity or within a sphere.  The search keeps every product g*s as the
 ball's right-multiplication table, from which the edges, the translation
-tables, the edge ids of generator steps and the elements are all read.
+tables and the elements are all read.
 """
 
 from __future__ import annotations
@@ -162,8 +162,8 @@ class Lamplighter(GroupHandle):
 
     def __init__(self, q, d):
         super().__init__()
-        if q < 1 or d < 0:
-            raise UnsupportedGroup("lamplighter:q,d needs q >= 1, d >= 0")
+        if q < 2 or d < 0:  # C_1 wr Z^d is Z^d with identity generators
+            raise UnsupportedGroup("lamplighter:q,d needs q >= 2, d >= 0")
         self.kind = f"lamplighter:{q},{d}"
         self.q = q
         self.d = d
@@ -171,7 +171,7 @@ class Lamplighter(GroupHandle):
             step = tuple(1 if j == i else 0 for j in range(d))
             self._add_gen_pair(f"t{i + 1}", ((), step))
         zero = (0,) * d
-        self._add_gen_pair("s", (((zero, 1 % q),), zero), involution=(q == 2))
+        self._add_gen_pair("s", (((zero, 1),), zero), involution=(q == 2))
 
     @property
     def identity(self):
@@ -365,7 +365,6 @@ class CayleyBall:
         nbr.flags.writeable = False
         self.nbr = nbr
         self._column = {s.name: k for k, s in enumerate(group.generators)}
-        self._edge_keys = graph.tails * graph.n + graph.heads
 
     @functools.cached_property
     def elements(self):
@@ -398,16 +397,6 @@ class CayleyBall:
         """Array t with t[i] = vertex of elements[i] * gen, or -1 if that
         product lies outside the ball: a column of `nbr`."""
         return self.nbr[:, self._column[gen.name]]
-
-    def edge_ids(self, x, y):
-        """Edge ids of the vertex pairs (x[i], y[i]), in either orientation;
-        -1 where a pair is not an edge."""
-        x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
-        key = np.minimum(x, y) * self.n + np.maximum(x, y)
-        e = np.searchsorted(self._edge_keys, key)
-        found = e < len(self._edge_keys)
-        found[found] = self._edge_keys[e[found]] == key[found]
-        return np.where(found, e, -1)
 
     def edges_with_label(self, label):
         lab = np.asarray(self.edge_labels)
@@ -514,7 +503,7 @@ def path_of_element(ball, word, basepoint=0):
 
     word: sequence of Generator objects (see GroupHandle.word).
     Returns (vertices, edge_steps) where edge_steps is a list of
-    (edge_index, sign): sign +1 if the step traverses the edge in its
+    (edge id, sign): sign +1 if the step traverses the edge in its
     canonical orientation, -1 otherwise.
     """
     verts = [basepoint]
@@ -524,7 +513,7 @@ def path_of_element(ball, word, basepoint=0):
             raise PathExitsBall(
                 f"path left the radius-{ball.radius} ball")
         verts.append(nxt)
-    eids = ball.edge_ids(verts[:-1], verts[1:])
+    eids = ball.graph.edge_ids(verts[:-1], verts[1:])
     if np.any(eids < 0):
         raise PathExitsBall("step is not an edge of the ball")
     steps = [(int(e), 1 if x < y else -1)

@@ -70,7 +70,7 @@ class OrientedGraph:
         np.cumsum(np.bincount(ends, minlength=self.n), out=self._adj_ptr[1:])
 
         self._A = None
-        self._edge_index = None
+        self._keys = None
         self._connected = None
 
     # -- structure ---------------------------------------------------------
@@ -83,15 +83,27 @@ class OrientedGraph:
         s = slice(self._adj_ptr[v], self._adj_ptr[v + 1])
         return self._adj_edge[s], self._adj_sign[s]
 
-    @property
-    def edge_index(self):
-        """Map (x, y) canonical pair -> edge index.  Built on first use."""
-        if self._edge_index is None:
-            self._edge_index = {
-                (int(x), int(y)): i
-                for i, (x, y) in enumerate(zip(self.tails, self.heads))
-            }
-        return self._edge_index
+    def edge_ids(self, x, y):
+        """Edge ids of the vertex pairs (x, y), scalars or arrays, in
+        either orientation; -1 where a pair is not an edge or an endpoint
+        lies outside 0..n-1.  A search in the sorted keys tail * n + head,
+        built on first use, through a permutation only if the edges are
+        not in key order."""
+        if self._keys is None:
+            keys, order = self.tails * self.n + self.heads, None
+            if np.any(keys[1:] < keys[:-1]):
+                order = np.append(np.argsort(keys), -1)
+                keys = keys[order[:-1]]
+            # the last key, n * n, lies above every pair's, so each search
+            # lands on a key
+            self._keys = np.append(keys, self.n * self.n), order
+        keys, order = self._keys
+        x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        key = lo * self.n + hi
+        e = np.minimum(np.searchsorted(keys, key), self.m)
+        hit = (keys[e] == key) & (lo >= 0) & (hi < self.n)
+        return np.where(hit, e if order is None else order[e], -1)
 
     def adjacency_matrix(self):
         if self._A is None:
@@ -249,24 +261,19 @@ class EdgeField:
     @classmethod
     def from_dict(cls, graph, mapping):
         f = cls(graph)
-        idx = graph.edge_index
         for (x, y), val in mapping.items():
-            if (x, y) in idx:
-                f.a[idx[(x, y)]] = val
-            elif (y, x) in idx:
-                f.a[idx[(y, x)]] = -val
-            else:
+            e = graph.edge_ids(x, y)
+            if e < 0:
                 raise KeyError(f"({x}, {y}) is not an edge")
+            f.a[e] = val if x < y else -val
         return f
 
     def __getitem__(self, pair):
         x, y = pair
-        idx = self.graph.edge_index
-        if (x, y) in idx:
-            return float(self.a[idx[(x, y)]])
-        if (y, x) in idx:
-            return -float(self.a[idx[(y, x)]])
-        return 0.0
+        e = self.graph.edge_ids(x, y)
+        if e < 0:
+            return 0.0
+        return float(self.a[e]) if x < y else -float(self.a[e])
 
     @property
     def support(self):

@@ -30,7 +30,10 @@ def dirichlet_extend(G, A, boundary_values, method="solve"):
     """Unique function harmonic inside A with the given values on the
     outer boundary.  method="exit" instead averages the boundary data
     against per-vertex exit distributions (slow; cross-check path).
-    Raises SingularSystem if some vertex of A cannot reach the boundary."""
+    Raises SingularSystem if some vertex of A cannot reach the boundary,
+    ValueError for any other method."""
+    if method not in ("solve", "exit"):
+        raise ValueError(f"method must be 'solve' or 'exit', not {method!r}")
     bv = np.zeros(G.n)
     for v, val in boundary_values.items():
         bv[v] = val
@@ -175,12 +178,11 @@ def tree_flow(G, root_edge):
     if G.m != G.n - 1 or not G.is_connected:
         raise NotATree("tree flow needs a connected tree")
     x0, y0 = (int(root_edge[0]), int(root_edge[1]))
-    a, b = (x0, y0) if x0 < y0 else (y0, x0)
-    e0 = G.edge_index.get((a, b))
-    if e0 is None:
+    e0 = G.edge_ids(x0, y0)
+    if e0 < 0:
         raise ValueError("root_edge is not an edge")
     tau = EdgeField(G)
-    tau.a[e0] = 1.0 if (a, b) == (x0, y0) else -1.0
+    tau.a[e0] = 1.0 if x0 < y0 else -1.0
     # push flow outward from both endpoints; at each vertex the incoming
     # value splits over the deg-1 remaining edges
     stack = [(y0, x0, 1.0), (x0, y0, -1.0)]

@@ -269,15 +269,12 @@ def mean_boundary_distance(G, F):
     endpoint of a boundary edge lying in F (0 on boundary-adjacent
     vertices)."""
     F = F if isinstance(F, SubsetView) else subset_view(G, F)
-    sub, members = F.induced_graph()
-    remap = {int(v): i for i, v in enumerate(members)}
-    sources = set()
-    for e in F.boundary_edges:
-        x, y = int(G.tails[e]), int(G.heads[e])
-        sources.add(remap[x] if F.mask[x] else remap[y])
-    if not sources:
+    if not F.boundary_size:
         return 0.0
-    d = bfs_distances(sub, sorted(sources))
+    sub, members = F.induced_graph()
+    # the endpoint of each boundary edge inside F, in sub's labels
+    t, h = G.tails[F.boundary_edges], G.heads[F.boundary_edges]
+    d = bfs_distances(sub, np.searchsorted(members, np.where(F.mask[t], t, h)))
     if d.min() < 0:
         # vertices cut off from the boundary inside F: treat distance as the
         # largest finite value (thick components of closed regions)

@@ -140,7 +140,7 @@ def central_transport(ball, word, mu):
         if np.any(nxt < 0):
             raise PathExitsBall("translation leaves the ball; increase the "
                                 "radius by the word length")
-        eid = ball.edge_ids(cur, nxt)
+        eid = G.edge_ids(cur, nxt)
         if np.any(eid < 0):
             raise PathExitsBall("missing edge along the word path")
         sign = np.where(cur < nxt, 1.0, -1.0)
@@ -239,14 +239,18 @@ def exit_transport_chain(G, v, w, regions, p=2.0):
     stopped-walk transports and the edge v -> w (both transports reuse A's
     interior operator); reports p- and sup-norms after cycle cancellation.
 
-    Returns a list of dicts with norms, residual and the pattern.
+    Returns a list of dicts with norms, residual and the pattern.  Raises
+    ValueError, before any solve, if v and w are not adjacent.
     """
+    e = G.edge_ids(v, w)
+    if e < 0:
+        raise ValueError(f"vertices {v} and {w} are not adjacent")
     out = []
     for A in regions:
         pv, exv = stopped_exit_transport(G, A, v)
         pw, exw = stopped_exit_transport(G, A, w)
         tau = EdgeField(G, pw.tau.a - pv.tau.a)
-        tau.a[G.edge_index[(min(v, w), max(v, w))]] += 1.0 if v < w else -1.0
+        tau.a[e] += 1.0 if v < w else -1.0
         pat = cycle_cancel(TransportPattern(tau, exv, exw))
         out.append({
             "interior_size": A.size,

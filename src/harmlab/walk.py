@@ -166,23 +166,28 @@ def _ball_step(ball, a, laziness):
     return out
 
 
-def _check_interior(ball, a, need_margin=0):
-    wl = ball.word_length[np.flatnonzero(a)]
-    if len(wl) and wl.max() > ball.radius - 1 - need_margin:
-        raise SupportHitsBoundary(
-            "distribution support reached the truncation sphere; "
-            "increase the ball radius")
+def _walk(ball, x, steps, laziness):
+    """The laws of the walk from x after 0..steps steps.  Raises
+    SupportHitsBoundary before a step from a law that touches the
+    truncation sphere."""
+    check_laziness(laziness)
+    sphere = ball.word_length == ball.radius
+    a = np.zeros(ball.n)
+    a[x] = 1.0
+    yield a
+    for _ in range(steps):
+        if np.any(a[sphere]):
+            raise SupportHitsBoundary(
+                "distribution support reached the truncation sphere; "
+                "increase the ball radius")
+        a = _ball_step(ball, a, laziness)
+        yield a
 
 
 def distribution(ball, n, laziness=0.0):
     """P^n applied to the Dirac at the identity of a Cayley ball."""
-    check_laziness(laziness)
-    a = np.zeros(ball.n)
-    a[ball.identity_vertex] = 1.0
-    for _ in range(n):
-        _check_interior(ball, a)
-        a = _ball_step(ball, a, laziness)
-    _check_interior(ball, a, need_margin=-1)
+    for a in _walk(ball, ball.identity_vertex, n, laziness):
+        pass
     return Distribution(ball.graph, a, check=False)
 
 
@@ -191,16 +196,9 @@ def green_partial(ball, x, n, laziness=0.0):
     of its Laplacian (which contracts like 2/n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    check_laziness(laziness)
-    a = np.zeros(ball.n)
-    a[x] = 1.0
     acc = np.zeros(ball.n)
-    for _ in range(n - 1):
+    for a in _walk(ball, x, n - 1, laziness):
         acc += a
-        _check_interior(ball, a)
-        a = _ball_step(ball, a, laziness)
-    acc += a
-    _check_interior(ball, a, need_margin=-1)
     g = acc / n
     residual = np.abs(g - _ball_step(ball, g, laziness)).sum()
     return Distribution(ball.graph, g, check=False), float(residual)
@@ -209,11 +207,8 @@ def green_partial(ball, x, n, laziness=0.0):
 def entropy_profile(ball, N, laziness=0.5):
     """Per-step table of entropies, speed, gradient norm and return
     probability for the walk started at the identity."""
-    check_laziness(laziness)
-    a = np.zeros(ball.n)
-    a[ball.identity_vertex] = 1.0
     rows = []
-    for n in range(N + 1):
+    for n, a in enumerate(_walk(ball, ball.identity_vertex, N, laziness)):
         mu = Distribution(ball.graph, a, check=False)
         rows.append({
             "n": n,
@@ -225,9 +220,6 @@ def entropy_profile(ball, N, laziness=0.5):
             "grad_l1": lp_norm(gradient(mu), 1),
             "return_prob": float(a[ball.identity_vertex]),
         })
-        if n < N:
-            _check_interior(ball, a)
-            a = _ball_step(ball, a, laziness)
     return rows
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenseBudgetExceeded
-from .graphs import SubsetView, subset_view
+from .errors import DenseBudgetExceeded, PathExitsBall
+from .graphs import SubsetView, adjacency_slots, subset_view
 
 DENSE_EDGE_BUDGET = 4000
 RANK_TOL = 1e-9
@@ -78,17 +78,15 @@ def build_window(G, F):
     """Assemble cut and cycle bases for the window F."""
     F = F if isinstance(F, SubsetView) else subset_view(G, F)
     edge_ids = np.sort(np.concatenate([F.induced_edges, F.boundary_edges]))
-    col_of = {int(e): i for i, e in enumerate(edge_ids)}
     nE = len(edge_ids)
-    members = F.members
-    cut = np.zeros((nE, len(members)))
-    for j, x in enumerate(members):
-        ej, sg = G.incident_edges(int(x))
-        for e, s in zip(ej, sg):
-            i = col_of.get(int(e))
-            if i is not None:
-                # grad delta_x = -1 on edges with tail x, +1 with head x
-                cut[i, j] = -float(s)
+    # every edge at a vertex of F lies in E_F; grad delta_x = -1 on edges
+    # with tail x, +1 on edges with head x
+    slots, deg = adjacency_slots(G, F.members)
+    cut = np.zeros((nE, F.size))
+    cut[np.searchsorted(edge_ids, G._adj_edge[slots]),
+        np.repeat(np.arange(F.size), deg)] = -G._adj_sign[slots]
+    # the row of each induced edge
+    row = np.searchsorted(edge_ids, F.induced_edges)
     sub, old = F.induced_graph()
     parent, pedge, ncomp = _spanning_forest(sub)
     intree = np.zeros(sub.m, dtype=bool)
@@ -97,14 +95,14 @@ def build_window(G, F):
     for e in np.flatnonzero(~intree):
         u, v = int(sub.tails[e]), int(sub.heads[e])
         vec = np.zeros(nE)
-        vec[col_of[int(F.induced_edges[e])]] = 1.0
+        vec[row[e]] = 1.0
         # close the cycle along tree paths u -> root and v -> root
         for start, sign in ((v, 1.0), (u, -1.0)):
             x = start
             while parent[x] >= 0:
                 pe = pedge[x]
                 orient = 1.0 if sub.heads[pe] == x else -1.0
-                vec[col_of[int(F.induced_edges[pe])]] -= sign * orient
+                vec[row[pe]] -= sign * orient
                 x = int(parent[x])
         cyc_cols.append(vec)
     cycles = (np.column_stack(cyc_cols) if cyc_cols
@@ -122,11 +120,11 @@ def window_projection_stats(ball, F, label):
     """
     G = ball.graph
     F = F if isinstance(F, SubsetView) else subset_view(G, F)
-    ws = build_window(G, F)
-    nE = len(ws.edge_ids)
+    nE = len(F.induced_edges) + len(F.boundary_edges)
     if nE > DENSE_EDGE_BUDGET:
         raise DenseBudgetExceeded(f"window has {nE} edges > "
                                   f"{DENSE_EDGE_BUDGET}")
+    ws = build_window(G, F)
     B = ws.basis()
     dimV = B.shape[1]
     codim = nE - dimV
@@ -135,9 +133,10 @@ def window_projection_stats(ball, F, label):
     if np.any(targets < 0):
         raise DenseBudgetExceeded("window touches the truncation sphere; "
                                   "enlarge the ball")
-    eids = ball.edge_ids(F.members, targets)
-    row_of = {int(e): i for i, e in enumerate(ws.edge_ids)}
-    s_rows = np.array([row_of[int(e)] for e in eids], dtype=np.int64)
+    eids = G.edge_ids(F.members, targets)
+    if np.any(eids < 0):
+        raise PathExitsBall(f"a {label} step is not an edge of the ball")
+    s_rows = np.searchsorted(ws.edge_ids, eids)
     # V' = V_F intersected with the coordinate subspace of label edges:
     # combinations of the basis vanishing on all other rows
     other = np.setdiff1d(np.arange(nE), s_rows)

@@ -154,6 +154,14 @@ class TestGroupArithmetic:
             with pytest.raises(UnsupportedGroup):
                 build_group(bad)
 
+    @pytest.mark.parametrize("spec", ["lamplighter:1,1", "lamplighter:1,0",
+                                      "lamplighter:0,1"])
+    def test_lamplighter_needs_two_lamp_states(self, spec):
+        # with q = 1 the lamp generator is the identity: its self-loops
+        # would leave the ball while the walk still divides by |S|
+        with pytest.raises(UnsupportedGroup):
+            build_group(spec)
+
 
 class TestPaths:
     def test_path_reaches_product(self):
@@ -311,15 +319,17 @@ class TestMultiplicationTable:
         x = np.repeat(np.arange(B.n), B.group.degree)
         y = B.nbr.ravel()
         ok = y >= 0
-        got = B.edge_ids(x[ok], y[ok])
-        want = [B.graph.edge_index[(min(a, b), max(a, b))]
+        got = B.graph.edge_ids(x[ok], y[ok])
+        index = {(a, b): i for i, (a, b) in enumerate(
+            zip(B.graph.tails.tolist(), B.graph.heads.tolist()))}
+        want = [index[(min(a, b), max(a, b))]
                 for a, b in zip(x[ok].tolist(), y[ok].tolist())]
         assert got.tolist() == want
         # both orientations, and -1 for pairs that are not edges
-        assert np.array_equal(B.edge_ids(y[ok], x[ok]), got)
+        assert np.array_equal(B.graph.edge_ids(y[ok], x[ok]), got)
         far = B.sphere(R)
-        assert np.all(B.edge_ids(np.zeros(len(far), dtype=np.int64), far)
-                      == -1)
+        assert np.all(B.graph.edge_ids(np.zeros(len(far), dtype=np.int64),
+                                       far) == -1)
 
     @pytest.mark.parametrize("spec,R", TABLE_CASES)
     def test_cap_is_exact(self, spec, R):

@@ -48,6 +48,14 @@ class TestSpectral:
             assert run(case["argv"]) == 0
             assert capsys.readouterr().out == case["stdout"], case["argv"]
 
+    def test_ball_outputs_match_frozen_fixture(self, capsys):
+        # window stats, transport chain, walk profile and harmonic witness
+        # on Cayley balls, byte for byte
+        cases = json.loads((FIXTURES / "cli_outputs.json").read_text())
+        for case in cases:
+            assert run(case["argv"]) == 0
+            assert capsys.readouterr().out == case["stdout"], case["argv"]
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(["spectral", "--graph", "hypercube:3", "--out", str(a)])
@@ -357,6 +365,7 @@ OUT_OF_RANGE = [
     "walk profile --group zd:0 --radius 2 --steps 1",
     "harmonic probe --group free:0 --radii 1..2",
     "walk profile --group lamplighter:0,1 --radius 2 --steps 1",
+    "walk profile --group lamplighter:1,1 --radius 6 --steps 3",
 ]
 
 
@@ -375,7 +384,8 @@ INTS = (["1", "2", "3"], ["-1", "0", "x", "2.5", ""])
 FLOATS = (["0", "0.25", "0.5"], ["1", "1.5", "-1", "nan", "inf", "x"])
 GROUPS = (["zd:1", "zd:2", "free:2", "heisenberg", "lamplighter:2,1",
            "bs:1,2", "dinf"],
-          ["zd:0", "free:-1", "lamplighter:0,1", "bs:1,1", "zd:x", "nosuch"])
+          ["zd:0", "free:-1", "lamplighter:0,1", "lamplighter:1,1", "bs:1,1",
+           "zd:x", "nosuch"])
 GRAPHS = (["cycle:5", "complete:4", "grid:3,3", "hypercube:3", "tree:3,2"],
           ["cycle:1", "cycle:2", "complete:1", "grid:1,1", "hypercube:0",
            "cycle:x", "nope:3", "missing.json"])

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from harmlab.graphs import (Distribution, EdgeField, OrientedGraph,
                             hypercube_graph, laplacian, load_graph, lp_norm,
                             path_graph, random_regular_graph, regular_tree,
                             save_graph, subset_view, torus_grid, walk_step)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def rand_graph(seed, n_max=50):
@@ -218,6 +221,80 @@ class TestConstruction:
         G = cycle_graph(6)
         d = bfs_distances(G, 0)
         assert list(d) == [0, 1, 2, 3, 2, 1]
+
+
+def check_edge_ids(G):
+    """OrientedGraph.edge_ids against a {(tail, head): id} dict, on every
+    pair of vertices in both orientations (self pairs included), on
+    scalars and on endpoints outside 0..n-1."""
+    index = {(x, y): i for i, (x, y) in enumerate(
+        zip(G.tails.tolist(), G.heads.tolist()))}
+    x, y = np.divmod(np.arange(G.n * G.n), G.n)
+    want = [index.get((min(a, b), max(a, b)), -1)
+            for a, b in zip(x.tolist(), y.tolist())]
+    assert G.edge_ids(x, y).tolist() == want
+    assert G.edge_ids(y, x).tolist() == want
+    for a, b in [(0, 1), (1, 0), (0, G.n - 1), (G.n - 1, 0), (0, 0)]:
+        e = G.edge_ids(a, b)
+        assert e.shape == () and e == index.get((min(a, b), max(a, b)), -1)
+    n = G.n
+    for a, b in [(-1, 0), (0, -1), (-1, -1), (0, n), (n, 0), (n, n),
+                 (0, n + 5), (n - 1, n), (-1, n)]:
+        assert G.edge_ids(a, b) == -1, (a, b)
+
+
+class TestEdgeIds:
+    def test_cycle(self):
+        # the closing edge (0, n - 1) comes last, out of key order
+        G = cycle_graph(9)
+        assert G.tails[-1] == 0 and G.heads[-1] == 8
+        check_edge_ids(G)
+
+    def test_json_graph_with_shuffled_edges(self, tmp_path):
+        obj = json.loads((FIXTURES / "random_regular_3_14.json").read_text())
+        rng = np.random.default_rng(5)
+        obj["edges"] = [obj["edges"][i]
+                        for i in rng.permutation(len(obj["edges"]))]
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(obj))
+        G = load_graph(path)
+        keys = G.tails * G.n + G.heads
+        assert np.any(keys[1:] < keys[:-1])
+        check_edge_ids(G)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_random_graphs(self, seed):
+        G = rand_graph(seed)
+        check_edge_ids(G)
+        # the same graph with its edges in random order
+        order = np.random.default_rng(seed).permutation(G.m)
+        check_edge_ids(OrientedGraph(G.n, np.column_stack(
+            [G.tails[order], G.heads[order]])))
+
+    def test_keys_of_outside_endpoints_do_not_alias(self):
+        # the key of (0, n + 5) is the key of the edge (1, 5)
+        G = complete_graph(6)
+        assert G.edge_ids(1, 5) >= 0
+        assert G.edge_ids(0, 11) == -1 and G.edge_ids(11, 0) == -1
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_edgeless_graph(self, n):
+        G = OrientedGraph(n, [])
+        x, y = np.divmod(np.arange(n * n), max(n, 1))
+        assert np.all(G.edge_ids(x, y) == -1)
+        assert G.edge_ids(0, 1) == -1 and G.edge_ids(0, n + 5) == -1
+
+    def test_edge_field_lookups(self):
+        G = cycle_graph(5)
+        g = EdgeField.from_dict(G, {(0, 1): 2.0, (0, 4): 3.0, (3, 2): 1.5})
+        assert g[0, 1] == 2.0 and g[1, 0] == -2.0
+        assert g[4, 0] == -3.0 and g[2, 3] == -1.5
+        assert g[0, 2] == 0.0 and g[1, 1] == 0.0 and g[0, 9] == 0.0
+        with pytest.raises(KeyError):
+            EdgeField.from_dict(G, {(0, 2): 1.0})
+        with pytest.raises(KeyError):
+            EdgeField.from_dict(G, {(0, 5): 1.0})
 
 
 def frontier_bfs(n, edges, sources):

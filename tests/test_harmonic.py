@@ -27,6 +27,12 @@ class TestDirichlet:
         f2 = H.dirichlet_extend(G, A, bv, method="exit")
         assert np.abs(f1.a - f2.a).max() < 1e-9
 
+    def test_unknown_method_raises(self):
+        G = path_graph(8)
+        A = subset_view(G, range(1, 7))
+        with pytest.raises(ValueError, match="method"):
+            H.dirichlet_extend(G, A, {0: 0.0, 7: 7.0}, method="exitt")
+
     def test_harmonic_inside(self):
         G = torus_grid(7, 7)
         A = ball(G, 10, 2)

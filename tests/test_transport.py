@@ -343,6 +343,17 @@ class TestExitChain:
         sizes = [r["interior_size"] for r in rows]
         assert sizes == sorted(sizes)
 
+    def test_non_adjacent_pair_raises_before_any_solve(self, monkeypatch):
+        G = torus_grid(9, 9)
+        regions = [ball(G, 0, r) for r in (1, 2)]
+
+        def no_solve(*args):
+            raise AssertionError("solved for a non-adjacent pair")
+
+        monkeypatch.setattr("harmlab.walk.direct_solve", no_solve)
+        with pytest.raises(ValueError, match="not adjacent"):
+            T.exit_transport_chain(G, 0, 2, regions)
+
     def test_stopped_exit_matches_exit_law(self):
         from harmlab.walk import exit_distribution
         G = cycle_graph(20)

@@ -228,6 +228,26 @@ class TestBallWalks:
         with pytest.raises(SupportHitsBoundary):
             W.distribution(B, 6)
 
+    @pytest.mark.parametrize("spec", ["zd:2", "free:2", "heisenberg",
+                                      "lamplighter:2,1", "dinf"])
+    def test_walk_reaches_the_sphere_and_stops(self, spec):
+        # R steps keep the mass, a step from the sphere raises
+        R = 5
+        B = cayley_ball(build_group(spec), R)
+        for laziness in (0.0, 0.5):
+            mu = W.distribution(B, R, laziness)
+            assert abs(mu.mass - 1.0) < 1e-12
+            assert mu.a[B.sphere(R)].sum() > 0
+            g, _ = W.green_partial(B, B.identity_vertex, R + 1, laziness)
+            assert abs(g.mass - 1.0) < 1e-12
+            assert len(W.entropy_profile(B, R, laziness)) == R + 1
+            with pytest.raises(SupportHitsBoundary):
+                W.distribution(B, R + 1, laziness)
+            with pytest.raises(SupportHitsBoundary):
+                W.green_partial(B, B.identity_vertex, R + 2, laziness)
+            with pytest.raises(SupportHitsBoundary):
+                W.entropy_profile(B, R + 1, laziness)
+
     def test_z1_binomial(self):
         B = cayley_ball(build_group("zd:1"), 8)
         mu = W.distribution(B, 6)

@@ -80,3 +80,14 @@ class TestProjectionStats:
         F = subset_view(B.graph, square_members(B, 45))
         with pytest.raises(DenseBudgetExceeded):
             WD.window_projection_stats(B, F, "s1")
+
+    def test_budget_is_checked_before_the_dense_build(self, monkeypatch):
+        B = cayley_ball(build_group("zd:2"), 88)
+        F = subset_view(B.graph, square_members(B, 45))
+
+        def no_build(*args):
+            raise AssertionError("dense window built past the budget")
+
+        monkeypatch.setattr(WD, "build_window", no_build)
+        with pytest.raises(DenseBudgetExceeded):
+            WD.window_projection_stats(B, F, "s1")
