@@ -13,8 +13,7 @@ from .errors import NotATree, SupportHitsBoundary
 from .graphs import (EdgeField, VertexField, ball_from_distances,
                      bfs_distances, divergence, gradient, lp_norm,
                      subset_view)
-from .walk import (direct_solve, exit_distribution, exit_distributions,
-                   green_partial)
+from .walk import direct_solve, exit_distributions, green_partial
 
 
 def harmonic_residual(f, G=None, interior=None):
@@ -26,14 +25,10 @@ def harmonic_residual(f, G=None, interior=None):
     return float(np.abs(r).max()) if len(r) else 0.0
 
 
-def dirichlet_extend(G, A, boundary_values, method="solve"):
+def dirichlet_extend(G, A, boundary_values):
     """Unique function harmonic inside A with the given values on the
-    outer boundary.  method="exit" instead averages the boundary data
-    against per-vertex exit distributions (slow; cross-check path).
-    Raises SingularSystem if some vertex of A cannot reach the boundary,
-    ValueError for any other method."""
-    if method not in ("solve", "exit"):
-        raise ValueError(f"method must be 'solve' or 'exit', not {method!r}")
+    outer boundary.  Raises SingularSystem if some vertex of A cannot
+    reach the boundary."""
     bv = np.zeros(G.n)
     for v, val in boundary_values.items():
         bv[v] = val
@@ -41,12 +36,6 @@ def dirichlet_extend(G, A, boundary_values, method="solve"):
                if int(v) not in boundary_values]
     if missing:
         raise ValueError(f"boundary values missing on {missing[:5]}...")
-    if method == "exit":
-        out = bv.copy()
-        for x in A.members:
-            ex = exit_distribution(G, A, int(x))
-            out[x] = float(np.dot(ex.a, bv))
-        return VertexField(G, out)
     P, E = A.interior_operator()
     sol = direct_solve(sp.identity(A.size) - P, E @ bv)
     out = bv.copy()
@@ -181,25 +170,23 @@ def tree_flow(G, root_edge):
     e0 = G.edge_ids(x0, y0)
     if e0 < 0:
         raise ValueError("root_edge is not an edge")
-    tau = EdgeField(G)
+    # an edge joins a child to its parent one step nearer the root edge;
+    # the flow into the parent splits over the parent's deg - 1 children
+    dist = bfs_distances(G, [x0, y0])
+    down = dist[G.tails] > dist[G.heads]
+    child = np.where(down, G.tails, G.heads)
+    parent = np.where(down, G.heads, G.tails)
+    inflow = np.zeros(G.n)
+    inflow[[x0, y0]] = -1.0, 1.0
+    order = np.argsort(dist[child], kind="stable")
+    bounds = np.searchsorted(dist[child[order]], np.arange(dist.max() + 2))
+    for lo, hi in zip(bounds[1:], bounds[2:]):
+        e = order[lo:hi]
+        inflow[child[e]] = inflow[parent[e]] / (G.degrees[parent[e]] - 1)
+    # positive flow moves away from the root edge
+    tau = EdgeField(G, np.where(G.tails == parent, inflow[child],
+                                -inflow[child]))
     tau.a[e0] = 1.0 if x0 < y0 else -1.0
-    # push flow outward from both endpoints; at each vertex the incoming
-    # value splits over the deg-1 remaining edges
-    stack = [(y0, x0, 1.0), (x0, y0, -1.0)]
-    while stack:
-        v, parent, inflow = stack.pop()
-        ej, _ = G.incident_edges(v)
-        others = [e for e in ej
-                  if (int(G.tails[e]) if G.heads[e] == v else int(G.heads[e]))
-                  != parent]
-        if not others:
-            continue
-        share = inflow / len(others)
-        for e in others:
-            u = int(G.tails[e]) if G.heads[e] == v else int(G.heads[e])
-            # positive share moves away from the root edge through v
-            tau.a[e] += share if int(G.tails[e]) == v else -share
-            stack.append((u, v, share))
     return tau
 
 

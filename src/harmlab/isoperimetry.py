@@ -159,16 +159,6 @@ def _levels(G, max_size, allowed, budget):
         yield blocks
 
 
-def connected_subsets(G, max_size, allowed=None, budget=ENUM_BUDGET):
-    """Yield every connected vertex set of size <= max_size exactly once,
-    as (members, boundary_size), by size.  Boundary edges are counted in
-    the full graph, including edges leaving the allowed region."""
-    for level in _levels(G, max_size, allowed, budget):
-        for b in level:
-            members = b.window[_members(b.sets)[1]].reshape(len(b.sets), -1)
-            yield from zip(members.tolist(), b.bnd.tolist())
-
-
 def profile(G, max_size, allowed=None, budget=ENUM_BUDGET):
     """Exact isoperimetric table size -> (min boundary, witness set); the
     witness is the least bitmask among the minimisers."""

@@ -37,9 +37,9 @@ LAMBDA_TOL = 1e-9  # relative change of the norm estimate that ends a start
 # largest exponent of the p-estimates.  |f|^p leaves the float64 range as p
 # grows: on cycle:5, 12, 30 and 50, hypercube:3, 4 and 6, grid:4,4, 6,6 and
 # 8,8 and complete:6 and 20 every estimate returns up to p = 200, and
-# grid:6,6 fails from 400 on.  A returned estimate can still be wrong: the
-# norms underflow, and kappa_p comes out 0 from p = 30 on cycle:50, 50 on
-# cycle:30 and 80 on hypercube:6
+# grid:6,6 fails from 400 on.  A kappa_p start whose norms overflow is
+# dropped: its ratio would read 0 (from p = 30 on cycle:50, 50 on cycle:30
+# and 80 on hypercube:6), which bounds no kappa_p from above
 P_MAX = 100.0
 
 
@@ -179,7 +179,7 @@ def kappa_p_estimate(G, p):
     n = G.n
     rng = np.random.default_rng(ESTIMATE_SEED)
 
-    def ratio_and_grad(x):
+    def norms_and_grad(x):
         f = x - x.sum() / n
         g = f[heads] - f[tails]
         af, ag = np.abs(f), np.abs(g)
@@ -190,18 +190,22 @@ def kappa_p_estimate(G, p):
         gf = np.sign(f) * af ** (p - 1) / nf ** p
         grad = gg - gf
         grad -= grad.sum() / n
-        return ng / nf, np.log(ng) - np.log(nf), grad
+        return nf, ng, np.log(ng) - np.log(nf), grad
 
     best = (np.inf, None)
     _, fv = _fiedler(G)
     starts = [fv] + [rng.normal(size=n) for _ in range(KAPPA_STARTS - 1)]
-    for x0 in starts:
-        res = scipy.optimize.minimize(
-            lambda x: ratio_and_grad(x)[1:], x0, jac=True, method="L-BFGS-B",
-            options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12})
-        r = ratio_and_grad(res.x)[0]
-        if r < best[0]:
-            best = (r, res.x - res.x.mean())
+    # L-BFGS may try iterates whose |f|^p overflows, and the objective is
+    # then inf or NaN; a start that ends at such an iterate is dropped
+    with np.errstate(all="ignore"):
+        for x0 in starts:
+            res = scipy.optimize.minimize(
+                lambda x: norms_and_grad(x)[2:], x0, jac=True,
+                method="L-BFGS-B",
+                options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12})
+            nf, ng = norms_and_grad(res.x)[:2]
+            if 0 < nf < np.inf and 0 < ng < np.inf and ng / nf < best[0]:
+                best = (ng / nf, res.x - res.x.mean())
     if not np.isfinite(best[0]):
         raise NonConvergence("descent produced no finite ratio", witness=None)
     return float(best[0]), "upper_bound", best[1]

@@ -3,17 +3,19 @@
 For a window F, the cut vectors are gradients of Diracs on F and the
 cycle vectors are fundamental cycles of the graph induced on F, both
 living in l^2 of the edges incident with F.  Their span V_F has
-codimension |boundary F| - 1 on the windows of interest; projecting onto
-the part of V_F supported on one generator's edges yields large diagonal
-entries, quantified here.
+codimension |boundary F| - c + k0, where c counts the components of F and
+k0 those that no boundary edge leaves; that is |boundary F| - 1 on the
+connected windows of interest.  Projecting onto the part of V_F supported
+on one generator's edges yields large diagonal entries, quantified here.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import DenseBudgetExceeded, PathExitsBall
 from .graphs import SubsetView, adjacency_slots, subset_view
@@ -30,48 +32,37 @@ class WindowSpaces:
     cut: np.ndarray            # |E_F| x |F|, gradients of Diracs
     cycles: np.ndarray         # |E_F| x c, fundamental cycles
     n_components: int
-
-    @property
-    def dim_cut(self):
-        return int(np.linalg.matrix_rank(self.cut, tol=RANK_TOL))
+    # |F| - k0: the gradient of f vanishes iff f is constant on each
+    # component of F and 0 on those that a boundary edge leaves
+    dim_cut: int
 
     @property
     def dim_cycle(self):
-        if self.cycles.shape[1] == 0:
-            return 0
-        return int(np.linalg.matrix_rank(self.cycles, tol=RANK_TOL))
+        # each fundamental cycle has its own non-tree edge
+        return self.cycles.shape[1]
 
     def basis(self):
-        """Orthonormal basis of V_F = cut + cycle."""
+        """Orthonormal basis of V_F = cut + cycle.  Cycles are divergence
+        free, so the two spaces are orthogonal and their dimensions add."""
         M = np.hstack([self.cut, self.cycles])
-        u, s, _ = np.linalg.svd(M, full_matrices=False)
-        keep = s > RANK_TOL * max(1.0, s[0] if len(s) else 1.0)
-        return u[:, keep]
+        u, _, _ = np.linalg.svd(M, full_matrices=False)
+        return u[:, :self.dim_cut + self.dim_cycle]
 
 
 def _spanning_forest(sub):
-    """BFS forest: (parent array, parent-edge array, #components)."""
+    """BFS forest: (parent array, parent-edge array, component labels).
+    Each component is searched from its least vertex, neighbours in
+    adjacency order; a csgraph built by `adjacency_matrix()` would sort
+    them and change the fundamental cycles."""
+    A = sp.csr_matrix((np.ones(len(sub._adj_nbr)), sub._adj_nbr,
+                       sub._adj_ptr), shape=(sub.n, sub.n))
+    _, labels = connected_components(A, directed=False)
     parent = np.full(sub.n, -1, dtype=np.int64)
-    pedge = np.full(sub.n, -1, dtype=np.int64)
-    seen = np.zeros(sub.n, dtype=bool)
-    ncomp = 0
-    for root in range(sub.n):
-        if seen[root]:
-            continue
-        ncomp += 1
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            ej, _ = sub.incident_edges(v)
-            for e in ej:
-                u = int(sub.tails[e]) if sub.heads[e] == v else int(sub.heads[e])
-                if not seen[u]:
-                    seen[u] = True
-                    parent[u] = v
-                    pedge[u] = e
-                    queue.append(u)
-    return parent, pedge, ncomp
+    for root in np.unique(labels, return_index=True)[1]:
+        _, pred = breadth_first_order(A, root, return_predecessors=True)
+        seen = pred >= 0
+        parent[seen] = pred[seen]
+    return parent, sub.edge_ids(parent, np.arange(sub.n)), labels
 
 
 def build_window(G, F):
@@ -88,7 +79,11 @@ def build_window(G, F):
     # the row of each induced edge
     row = np.searchsorted(edge_ids, F.induced_edges)
     sub, old = F.induced_graph()
-    parent, pedge, ncomp = _spanning_forest(sub)
+    parent, pedge, labels = _spanning_forest(sub)
+    ncomp = len(np.unique(labels))
+    # minus the components of F that no boundary edge leaves
+    dim_cut = F.size - ncomp + len(np.unique(
+        labels[G.degrees[F.members] > sub.degrees]))
     intree = np.zeros(sub.m, dtype=bool)
     intree[pedge[pedge >= 0]] = True
     cyc_cols = []
@@ -107,7 +102,7 @@ def build_window(G, F):
         cyc_cols.append(vec)
     cycles = (np.column_stack(cyc_cols) if cyc_cols
               else np.zeros((nE, 0)))
-    return WindowSpaces(G, F, edge_ids, cut, cycles, ncomp)
+    return WindowSpaces(G, F, edge_ids, cut, cycles, ncomp, dim_cut)
 
 
 def window_projection_stats(ball, F, label):

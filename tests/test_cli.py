@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import event, given, settings, strategies as st
 from harmlab.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+DEMOS = Path(__file__).parent.parent / "demos"
 
 
 def run(argv):
@@ -55,6 +57,14 @@ class TestSpectral:
         for case in cases:
             assert run(case["argv"]) == 0
             assert capsys.readouterr().out == case["stdout"], case["argv"]
+
+    def test_demo_outputs_match_frozen_fixture(self, capsys):
+        # the window and harmonic demos print dimensions, cross-checks and
+        # tree-flow sums, byte for byte
+        cases = json.loads((FIXTURES / "demo_outputs.json").read_text())
+        for case in cases:
+            runpy.run_path(str(DEMOS / case["script"]), run_name="__main__")
+            assert capsys.readouterr().out == case["stdout"], case["script"]
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -9,6 +9,7 @@ from harmlab.errors import NotATree, SingularSystem, SupportHitsBoundary
 from harmlab.graphs import (OrientedGraph, VertexField, ball, bfs_distances,
                             cycle_graph, gradient, lp_norm, path_graph,
                             regular_tree, subset_view, torus_grid)
+from harmlab.walk import exit_distributions
 
 
 class TestDirichlet:
@@ -23,15 +24,11 @@ class TestDirichlet:
         A = ball(G, 0, 2)
         rng = np.random.default_rng(0)
         bv = {int(v): float(rng.normal()) for v in A.outer_boundary}
-        f1 = H.dirichlet_extend(G, A, bv)
-        f2 = H.dirichlet_extend(G, A, bv, method="exit")
-        assert np.abs(f1.a - f2.a).max() < 1e-9
-
-    def test_unknown_method_raises(self):
-        G = path_graph(8)
-        A = subset_view(G, range(1, 7))
-        with pytest.raises(ValueError, match="method"):
-            H.dirichlet_extend(G, A, {0: 0.0, 7: 7.0}, method="exitt")
+        f = H.dirichlet_extend(G, A, bv)
+        # the boundary data averaged against each vertex's exit law
+        laws = exit_distributions(G, A, A.members)
+        assert np.abs(f.a[A.members] - [ex.a @ f.a for ex in laws]).max() \
+            < 1e-9
 
     def test_harmonic_inside(self):
         G = torus_grid(7, 7)
@@ -154,7 +151,47 @@ class TestDecayProfiles:
         assert vals[-1] > 0.1
 
 
+def stack_tree_flow(G, root_edge):
+    """The depth-first tree flow that the level-by-level `tree_flow`
+    replaced."""
+    x0, y0 = (int(root_edge[0]), int(root_edge[1]))
+    tau = np.zeros(G.m)
+    tau[G.edge_ids(x0, y0)] = 1.0 if x0 < y0 else -1.0
+    stack = [(y0, x0, 1.0), (x0, y0, -1.0)]
+    while stack:
+        v, parent, inflow = stack.pop()
+        ej, _ = G.incident_edges(v)
+        others = [e for e in ej
+                  if (int(G.tails[e]) if G.heads[e] == v else int(G.heads[e]))
+                  != parent]
+        if not others:
+            continue
+        share = inflow / len(others)
+        for e in others:
+            u = int(G.tails[e]) if G.heads[e] == v else int(G.heads[e])
+            tau[e] += share if int(G.tails[e]) == v else -share
+            stack.append((u, v, share))
+    return tau
+
+
 class TestTreeFlow:
+    def test_matches_stack_flow(self):
+        # random trees with shuffled labels and edge lists, both
+        # orientations of a random root edge, equal to the last bit
+        rng = np.random.default_rng(5)
+        for _ in range(150):
+            n = int(rng.integers(2, 60))
+            label = rng.permutation(n)
+            pairs = [sorted((label[v], label[rng.integers(0, v)]))
+                     for v in range(1, n)]
+            T = OrientedGraph(n, rng.permutation(np.array(pairs)))
+            x, y = int(T.tails[0]), int(T.heads[0])
+            for root_edge in ((x, y), (y, x)):
+                got, want = H.tree_flow(T, root_edge).a, stack_tree_flow(
+                    T, root_edge)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_divergence_free_inside(self):
         T = regular_tree(3, 6)
         tau = H.tree_flow(T, (0, 1))

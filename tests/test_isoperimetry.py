@@ -47,6 +47,15 @@ def branch_and_extend(G, max_size, allowed=None):
                 forb.add(u)
 
 
+def connected_sets(G, max_size, allowed=None, budget=I.ENUM_BUDGET):
+    """(members, boundary_size) of every connected set, decoded from the
+    bitmask levels size by size."""
+    for level in I._levels(G, max_size, allowed, budget):
+        for b in level:
+            members = b.window[I._members(b.sets)[1]].reshape(len(b.sets), -1)
+            yield from zip(members.tolist(), b.bnd.tolist())
+
+
 def random_connected_graph(rng, n):
     """A random spanning tree on n vertices plus up to n extra edges."""
     edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
@@ -74,7 +83,7 @@ class TestLevelsAgainstBranchAndExtend:
             key = (b, sum(1 << v for v in S))  # least bitmask breaks ties
             least[len(S)] = min(least.get(len(S), key), key)
         got = {}
-        for S, b in I.connected_subsets(G, max_size, allowed):
+        for S, b in connected_sets(G, max_size, allowed):
             assert b == subset_view(G, S).boundary_size
             got.setdefault(len(S), []).append(frozenset(S))
         assert {s: len(v) for s, v in got.items()} == \
@@ -95,7 +104,7 @@ class TestEnumeration:
         # connected subsets of C_n of size s are the n arcs, for s < n
         G = cycle_graph(7)
         seen = {}
-        for Sset, b in I.connected_subsets(G, 4):
+        for Sset, b in connected_sets(G, 4):
             seen[len(Sset)] = seen.get(len(Sset), 0) + 1
             assert b == subset_view(G, Sset).boundary_size
         assert seen == {1: 7, 2: 7, 3: 7, 4: 7}
@@ -103,7 +112,7 @@ class TestEnumeration:
     def test_no_duplicates(self):
         G = torus_grid(3, 3)
         out = set()
-        for Sset, _ in I.connected_subsets(G, 4):
+        for Sset, _ in connected_sets(G, 4):
             key = frozenset(Sset)
             assert key not in out
             out.add(key)
@@ -111,14 +120,14 @@ class TestEnumeration:
     def test_budget(self):
         G = hypercube_graph(4)
         with pytest.raises(EnumerationBudgetExceeded):
-            list(I.connected_subsets(G, 8, budget=100))
+            list(connected_sets(G, 8, budget=100))
 
     def test_budget_checked_before_the_level_is_built(self, monkeypatch):
         # K30 has 30 + 435 + 4060 connected sets of size <= 3; the 435 * 28
         # candidates for size 3 exceed a budget of 4524 before any set of
         # size 3 is formed
         G = complete_graph(30)
-        assert len(list(I.connected_subsets(G, 3, budget=4525))) == 4525
+        assert len(list(connected_sets(G, 3, budget=4525))) == 4525
         built = []
         distinct = I._distinct
 
@@ -128,7 +137,7 @@ class TestEnumeration:
 
         monkeypatch.setattr(I, "_distinct", recording)
         with pytest.raises(EnumerationBudgetExceeded):
-            list(I.connected_subsets(G, 3, budget=4524))
+            list(connected_sets(G, 3, budget=4524))
         assert max(built) == 2
 
     def test_budget_keeps_completed_sizes(self):
@@ -144,7 +153,7 @@ class TestEnumeration:
     def test_allowed_restriction(self):
         G = cycle_graph(8)
         allowed = [0, 1, 2]
-        for Sset, _ in I.connected_subsets(G, 3, allowed=allowed):
+        for Sset, _ in connected_sets(G, 3, allowed=allowed):
             assert set(Sset) <= set(allowed)
 
 

@@ -1,4 +1,6 @@
 import itertools
+import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -250,6 +252,25 @@ class TestEstimateFailures:
             S.kappa_p_estimate(cycle_graph(6), 3.0)
         assert cli.main(["spectral", "--graph", "cycle:6", "--p", "3"]) == \
             cli.EXIT_NUMERIC
+
+    def test_kappa_p_drops_overflowing_starts(self, capsys):
+        # some starts on cycle:50 end where |f|^30 overflows; the ratio 0
+        # of such a start was reported as an upper bound on kappa_30
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["spectral", "--graph", "cycle:50",
+                             "--p", "30"]) == 0
+        rep = json.loads(capsys.readouterr().out)["report"]
+        assert rep["entries"][0]["kappa"] > 0
+        assert all(q["holds"] for q in rep["inequalities"]
+                   if q["status"] == "asserted")
+
+    def test_kappa_p_with_every_start_overflowing_raises(self, monkeypatch):
+        monkeypatch.setattr(scipy.optimize, "minimize",
+                            lambda fun, x0, **kw: scipy.optimize.OptimizeResult(
+                                x=1e300 * x0))
+        with pytest.raises(NonConvergence, match="no finite ratio"):
+            S.kappa_p_estimate(cycle_graph(6), 3.0)
 
 
 class TestChain:

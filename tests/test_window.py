@@ -1,11 +1,13 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 import harmlab.window as WD
 from harmlab.cayley import build_group, cayley_ball
 from harmlab.errors import DenseBudgetExceeded
-from harmlab.graphs import (cycle_graph, hypercube_graph, subset_view,
-                            torus_grid)
+from harmlab.graphs import (OrientedGraph, cycle_graph, hypercube_graph,
+                            subset_view, torus_grid)
 
 
 def square_members(B, n):
@@ -56,6 +58,91 @@ class TestSpaces:
             ws = WD.build_window(B.graph, F)
             dimV = ws.basis().shape[1]
             assert len(ws.edge_ids) - dimV == F.boundary_size - 1
+
+
+def deque_forest(sub):
+    """The Python breadth-first forest that `_spanning_forest` replaced:
+    (parent, parent edge, #components)."""
+    parent = np.full(sub.n, -1, dtype=np.int64)
+    pedge = np.full(sub.n, -1, dtype=np.int64)
+    seen = np.zeros(sub.n, dtype=bool)
+    ncomp = 0
+    for root in range(sub.n):
+        if seen[root]:
+            continue
+        ncomp += 1
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            ej, _ = sub.incident_edges(v)
+            for e in ej:
+                u = int(sub.tails[e]) if sub.heads[e] == v else int(sub.heads[e])
+                if not seen[u]:
+                    seen[u] = True
+                    parent[u] = v
+                    pedge[u] = e
+                    queue.append(u)
+    return parent, pedge, ncomp
+
+
+def shuffled_graph(rng):
+    """A random graph, often disconnected, whose edge list is in random
+    order, so that adjacency order is not neighbour order."""
+    n = int(rng.integers(1, 40))
+    pairs = np.array([(x, y) for x in range(n) for y in range(x + 1, n)
+                      if rng.random() < 3.0 / n], dtype=np.int64)
+    return OrientedGraph(n, rng.permutation(pairs.reshape(-1, 2)))
+
+
+class TestExactCounts:
+    def test_forest_matches_deque_search(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            G = shuffled_graph(rng)
+            parent, pedge, labels = WD._spanning_forest(G)
+            want = deque_forest(G)
+            assert np.array_equal(parent, want[0])
+            assert np.array_equal(pedge, want[1])
+            assert len(np.unique(labels)) == want[2]
+
+    @staticmethod
+    def check_against_ranks(ws):
+        # the rank decisions that the counts replaced
+        tol = WD.RANK_TOL
+        assert ws.dim_cut == np.linalg.matrix_rank(ws.cut, tol=tol)
+        assert ws.dim_cycle == (np.linalg.matrix_rank(ws.cycles, tol=tol)
+                                if ws.cycles.shape[1] else 0)
+        u, s, _ = np.linalg.svd(np.hstack([ws.cut, ws.cycles]),
+                                full_matrices=False)
+        keep = s > tol * max(1.0, s[0] if len(s) else 1.0)
+        assert np.array_equal(ws.basis(), u[:, keep])
+
+    def test_counts_match_ranks_on_random_windows(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            G = shuffled_graph(rng)
+            F = np.flatnonzero(rng.random(G.n) < rng.random())
+            self.check_against_ranks(WD.build_window(G, F))
+
+    def test_whole_component_and_empty_window(self):
+        # C5 and a path 5-6-7: the cycle is a window that no boundary edge
+        # leaves, so one constant lies in the kernel of the gradient
+        G = OrientedGraph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
+                              (5, 6), (6, 7)])
+        cases = [(range(5), 4, 1), (range(6), 5, 1), (range(8), 6, 1),
+                 ([0, 1, 5, 6], 4, 0), ([], 0, 0)]
+        for F, dim_cut, dim_cycle in cases:
+            ws = WD.build_window(G, F)
+            self.check_against_ranks(ws)
+            assert (ws.dim_cut, ws.dim_cycle) == (dim_cut, dim_cycle)
+        empty = WD.build_window(G, [])
+        assert empty.basis().shape == (0, 0) and empty.n_components == 0
+
+    def test_square_windows_match_ranks(self, z2ball):
+        for n in (2, 3, 5, 8):
+            ws = WD.build_window(z2ball.graph, square_members(z2ball, n))
+            self.check_against_ranks(ws)
 
 
 class TestProjectionStats:
