@@ -19,9 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BallTooLarge, PathExitsBall, UnsupportedGroup
-from .graphs import OrientedGraph
-
-DEFAULT_BALL_CAP = 2_000_000
+from .graphs import DEFAULT_BALL_CAP, OrientedGraph
 
 
 class Generator:

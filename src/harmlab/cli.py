@@ -106,14 +106,15 @@ GRAPH_FAMILIES = {"cycle": graphs.cycle_graph, "tree": graphs.regular_tree,
                   "hypercube": graphs.hypercube_graph}
 
 
-def load_graph_spec(spec):
+def load_graph_spec(spec, cap):
     """Builtin graph spec (cycle:n, complete:n, hypercube:d, grid:w,h,
-    tree:d,depth) or a path to a JSON graph file; the graph needs an
-    edge."""
+    tree:d,depth) of at most `cap` vertices, or a path to a JSON graph
+    file; the graph needs an edge."""
     head, _, rest = spec.partition(":")
     if head in GRAPH_FAMILIES:
         try:
-            G = GRAPH_FAMILIES[head](*(int(a) for a in rest.split(",")))
+            G = GRAPH_FAMILIES[head](*(int(a) for a in rest.split(",")),
+                                     cap=cap)
         except (TypeError, ValueError) as exc:
             raise IoError(f"bad graph spec {spec!r}: {exc}") from exc
     elif os.path.exists(spec):
@@ -173,7 +174,7 @@ def cmd_spectral(args, chash):
         raise IoError(f"--p takes comma-separated numbers in "
                       f"[1, {spectral.P_MAX:g}], not {args.p!r}") from None
     p_list = [p for p in p_list if p not in (1.0, 2.0)]
-    G = load_graph_spec(args.graph)
+    G = load_graph_spec(args.graph, _ball_cap(args))
     rep = spectral.verify_gap_chain(G, p_list=p_list or (1.5, 3.0))
     report = {
         "graph": args.graph,
@@ -221,7 +222,7 @@ def cmd_walk_exit(args, chash):
 
 
 def cmd_transport_wasserstein(args, chash):
-    G = load_graph_spec(args.graph)
+    G = load_graph_spec(args.graph, _ball_cap(args))
     src = _load_measure(G, args.src)
     dst = _load_measure(G, args.dst)
     cost, pat = transport.wasserstein1(G, src, dst)
@@ -274,7 +275,7 @@ def cmd_transport_chain(args, chash):
 
 
 def cmd_iso_profile(args, chash):
-    G = load_graph_spec(args.graph)
+    G = load_graph_spec(args.graph, _ball_cap(args))
     prof = isoperimetry.profile(G, args.max_size, budget=args.budget)
     rows = []
     env = prof.envelope()
@@ -289,7 +290,7 @@ def cmd_iso_profile(args, chash):
 
 
 def cmd_iso_radial(args, chash):
-    G = load_graph_spec(args.graph)
+    G = load_graph_spec(args.graph, _ball_cap(args))
     members = _read(args.set, "vertex set")
     if not (isinstance(members, list) and members
             and all(type(v) is int and 0 <= v < G.n for v in members)):

@@ -18,7 +18,7 @@ class UnsupportedGroup(HarmlabError):
 
 
 class BallTooLarge(HarmlabError):
-    """Cayley ball exceeded the configured vertex cap."""
+    """A Cayley ball or builtin graph exceeded the configured vertex cap."""
 
 
 class PathExitsBall(HarmlabError):

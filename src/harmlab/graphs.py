@@ -13,9 +13,10 @@ import json
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidExponent, IoError, NonRegularGraph
+from .errors import BallTooLarge, InvalidExponent, IoError, NonRegularGraph
 
 MASS_TOL = 1e-12
+DEFAULT_BALL_CAP = 2_000_000  # vertices of a Cayley ball or builtin graph
 
 
 def _sorted_unique(a):
@@ -52,22 +53,20 @@ class OrientedGraph:
         self.m = len(self.tails)
         self.labels = labels
 
-        deg = np.zeros(self.n, dtype=np.int64)
-        np.add.at(deg, self.tails, 1)
-        np.add.at(deg, self.heads, 1)
+        ends = np.concatenate([self.tails, self.heads])
+        deg = np.bincount(ends, minlength=self.n)
         self.degrees = deg
         self.d_max = int(deg.max()) if self.n else 0
 
         # CSR adjacency: for vertex v, slice ptr[v]:ptr[v+1] of (nbr, edge, sign)
-        order = np.argsort(np.concatenate([self.tails, self.heads]), kind="stable")
-        ends = np.concatenate([self.tails, self.heads])[order]
+        order = np.argsort(ends, kind="stable")
         self._adj_nbr = np.concatenate([self.heads, self.tails])[order]
-        self._adj_edge = np.concatenate(
-            [np.arange(self.m), np.arange(self.m)])[order]
-        self._adj_sign = np.concatenate(
-            [np.ones(self.m, dtype=np.int8), -np.ones(self.m, dtype=np.int8)])[order]
+        # slot order[i] < m is edge order[i] seen from its tail, and
+        # order[i] >= m edge order[i] - m seen from its head
+        self._adj_edge = order % max(self.m, 1)
+        self._adj_sign = np.where(order < self.m, 1, -1).astype(np.int8)
         self._adj_ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ends, minlength=self.n), out=self._adj_ptr[1:])
+        np.cumsum(deg, out=self._adj_ptr[1:])
 
         self._A = None
         self._keys = None
@@ -479,62 +478,68 @@ def ball_from_distances(G, dist, r):
 # -- builtin graph families ------------------------------------------------
 
 
-def cycle_graph(n):
+def _guard(n, cap):
+    """Raise BallTooLarge before a builtin graph of n vertices is built."""
+    if n > cap:
+        raise BallTooLarge(f"graph of {n} vertices exceeds cap {cap}")
+
+
+def cycle_graph(n, *, cap=DEFAULT_BALL_CAP):
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    e = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    return OrientedGraph(n, e)
+    _guard(n, cap)
+    i = np.arange(n - 1)
+    return OrientedGraph(n, np.column_stack([np.append(i, 0),
+                                             np.append(i + 1, n - 1)]))
 
 
 def path_graph(n):
-    return OrientedGraph(n, [(i, i + 1) for i in range(n - 1)])
+    i = np.arange(n - 1)
+    return OrientedGraph(n, np.column_stack([i, i + 1]))
 
 
-def complete_graph(n):
-    return OrientedGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+def complete_graph(n, *, cap=DEFAULT_BALL_CAP):
+    _guard(n, cap)
+    return OrientedGraph(n, np.column_stack(np.triu_indices(n, 1)))
 
 
-def hypercube_graph(d):
+def hypercube_graph(d, *, cap=DEFAULT_BALL_CAP):
+    _guard(1 << min(d, cap.bit_length()), cap)  # 2^d only once it is small
     n = 1 << d
-    e = []
-    for v in range(n):
-        for b in range(d):
-            w = v ^ (1 << b)
-            if v < w:
-                e.append((v, w))
-    return OrientedGraph(n, e)
+    # edge (v, v + 2^b) for each bit b clear in v, in (v, b) order
+    v, b = np.nonzero(~np.arange(n)[:, None] >> np.arange(d) & 1)
+    return OrientedGraph(n, np.column_stack([v, v + (1 << b)]))
 
 
-def torus_grid(w, h):
-    """Discrete 2-torus C_w x C_h; 4-regular, needs w, h >= 3."""
+def torus_grid(w, h, *, cap=DEFAULT_BALL_CAP):
+    """Discrete 2-torus C_w x C_h, vertex (i, j) being i * h + j;
+    4-regular, needs w, h >= 3."""
     if w < 3 or h < 3:
         raise ValueError("torus grid needs both sides >= 3")
-    def vid(i, j):
-        return (i % w) * h + (j % h)
-    e = set()
-    for i in range(w):
-        for j in range(h):
-            for ni, nj in ((i + 1, j), (i, j + 1)):
-                a, b = vid(i, j), vid(ni, nj)
-                e.add((min(a, b), max(a, b)))
-    return OrientedGraph(w * h, sorted(e))
+    n = w * h
+    _guard(n, cap)
+    a = np.arange(n)
+    # the neighbours (i + 1, j) and (i, j + 1) of a = (i, j)
+    b = np.concatenate([(a + h) % n, a - a % h + (a + 1) % h])
+    a = np.tile(a, 2)
+    keys = _sorted_unique(np.minimum(a, b) * n + np.maximum(a, b))
+    return OrientedGraph(n, np.column_stack([keys // n, keys % n]))
 
 
-def regular_tree(d, depth):
-    """Finite truncation of the d-regular tree; root 0, leaves at `depth`."""
-    edges = []
-    nxt = 1
-    frontier = [0]
-    for level in range(depth):
-        newf = []
-        for v in frontier:
-            k = d if level == 0 else d - 1
-            for _ in range(k):
-                edges.append((v, nxt))
-                newf.append(nxt)
-                nxt += 1
-        frontier = newf
-    return OrientedGraph(nxt, edges)
+def regular_tree(d, depth, *, cap=DEFAULT_BALL_CAP):
+    """Finite truncation of the d-regular tree; root 0, leaves at `depth`.
+    Numbered level by level: vertex c has parent 0 if c <= d, else
+    1 + (c - d - 1) // (d - 1); edge i is (parent, i + 1)."""
+    n, width = 1, max(d, 0)
+    for _ in range(depth):
+        if not width:
+            break
+        n += width
+        _guard(n, cap)
+        width *= d - 1
+    c = np.arange(1, n)
+    parent = np.where(c <= d, 0, 1 + (c - d - 1) // max(d - 1, 1))
+    return OrientedGraph(n, np.column_stack([parent, c]))
 
 
 def random_regular_graph(d, n, seed):

@@ -198,11 +198,10 @@ def tree_flow_level_sums(G, root_edge, tau, p):
     # the root edge sits at level 0; an edge whose nearer endpoint is at
     # distance k - 1 from the root edge is at level k
     level = np.maximum(dist[G.tails], dist[G.heads])
-    sums = {}
-    for e in range(G.m):
-        sums.setdefault(int(level[e]), 0.0)
-        sums[int(level[e])] += abs(tau.a[e]) ** p
-    return dict(sorted(sums.items()))
+    # bincount adds in edge order; -1 (unreachable) is a level of its own
+    levels, slot = np.unique(level, return_inverse=True)
+    sums = np.bincount(slot, weights=np.abs(tau.a) ** p)
+    return dict(zip(levels.tolist(), sums))
 
 
 def laplacian_witness(G_or_ball, kind, n, center=0):

@@ -194,6 +194,21 @@ class TestPlumbing:
         assert run(["walk", "profile", "--group", "free:2", "--radius", "6",
                     "--steps", "2", "--out", str(tmp_path / "x.csv")]) == 3
 
+    @pytest.mark.parametrize("spec, code", [
+        ("tree:3,8", 3), ("tree:3,6", 0), ("grid:20,20", 0),
+        ("grid:20,21", 3)])
+    def test_ball_cap_env_caps_builtin_graphs(self, spec, code, monkeypatch,
+                                              capsys):
+        # tree:3,8 has 766 vertices, tree:3,6 190, grid:w,h w * h
+        monkeypatch.setenv("HARMLAB_BUDGET", "400")
+        assert run(["iso", "profile", "--graph", spec,
+                    "--max-size", "2"]) == code
+        assert ("exceeds cap 400" in capsys.readouterr().err) == (code == 3)
+
+    def test_ball_cap_flag_caps_builtin_graphs(self, capsys):
+        assert run(["spectral", "--graph", "cycle:6", "--ball-cap", "5"]) == 3
+        assert "graph of 6 vertices exceeds cap 5" in capsys.readouterr().err
+
     def test_edgeless_graph(self, tmp_path, capsys):
         one = tmp_path / "one.json"
         one.write_text('{"vertices": 1, "edges": []}')

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmlab.errors import InvalidExponent, NonRegularGraph
+from harmlab.errors import BallTooLarge, InvalidExponent, NonRegularGraph
 from harmlab.graphs import (Distribution, EdgeField, OrientedGraph,
                             VertexField, ball, bfs_distances, cycle_graph,
                             complete_graph, divergence, gradient,
@@ -347,3 +347,133 @@ class TestBfsAgainstReference:
         G = OrientedGraph(5, [(0, 1), (2, 3)])
         assert bfs_distances(G, 0).tolist() == [0, 1, -1, -1, -1]
         assert bfs_distances(G, [0, 3]).tolist() == [0, 1, 1, 0, -1]
+
+
+# -- the builtin families against per-vertex loop builders -----------------
+
+
+def loop_cycle(n):
+    if n < 3:
+        raise ValueError("cycle needs n >= 3")
+    return n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+
+
+def loop_path(n):
+    return n, [(i, i + 1) for i in range(n - 1)]
+
+
+def loop_complete(n):
+    return n, [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def loop_hypercube(d):
+    n = 1 << d
+    return n, [(v, v ^ (1 << b)) for v in range(n) for b in range(d)
+               if v < v ^ (1 << b)]
+
+
+def loop_torus(w, h):
+    if w < 3 or h < 3:
+        raise ValueError("torus grid needs both sides >= 3")
+    e = set()
+    for i in range(w):
+        for j in range(h):
+            for ni, nj in ((i + 1, j), (i, j + 1)):
+                a, b = i * h + j, (ni % w) * h + nj % h
+                e.add((min(a, b), max(a, b)))
+    return w * h, sorted(e)
+
+
+def loop_tree(d, depth):
+    edges, nxt, frontier = [], 1, [0]
+    for level in range(depth):
+        newf = []
+        for v in frontier:
+            for _ in range(d if level == 0 else d - 1):
+                edges.append((v, nxt))
+                newf.append(nxt)
+                nxt += 1
+        frontier = newf
+    return nxt, edges
+
+
+FAMILY_CASES = (
+    [(regular_tree, loop_tree, (d, depth)) for d in (-1, 0, 1, 2, 3, 4)
+     for depth in (-1, 0, 1, 2, 5)]
+    + [(f, g, (n,)) for f, g in ((path_graph, loop_path),
+                                 (complete_graph, loop_complete))
+       for n in (-1, 0, 1, 2, 3, 7)]
+    + [(cycle_graph, loop_cycle, (n,)) for n in (-1, 2, 3, 4, 9)]
+    + [(hypercube_graph, loop_hypercube, (d,)) for d in (-1, 0, 1, 4)]
+    + [(torus_grid, loop_torus, (w, h)) for w in (2, 3, 4, 7)
+       for h in (2, 3, 4, 7)])
+
+
+class TestFamiliesAgainstLoops:
+    @pytest.mark.parametrize("family, loop, args", FAMILY_CASES,
+                             ids=lambda x: getattr(x, "__name__", str(x)))
+    def test_same_graph(self, family, loop, args):
+        try:
+            n, edges = loop(*args)
+            want = OrientedGraph(n, edges)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                family(*args)
+            return
+        G = family(*args)
+        assert G.n == want.n
+        assert G.tails.dtype == G.heads.dtype == np.int64
+        assert np.array_equal(G.tails, want.tails)
+        assert np.array_equal(G.heads, want.heads)
+
+    @pytest.mark.parametrize("family, args, n", [
+        (regular_tree, (3, 8), 766), (regular_tree, (2, 10 ** 12), None),
+        (torus_grid, (20, 21), 420), (complete_graph, (401,), 401),
+        (cycle_graph, (401,), 401), (hypercube_graph, (9,), 512),
+        (hypercube_graph, (10 ** 12,), None)])
+    def test_cap(self, family, args, n):
+        # raised from the vertex count, before any array is allocated
+        with pytest.raises(BallTooLarge):
+            family(*args, cap=400)
+        if n is not None:
+            assert family(*args, cap=n).n == n
+            with pytest.raises(BallTooLarge):
+                family(*args, cap=n - 1)
+
+
+def reference_adjacency(n, tails, heads):
+    """Degrees by np.add.at and the CSR arrays by one stable argsort of the
+    edge ends."""
+    deg = np.zeros(n, dtype=np.int64)
+    np.add.at(deg, tails, 1)
+    np.add.at(deg, heads, 1)
+    m = len(tails)
+    order = np.argsort(np.concatenate([tails, heads]), kind="stable")
+    return (deg, np.concatenate([heads, tails])[order],
+            np.concatenate([np.arange(m), np.arange(m)])[order],
+            np.concatenate([np.ones(m, dtype=np.int8),
+                            -np.ones(m, dtype=np.int8)])[order])
+
+
+class TestAdjacencyArrays:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_matches_reference(self, seed):
+        G = rand_graph(seed)
+        order = np.random.default_rng(seed).permutation(G.m)
+        H = OrientedGraph(G.n + seed % 3, np.column_stack(
+            [G.tails[order], G.heads[order]]))  # isolated vertices at the end
+        deg, nbr, edge, sign = reference_adjacency(H.n, H.tails, H.heads)
+        assert H.degrees.dtype == np.int64 and H.d_max == deg.max()
+        assert np.array_equal(H.degrees, deg)
+        assert np.array_equal(H._adj_ptr, np.concatenate([[0], np.cumsum(deg)]))
+        for got, want in ((H._adj_nbr, nbr), (H._adj_edge, edge),
+                          (H._adj_sign, sign)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_edgeless(self, n):
+        G = OrientedGraph(n, [])
+        assert G.degrees.tolist() == [0] * n and G.d_max == 0
+        assert G._adj_ptr.tolist() == [0] * (n + 1)
+        assert len(G._adj_nbr) == len(G._adj_edge) == len(G._adj_sign) == 0

@@ -6,9 +6,9 @@ import pytest
 import harmlab.harmonic as H
 from harmlab.cayley import build_group, cayley_ball
 from harmlab.errors import NotATree, SingularSystem, SupportHitsBoundary
-from harmlab.graphs import (OrientedGraph, VertexField, ball, bfs_distances,
-                            cycle_graph, gradient, lp_norm, path_graph,
-                            regular_tree, subset_view, torus_grid)
+from harmlab.graphs import (EdgeField, OrientedGraph, VertexField, ball,
+                            bfs_distances, cycle_graph, gradient, lp_norm,
+                            path_graph, regular_tree, subset_view, torus_grid)
 from harmlab.walk import exit_distributions
 
 
@@ -211,6 +211,33 @@ class TestTreeFlow:
             for k in range(1, 8):
                 want = 2.0 * (d - 1.0) ** ((1 - p) * k)
                 assert abs(sums[k] - want) < 1e-12
+
+    def test_level_sums_match_edge_loop(self):
+        # the per-edge loop that bincount replaced, to the last bit, on
+        # random trees with shuffled edge lists and on a forest, whose
+        # unreachable edges form level -1.  The loop took each |tau|^p as
+        # a scalar power, which may differ from numpy's array power in the
+        # last bit (at p = 2 too), so both add the array's terms here
+        rng = np.random.default_rng(7)
+        for trial in range(60):
+            n = int(rng.integers(2, 60))
+            pairs = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+            if trial % 10 == 0:
+                pairs += [(n, n + 1), (n + 1, n + 2)]
+            T = OrientedGraph(n + 3, rng.permutation(np.array(pairs)))
+            tau = EdgeField(T, rng.normal(size=T.m))
+            x, y = int(T.tails[0]), int(T.heads[0])
+            for p in (1.5, 2.0, 3.0):
+                dist = np.minimum(bfs_distances(T, x), bfs_distances(T, y))
+                level = np.maximum(dist[T.tails], dist[T.heads])
+                terms = np.abs(tau.a) ** p
+                want = {}
+                for e in range(T.m):
+                    want.setdefault(int(level[e]), 0.0)
+                    want[int(level[e])] += terms[e]
+                got = H.tree_flow_level_sums(T, (x, y), tau, p)
+                assert list(got) == sorted(want)
+                assert all(got[k] == want[k] for k in want)
 
     def test_not_a_tree(self):
         with pytest.raises(NotATree):

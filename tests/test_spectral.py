@@ -265,6 +265,22 @@ class TestEstimateFailures:
         assert all(q["holds"] for q in rep["inequalities"]
                    if q["status"] == "asserted")
 
+    @pytest.mark.parametrize("G", [
+        cycle_graph(5), cycle_graph(12), cycle_graph(30), cycle_graph(50),
+        hypercube_graph(3), hypercube_graph(4), hypercube_graph(6),
+        torus_grid(4, 4), torus_grid(6, 6), torus_grid(8, 8),
+        complete_graph(6), complete_graph(20)], ids=[
+        "cycle:5", "cycle:12", "cycle:30", "cycle:50", "hypercube:3",
+        "hypercube:4", "hypercube:6", "grid:4,4", "grid:6,6", "grid:8,8",
+        "complete:6", "complete:20"])
+    def test_lambda_p_at_p_max_is_finite_without_warnings(self, G):
+        # the twelve graphs of the P_MAX comment: the power iteration
+        # renormalises its rows every step, so |x|^p stays in range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, direction = S.lambda_p_estimate(G, S.P_MAX)
+        assert np.isfinite(val) and val > 0 and direction == "upper_bound"
+
     def test_kappa_p_with_every_start_overflowing_raises(self, monkeypatch):
         monkeypatch.setattr(scipy.optimize, "minimize",
                             lambda fun, x0, **kw: scipy.optimize.OptimizeResult(
