@@ -161,10 +161,15 @@ def bitmask_rows(n, rows, vertices, k):
     return out
 
 
-def neighbour_masks(G):
-    """Bitmask rows of the neighbourhoods N(u), u = 0..n-1."""
-    ends = np.concatenate([G.tails, G.heads])
-    return bitmask_rows(G.n, np.roll(ends, G.m), ends, G.n)
+def neighbour_masks(G, verts):
+    """Bitmask rows of N(u) & verts for u in the sorted vertex array
+    `verts`, over positions in `verts`."""
+    slots, deg = adjacency_slots(G, verts)
+    nbr = G._adj_nbr[slots]
+    pos = np.minimum(np.searchsorted(verts, nbr), len(verts) - 1)
+    hit = verts[pos] == nbr
+    rows = np.repeat(np.arange(len(verts)), deg)
+    return bitmask_rows(len(verts), rows[hit], pos[hit], len(verts))
 
 
 def boundary_gain(deg, nbr, v, sets):
@@ -200,19 +205,30 @@ def bfs_distances(G, sources):
 # -- sparse-semantics fields (array backed) -------------------------------
 
 
-class VertexField:
-    """Real-valued function on vertices; zero outside its support."""
+class _Field:
+    """Real-valued array on the vertices or edges of a graph; zero outside
+    its support.  A subclass names its size attribute and what it counts."""
 
     __slots__ = ("graph", "a")
 
     def __init__(self, graph, values=None):
         self.graph = graph
-        if values is None:
-            self.a = np.zeros(graph.n)
-        else:
-            self.a = np.asarray(values, dtype=float)
-            if self.a.shape != (graph.n,):
-                raise ValueError("value array does not match vertex count")
+        size = getattr(graph, self._size)
+        self.a = (np.zeros(size) if values is None
+                  else np.asarray(values, dtype=float))
+        if self.a.shape != (size,):
+            raise ValueError(f"value array does not match {self._item} count")
+
+    @property
+    def support(self):
+        return np.flatnonzero(self.a)
+
+
+class VertexField(_Field):
+    """Real-valued function on vertices."""
+
+    __slots__ = ()
+    _size, _item = "n", "vertex"
 
     @classmethod
     def from_dict(cls, graph, mapping):
@@ -224,38 +240,12 @@ class VertexField:
     def __getitem__(self, v):
         return float(self.a[v])
 
-    @property
-    def support(self):
-        return np.flatnonzero(self.a)
 
-    def copy(self):
-        return VertexField(self.graph, self.a.copy())
+class EdgeField(_Field):
+    """Real-valued function on oriented edges."""
 
-    def __add__(self, other):
-        return VertexField(self.graph, self.a + other.a)
-
-    def __sub__(self, other):
-        return VertexField(self.graph, self.a - other.a)
-
-    def __mul__(self, c):
-        return VertexField(self.graph, self.a * float(c))
-
-    __rmul__ = __mul__
-
-
-class EdgeField:
-    """Real-valued function on oriented edges; zero outside its support."""
-
-    __slots__ = ("graph", "a")
-
-    def __init__(self, graph, values=None):
-        self.graph = graph
-        if values is None:
-            self.a = np.zeros(graph.m)
-        else:
-            self.a = np.asarray(values, dtype=float)
-            if self.a.shape != (graph.m,):
-                raise ValueError("value array does not match edge count")
+    __slots__ = ()
+    _size, _item = "m", "edge"
 
     @classmethod
     def from_dict(cls, graph, mapping):
@@ -273,24 +263,6 @@ class EdgeField:
         if e < 0:
             return 0.0
         return float(self.a[e]) if x < y else -float(self.a[e])
-
-    @property
-    def support(self):
-        return np.flatnonzero(self.a)
-
-    def copy(self):
-        return EdgeField(self.graph, self.a.copy())
-
-    def __add__(self, other):
-        return EdgeField(self.graph, self.a + other.a)
-
-    def __sub__(self, other):
-        return EdgeField(self.graph, self.a - other.a)
-
-    def __mul__(self, c):
-        return EdgeField(self.graph, self.a * float(c))
-
-    __rmul__ = __mul__
 
 
 class Distribution(VertexField):
@@ -412,10 +384,6 @@ class SubsetView:
     @property
     def boundary_size(self):
         return len(self.boundary_edges)
-
-    def ratio(self):
-        """Isoperimetric ratio |boundary| / |F|."""
-        return self.boundary_size / self.size
 
     def interior_operator(self):
         """Transition blocks (P, E) of the simple walk on the graph, killed

@@ -91,20 +91,17 @@ def gradient_decay(f, G, root, n_max=None):
     return np.array(out)
 
 
-def divergence_profile(G, root, K, n_max, h=None):
+def divergence_profile(G, root, K, n_max):
     """Annulus profile: S(n) is the complement of B(root, n) minus the
     far components of the complement of B(root, Kn); S_out its members
     next to the sphere of radius Kn + 1.  D(n) is the largest induced
     distance between members of S_out, per reachable pairs; unreachable
     pairs are reported as inf.
-
-    If h is given, the products D(n) * gd_h(n) are included.
     """
     if K < 2 or int(K) != K:
         raise ValueError("K must be an integer >= 2")
     dist = bfs_distances(G, root)
     R = int(dist.max())
-    gd = gradient_decay(h, G, root, n_max=n_max) if h is not None else None
     shell = np.flatnonzero(dist == R)
     rows = []
     for n in range(1, n_max + 1):
@@ -130,11 +127,7 @@ def divergence_profile(G, root, K, n_max, h=None):
             d = shortest_path(sub.adjacency_matrix(), unweighted=True,
                               indices=idx)
             D = float(d[:, idx].max())  # inf if a pair is unreachable
-        row = {"n": n, "S_size": len(S), "S_out_size": len(s_out), "D": D}
-        if gd is not None:
-            row["gd"] = float(gd[n])
-            row["product"] = D * float(gd[n])
-        rows.append(row)
+        rows.append(dict(n=n, S_size=len(S), S_out_size=len(s_out), D=D))
     return rows
 
 
@@ -204,25 +197,22 @@ def tree_flow_level_sums(G, root_edge, tau, p):
     return dict(zip(levels.tolist(), sums))
 
 
-def laplacian_witness(G_or_ball, kind, n, center=0):
-    """Witness families with small Laplacian-to-norm ratio.
+def laplacian_witness(ball, kind, n, center=0):
+    """Witness families with small Laplacian-to-norm ratio on a ball.
 
     kind="c0": f = averaged ball indicators, sup-norm gradient <= 1/(n+1).
     kind="l1": f = Green partial sum over n+1 steps, ||Delta f||_1
     <= 2/(n+1).  Returns (field, ratio).
     """
     if kind == "c0":
-        if hasattr(G_or_ball, "graph"):
-            G = G_or_ball.graph
-            if n + 1 > G_or_ball.radius:
-                raise SupportHitsBoundary("ball too small for this n")
-        else:
-            G = G_or_ball
+        G = ball.graph
+        if n + 1 > ball.radius:
+            raise SupportHitsBoundary("ball too small for this n")
         dist = bfs_distances(G, center)
+        # a ball is connected, so every distance is >= 0
         vals = np.clip((n + 1 - dist) / (n + 1.0), 0.0, None)
-        vals[dist < 0] = 0.0
         f = VertexField(G, vals)
         return f, lp_norm(gradient(f, G), np.inf)
     if kind == "l1":
-        return green_partial(G_or_ball, center, n + 1)
+        return green_partial(ball, center, n + 1)
     raise ValueError("kind must be 'c0' or 'l1'")

@@ -93,7 +93,7 @@ class _Block:
                 [window, G._adj_nbr[adjacency_slots(G, window)[0]]]))
             window = window[inside[window] & (window >= a)]
         self.window, self.deg = window, G.degrees[window]
-        self.nbr = neighbour_masks(subset_view(G, window).induced_graph()[0])
+        self.nbr = neighbour_masks(G, window)
         self.sets = self.rows(np.arange(k))
         self.bnd, self.reach = self.deg[:k], self.nbr[:k]
 
@@ -180,9 +180,9 @@ def profile(G, max_size, allowed=None, budget=ENUM_BUDGET):
     return prof
 
 
-def cut_program(G, edge_cost, vertex_cost, size, allowed=None):
+def cut_program(G, edge_cost, vertex_cost, size):
     """Least edge_cost |boundary F| + vertex_cost |F| over vertex sets F
-    with size[0] <= |F| <= size[1], inside `allowed` if given.
+    with size[0] <= |F| <= size[1].
 
     Solved as the integer program over binary x and y_e >= |x_u - x_v|.
     The costs must be integers, so the objective is an integer and a
@@ -197,14 +197,11 @@ def cut_program(G, edge_cost, vertex_cost, size, allowed=None):
     A = sp.csr_matrix((np.tile([1.0, -1.0, -1.0, -1.0, 1.0, -1.0], m),
                        (np.repeat(np.arange(2 * m), 3),
                         cols.repeat(2, axis=0).ravel())), shape=(2 * m, n + m))
-    upper = np.ones(n + m)
-    if allowed is not None:
-        upper[:n] = subset_view(G, allowed).mask
     res = scipy.optimize.milp(
         np.where(is_x, vertex_cost, edge_cost).astype(float),
         constraints=[scipy.optimize.LinearConstraint(A, -np.inf, 0),
                      scipy.optimize.LinearConstraint(is_x, *size)],
-        integrality=is_x, bounds=scipy.optimize.Bounds(0.0, upper))
+        integrality=is_x, bounds=scipy.optimize.Bounds(0.0, 1.0))
     if res.status != 0:
         raise IntegerProgramFailure(f"integer program: {res.message}")
     F = subset_view(G, np.flatnonzero(res.x[:n] > 0.5))
@@ -216,14 +213,14 @@ def cut_program(G, edge_cost, vertex_cost, size, allowed=None):
     return F, value
 
 
-def min_boundary_exact(G, size, allowed=None):
+def min_boundary_exact(G, size):
     """Exact min |boundary F| over |F| = size via integer programming.
 
     Connectivity is not required, so the value can only be <= the
     enumeration table's entry; on profiles it agrees (best-component
     argument).  Returns (boundary, witness).
     """
-    F, boundary = cut_program(G, 1, 0, (size, size), allowed)
+    F, boundary = cut_program(G, 1, 0, (size, size))
     return boundary, [int(v) for v in F.members]
 
 

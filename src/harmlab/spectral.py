@@ -55,7 +55,7 @@ def _cheeger_bitmask(G):
     # boundary[S] for every bitmask S, filled one vertex b at a time from
     # the sets S of lower vertices
     n = G.n
-    nbr = neighbour_masks(G)[:, :1].astype(np.uint32)  # word 0: n <= 24
+    nbr = neighbour_masks(G, np.arange(n))[:, :1].astype(np.uint32)  # n <= 24
     boundary = np.zeros(1 << n, dtype=np.int16)
     size = np.zeros(1 << n, dtype=np.uint8)
     for b in range(n):

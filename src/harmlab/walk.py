@@ -69,6 +69,8 @@ def _interior_solve(G, A, sources):
     exit laws), the exit law of column j being the flux E^T h[:, j] out of
     A.  Raises SingularSystem if the walk from a source cannot leave A."""
     sources = [int(v) for v in sources]
+    if not all(0 <= v < G.n for v in sources):  # -1 must not wrap around
+        raise ValueError("origin must be a vertex of the graph")
     if not np.all(A.mask[sources]):
         raise ValueError("origin must lie inside the region")
     if len(A.outer_boundary) == 0:

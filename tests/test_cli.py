@@ -59,8 +59,7 @@ class TestSpectral:
             assert capsys.readouterr().out == case["stdout"], case["argv"]
 
     def test_demo_outputs_match_frozen_fixture(self, capsys):
-        # the window and harmonic demos print dimensions, cross-checks and
-        # tree-flow sums, byte for byte
+        # every demo's stdout, byte for byte
         cases = json.loads((FIXTURES / "demo_outputs.json").read_text())
         for case in cases:
             runpy.run_path(str(DEMOS / case["script"]), run_name="__main__")

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from harmlab.errors import BallTooLarge, InvalidExponent, NonRegularGraph
 from harmlab.graphs import (Distribution, EdgeField, OrientedGraph,
-                            VertexField, ball, bfs_distances, cycle_graph,
-                            complete_graph, divergence, gradient,
+                            VertexField, ball, bfs_distances, bitmask_rows,
+                            cycle_graph, complete_graph, divergence, gradient,
                             hypercube_graph, laplacian, load_graph, lp_norm,
-                            path_graph, random_regular_graph, regular_tree,
-                            save_graph, subset_view, torus_grid, walk_step)
+                            neighbour_masks, path_graph, random_regular_graph,
+                            regular_tree, save_graph, subset_view, torus_grid,
+                            walk_step)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -477,3 +478,37 @@ class TestAdjacencyArrays:
         assert G.degrees.tolist() == [0] * n and G.d_max == 0
         assert G._adj_ptr.tolist() == [0] * (n + 1)
         assert len(G._adj_nbr) == len(G._adj_edge) == len(G._adj_sign) == 0
+
+
+def induced_neighbour_masks(G, verts):
+    """Neighbour masks of the graph induced on `verts`, relabelled
+    0..len(verts)-1: the construction that reads all of G."""
+    sub, _ = subset_view(G, verts).induced_graph()
+    ends = np.concatenate([sub.tails, sub.heads])
+    return bitmask_rows(sub.n, np.roll(ends, sub.m), ends, sub.n)
+
+
+class TestNeighbourMasks:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_window_matches_induced_graph(self, seed):
+        # 65..200 vertices give rows of two to four words
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(65, 201))
+        pairs = rng.integers(0, n, size=(int(rng.integers(n, 4 * n)), 2))
+        pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1),
+                          axis=0)
+        G = OrientedGraph(n, pairs)
+        for q in (0.0, 0.05, rng.random(), 1.0):
+            verts = np.flatnonzero(rng.random(n) < q)
+            got = neighbour_masks(G, verts)
+            want = induced_neighbour_masks(G, verts)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_whole_graph(self):
+        G = torus_grid(9, 9)
+        got = neighbour_masks(G, np.arange(G.n))
+        for u in range(G.n):
+            bits = np.unpackbits(got[u].view(np.uint8), bitorder="little")
+            assert np.flatnonzero(bits).tolist() == sorted(
+                G.neighbors(u).tolist())

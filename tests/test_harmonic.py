@@ -243,6 +243,11 @@ class TestTreeFlow:
         with pytest.raises(NotATree):
             H.tree_flow(cycle_graph(5), (0, 1))
 
+    def test_root_pair_must_be_an_edge(self):
+        # 1 and 2 are both children of the root
+        with pytest.raises(ValueError, match="not an edge"):
+            H.tree_flow(regular_tree(3, 3), (1, 2))
+
 
 class TestWitnesses:
     def test_c0_ratio(self):

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import harmlab.transport as T
 from harmlab.cayley import build_group, cayley_ball
-from harmlab.errors import (Infeasible, MassMismatch, NonConvergence,
-                            NonRegularGraph, NonZeroSum, PathExitsBall,
-                            SingularSystem)
+from harmlab.errors import (DisconnectedRegion, Infeasible, MassMismatch,
+                            NonConvergence, NonRegularGraph, NonZeroSum,
+                            PathExitsBall, SingularSystem)
 from harmlab.graphs import (Distribution, OrientedGraph, VertexField, ball,
                             bfs_distances, cycle_graph, divergence,
                             regular_tree, subset_view, torus_grid)
@@ -280,6 +280,21 @@ class TestLaplacian:
         with pytest.raises(NonZeroSum):
             T.laplacian_transport(G, F, Distribution.dirac(G, 0))
 
+    def test_rejects_mass_off_the_region(self):
+        # g sums to zero, but half of it sits outside F
+        G = cycle_graph(8)
+        F = subset_view(G, range(4))
+        g = VertexField.from_dict(G, {0: 1.0, 5: -1.0})
+        with pytest.raises(NonZeroSum, match="supported on the region"):
+            T.laplacian_transport(G, F, g)
+
+    def test_rejects_disconnected_region(self):
+        G = cycle_graph(8)
+        F = subset_view(G, [0, 1, 4, 5])
+        g = VertexField.from_dict(G, {0: 1.0, 4: -1.0})
+        with pytest.raises(DisconnectedRegion):
+            T.laplacian_transport(G, F, g)
+
 
 class TestCentral:
     def test_heisenberg_uniform_cost(self):
@@ -407,6 +422,13 @@ class TestStoppedExitTransport:
             warnings.simplefilter("error")
             with pytest.raises(SingularSystem):
                 T.stopped_exit_transport(G, A, 0)
+
+    def test_origin_must_be_a_vertex(self):
+        # -1 must not stand for the last vertex of the graph
+        G = cycle_graph(10)
+        A = subset_view(G, [0, 1, 2, 8, 9])
+        with pytest.raises(ValueError, match="vertex of the graph"):
+            T.stopped_exit_transport(G, A, -1)
 
     def test_mixed_degree_region_raises(self):
         # the ball around a depth-2 vertex reaches degree-1 leaves

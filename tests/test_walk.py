@@ -59,6 +59,26 @@ class TestExit:
         with pytest.raises(ValueError):
             W.exit_distribution(G, A, 5)
 
+    def test_origin_must_be_a_vertex(self):
+        # -1 would read the region's mask from its end and then land on
+        # members[0]: vertex 0's law {3: 1/2, 7: 1/2} labelled -1, where
+        # vertex 9's law is {3: 1/3, 7: 2/3}
+        G = cycle_graph(10)
+        A = subset_view(G, [0, 1, 2, 8, 9])
+        assert np.allclose(W.exit_distribution(G, A, 9).a[[3, 7]],
+                           [1 / 3, 2 / 3], rtol=0, atol=1e-12)
+        for v in (-1, -10, 10):
+            with pytest.raises(ValueError, match="vertex of the graph"):
+                W.exit_distribution(G, A, v)
+        with pytest.raises(ValueError, match="vertex of the graph"):
+            W.exit_distributions(G, A, [0, -1])
+
+    def test_whole_graph_region_raises(self):
+        G = cycle_graph(6)
+        A = subset_view(G, range(6))
+        with pytest.raises(SingularSystem, match="no outer boundary"):
+            W.exit_distribution(G, A, 0)
+
     @pytest.mark.parametrize("case", ["regular", "mixed"])
     def test_shared_solve_matches_separate(self, case):
         if case == "regular":
