@@ -396,10 +396,6 @@ class CayleyBall:
         product lies outside the ball: a column of `nbr`."""
         return self.nbr[:, self._column[gen.name]]
 
-    def edges_with_label(self, label):
-        lab = np.asarray(self.edge_labels)
-        return np.flatnonzero(lab == label)
-
 
 def _search(group, R, cap):
     """Breadth-first search on the int rows: each sphere is multiplied by

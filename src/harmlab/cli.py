@@ -22,8 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import (BallTooLarge, ComplementDisconnected,
                      DenseBudgetExceeded, EnumerationBudgetExceeded,
-                     GraphTooLargeForExact, HarmlabError, IoError,
-                     MassMismatch, UnsupportedGroup)
+                     HarmlabError, IoError, MassMismatch, UnsupportedGroup)
 from . import cayley, graphs, harmonic, isoperimetry, spectral, transport
 from . import walk as walkmod
 from . import window as windowmod
@@ -34,7 +33,7 @@ EXIT_BUDGET = 3
 EXIT_NUMERIC = 4
 
 BUDGET_ERRORS = (BallTooLarge, EnumerationBudgetExceeded,
-                 DenseBudgetExceeded, GraphTooLargeForExact)
+                 DenseBudgetExceeded)
 
 
 def _fmt(x):

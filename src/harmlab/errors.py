@@ -25,10 +25,6 @@ class PathExitsBall(HarmlabError):
     """A generator path left the truncated ball."""
 
 
-class GraphTooLargeForExact(HarmlabError):
-    """Exact Cheeger enumeration refused; caller may fall back to heuristics."""
-
-
 class EigensolveFailure(HarmlabError):
     pass
 

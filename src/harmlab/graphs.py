@@ -77,11 +77,6 @@ class OrientedGraph:
     def neighbors(self, v):
         return self._adj_nbr[self._adj_ptr[v]:self._adj_ptr[v + 1]]
 
-    def incident_edges(self, v):
-        """Indices and signs (+1 tail, -1 head) of edges incident to v."""
-        s = slice(self._adj_ptr[v], self._adj_ptr[v + 1])
-        return self._adj_edge[s], self._adj_sign[s]
-
     def edge_ids(self, x, y):
         """Edge ids of the vertex pairs (x, y), scalars or arrays, in
         either orientation; -1 where a pair is not an edge or an endpoint
@@ -137,6 +132,17 @@ class OrientedGraph:
         return f"OrientedGraph(n={self.n}, m={self.m})"
 
 
+def check_vertices(G, verts):
+    """verts as int64; ValueError unless each lies in 0..n-1 (numpy
+    indexing would let -1 stand for vertex n - 1)."""
+    verts = np.asarray(verts, dtype=np.int64)
+    bad = verts[(verts < 0) | (verts >= G.n)]
+    if bad.size:
+        raise ValueError(f"{bad.flat[0]} is not a vertex of the graph "
+                         f"(0..{G.n - 1})")
+    return verts
+
+
 def adjacency_slots(G, verts):
     """Positions in the CSR adjacency arrays (_adj_nbr, _adj_edge,
     _adj_sign) of the incidences of each vertex of `verts`, concatenated
@@ -185,7 +191,7 @@ def boundary_gain(deg, nbr, v, sets):
 def bfs_distances(G, sources):
     """Distances from the given source vertex/vertices; -1 if unreachable."""
     dist = np.full(G.n, -1, dtype=np.int64)
-    frontier = _sorted_unique(np.asarray(sources, dtype=np.int64))
+    frontier = _sorted_unique(check_vertices(G, sources))
     dist[frontier] = 0
     last = np.empty(G.n, dtype=np.int64)
     d = 0
@@ -233,6 +239,7 @@ class VertexField(_Field):
     @classmethod
     def from_dict(cls, graph, mapping):
         f = cls(graph)
+        check_vertices(graph, list(mapping))
         for v, x in mapping.items():
             f.a[v] = x
         return f
@@ -279,6 +286,7 @@ class Distribution(VertexField):
     @classmethod
     def dirac(cls, graph, v):
         d = cls(graph, check=False)
+        check_vertices(graph, v)
         d.a[v] = 1.0
         return d
 

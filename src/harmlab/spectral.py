@@ -17,7 +17,7 @@ import scipy.optimize
 import scipy.sparse as sp
 
 from . import isoperimetry
-from .errors import EigensolveFailure, GraphTooLargeForExact, NonConvergence
+from .errors import EigensolveFailure, NonConvergence
 from .graphs import boundary_gain, neighbour_masks, subset_view
 
 BITMASK_LIMIT = 24
@@ -104,7 +104,7 @@ def _cheeger_sweep(G):
     return float(ratio.min()), [int(v) for v in witness]
 
 
-def cheeger_kappa1(G, exact=None):
+def cheeger_kappa1(G):
     """Cheeger constant min |boundary F| / |F| over |F| <= |V|/2.
 
     Returns (value, witness_vertices, direction); value is the witness's
@@ -113,8 +113,7 @@ def cheeger_kappa1(G, exact=None):
     cut; "exact" needs HiGHS status optimal and a dual bound above -1 on
     the last (integer) objective, else IntegerProgramFailure is raised.
     Above BITMASK_LIMIT, a vertex of degree 0 is an exact witness of 0.
-    Larger graphs fall back to a sweep cut flagged "upper_bound" (or raise
-    GraphTooLargeForExact when exact=True).
+    Larger graphs get a sweep cut flagged "upper_bound".
     """
     if G.n <= BITMASK_LIMIT:
         val, w = _cheeger_bitmask(G)
@@ -125,9 +124,6 @@ def cheeger_kappa1(G, exact=None):
     if G.n <= MILP_LIMIT:
         val, w = _cheeger_milp(G)
         return val, w, "exact"
-    if exact:
-        raise GraphTooLargeForExact(
-            f"{G.n} vertices exceeds the exact limit {MILP_LIMIT}")
     val, w = _cheeger_sweep(G)
     return val, w, "upper_bound"
 

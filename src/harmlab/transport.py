@@ -155,7 +155,13 @@ def central_transport(ball, word, mu):
 
 def cycle_cancel(pattern):
     """Remove directed cycles from the positive-flow support; pointwise
-    |tau'| <= |tau| with the same divergence."""
+    |tau'| <= |tau| with the same divergence.
+
+    One depth-first search, successors ascending: an arc back into the
+    path closes a cycle, whose least flow is subtracted; the search
+    resumes at the first emptied arc in cycle order.  Finished vertices
+    reach no cycle and deletions make none, so a search restarted after
+    each cancellation would find the same cycles in the same order."""
     G = pattern.tau.graph
     flow = {}
     for e in np.flatnonzero(pattern.tau.a):
@@ -163,53 +169,44 @@ def cycle_cancel(pattern):
         flow[(x, y) if v > 0 else (y, x)] = (abs(v), e, 1.0 if v > 0 else -1.0)
     succ = {}
     for (x, y) in flow:
-        succ.setdefault(x, set()).add(y)
-    while True:
-        cyc = _find_cycle(succ)
-        if cyc is None:
-            break
-        arcs = list(zip(cyc, cyc[1:] + cyc[:1]))
-        c = min(flow[a][0] for a in arcs)
-        for a in arcs:
-            v, e, s = flow[a]
-            if v - c <= 1e-15 * max(1.0, c):
-                del flow[a]
-                succ[a[0]].discard(a[1])
-                if not succ[a[0]]:
-                    del succ[a[0]]
+        succ.setdefault(x, []).append(y)
+    state = {}  # 1 on the search path, 2 finished
+    for root in succ:
+        if root in state:
+            continue
+        state[root] = 1
+        path, its = [root], [iter(sorted(succ[root]))]
+        while path:
+            for y in its[-1]:
+                if (path[-1], y) not in flow or state.get(y) == 2:
+                    continue
+                if y not in state:
+                    state[y] = 1
+                    path.append(y)
+                    its.append(iter(sorted(succ.get(y, ()))))
+                    break
+                j = path.index(y)
+                arcs = list(zip(path[j:], path[j + 1:] + [y]))
+                c = min(flow[a][0] for a in arcs)
+                for a in arcs:
+                    v, e, s = flow[a]
+                    if v - c <= 1e-15 * max(1.0, c):
+                        del flow[a]
+                    else:
+                        flow[a] = (v - c, e, s)
+                # resume at the first emptied arc, path[k - 1] -> path[k]
+                k = j + 1 + [a in flow for a in arcs].index(False)
+                for u in path[k:]:
+                    del state[u]
+                del path[k:], its[k:]
+                break
             else:
-                flow[a] = (v - c, e, s)
+                state[path.pop()] = 2
+                its.pop()
     tau = EdgeField(G)
     for (x, y), (v, e, s) in flow.items():
         tau.a[e] += s * v
     return TransportPattern(tau, pattern.source, pattern.target)
-
-
-def _find_cycle(succ):
-    state = {}
-    for root in succ:
-        if state.get(root):
-            continue
-        stack = [(root, iter(sorted(succ.get(root, ()))))]
-        state[root] = 1
-        path = [root]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state.get(nxt) == 1:
-                    return path[path.index(nxt):]
-                if state.get(nxt) is None:
-                    state[nxt] = 1
-                    path.append(nxt)
-                    stack.append((nxt, iter(sorted(succ.get(nxt, ())))))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                path.pop()
-                stack.pop()
-    return None
 
 
 def stopped_exit_transport(G, A, v):
@@ -228,16 +225,22 @@ def stopped_exit_transport(G, A, v):
     A and NonRegularGraph if A has mixed degrees.
     """
     h, (ex,) = _interior_solve(G, A, [v])
+    return TransportPattern(_green_step(G, A, h[:, 0]),
+                            Distribution.dirac(G, v), ex), ex
+
+
+def _green_step(G, A, h):
+    """tau of the random-step pattern of the Green measure h on A."""
     green = VertexField(G)
-    green.a[A.members] = h[:, 0]
-    step = random_step_transport(G, green, A)
-    return TransportPattern(step.tau, Distribution.dirac(G, v), ex), ex
+    green.a[A.members] = h
+    return random_step_transport(G, green, A).tau
 
 
 def exit_transport_chain(G, v, w, regions, p=2.0):
     """For each region A: the pattern carrying ex_v^A to ex_w^A built from
-    stopped-walk transports and the edge v -> w (both transports reuse A's
-    interior operator); reports p- and sup-norms after cycle cancellation.
+    the stopped-walk transports of v and w, both from one interior solve
+    on A, and the edge v -> w; reports p- and sup-norms after cycle
+    cancellation.
 
     Returns a list of dicts with norms, residual and the pattern.  Raises
     ValueError, before any solve, if v and w are not adjacent.
@@ -247,9 +250,9 @@ def exit_transport_chain(G, v, w, regions, p=2.0):
         raise ValueError(f"vertices {v} and {w} are not adjacent")
     out = []
     for A in regions:
-        pv, exv = stopped_exit_transport(G, A, v)
-        pw, exw = stopped_exit_transport(G, A, w)
-        tau = EdgeField(G, pw.tau.a - pv.tau.a)
+        h, (exv, exw) = _interior_solve(G, A, [v, w])
+        tau = EdgeField(G, _green_step(G, A, h[:, 1]).a
+                        - _green_step(G, A, h[:, 0]).a)
         tau.a[e] += 1.0 if v < w else -1.0
         pat = cycle_cancel(TransportPattern(tau, exv, exw))
         out.append({

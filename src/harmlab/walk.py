@@ -17,7 +17,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import (MaxNormTooLarge, NegativeMass, SingularSystem,
                      SupportHitsBoundary)
-from .graphs import Distribution, check_laziness, gradient, lp_norm
+from .graphs import (Distribution, check_laziness, check_vertices, gradient,
+                     lp_norm)
 
 
 class StoppedWalk:
@@ -68,9 +69,7 @@ def _interior_solve(G, A, sources):
     A.interior_operator(), all columns by one sparse LU solve.  Returns (h,
     exit laws), the exit law of column j being the flux E^T h[:, j] out of
     A.  Raises SingularSystem if the walk from a source cannot leave A."""
-    sources = [int(v) for v in sources]
-    if not all(0 <= v < G.n for v in sources):  # -1 must not wrap around
-        raise ValueError("origin must be a vertex of the graph")
+    sources = [int(v) for v in check_vertices(G, sources)]
     if not np.all(A.mask[sources]):
         raise ValueError("origin must lie inside the region")
     if len(A.outer_boundary) == 0:
@@ -106,6 +105,7 @@ def fire(nu, v, r, signed=False):
     functions harmonic at v."""
     if r < 0:
         raise ValueError("firing rate must be >= 0")
+    check_vertices(nu.graph, v)
     if not signed and r > nu.a[v] + 1e-12:
         raise NegativeMass(f"firing {r} exceeds mass {nu.a[v]} at vertex {v}")
     G = nu.graph

@@ -193,6 +193,21 @@ class TestSubsetsAndBalls:
         assert not set(F.boundary_edges) & set(F.induced_edges)
 
 
+class TestVertexIndexGate:
+    # numpy indexing lets -1 stand for vertex n - 1, and n raises a bare
+    # IndexError; every entry point taking a vertex raises ValueError
+    @pytest.mark.parametrize("v", [-1, 5])
+    @pytest.mark.parametrize("call", [
+        lambda G, v: Distribution.dirac(G, v),
+        lambda G, v: VertexField.from_dict(G, {v: 2.0}),
+        lambda G, v: bfs_distances(G, v),
+        lambda G, v: bfs_distances(G, [0, v]),
+    ], ids=["dirac", "from_dict", "bfs", "bfs_array"])
+    def test_out_of_range_vertex_raises(self, call, v):
+        with pytest.raises(ValueError, match="vertex of the graph"):
+            call(path_graph(5), v)
+
+
 class TestConstruction:
     def test_orientation_enforced(self):
         with pytest.raises(ValueError):

@@ -160,7 +160,7 @@ def stack_tree_flow(G, root_edge):
     stack = [(y0, x0, 1.0), (x0, y0, -1.0)]
     while stack:
         v, parent, inflow = stack.pop()
-        ej, _ = G.incident_edges(v)
+        ej = G.edge_ids(v, G.neighbors(v))
         others = [e for e in ej
                   if (int(G.tails[e]) if G.heads[e] == v else int(G.heads[e]))
                   != parent]

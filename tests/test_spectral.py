@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 import harmlab.cli as cli
 import harmlab.isoperimetry as I
 import harmlab.spectral as S
-from harmlab.errors import (EigensolveFailure, GraphTooLargeForExact,
-                            IntegerProgramFailure, NonConvergence)
+from harmlab.errors import (EigensolveFailure, IntegerProgramFailure,
+                            NonConvergence)
 from harmlab.graphs import (OrientedGraph, complete_graph, cycle_graph,
                             hypercube_graph, lp_norm, random_regular_graph,
                             subset_view, torus_grid)
@@ -62,8 +62,6 @@ class TestCheeger:
         assert d == "upper_bound"
         F = subset_view(G, w)
         assert abs(F.boundary_size / F.size - val) < 1e-12
-        with pytest.raises(GraphTooLargeForExact):
-            S.cheeger_kappa1(G, exact=True)
 
     def test_isolated_vertex_is_exact_zero(self):
         # above the bitmask limit, before any eigensolve or integer program

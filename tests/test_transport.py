@@ -346,7 +346,143 @@ class TestCycleCancel:
             assert out.residual < 1e-9
 
 
+def restarting_cycle_cancel(pattern):
+    """The cycle cancellation that restarted its depth-first search from
+    scratch after every cancelled cycle, kept as the reference."""
+    G = pattern.tau.graph
+    flow = {}
+    for e in np.flatnonzero(pattern.tau.a):
+        v, x, y = pattern.tau.a[e], int(G.tails[e]), int(G.heads[e])
+        flow[(x, y) if v > 0 else (y, x)] = (abs(v), e, 1.0 if v > 0 else -1.0)
+    succ = {}
+    for (x, y) in flow:
+        succ.setdefault(x, set()).add(y)
+    while True:
+        cyc = _find_cycle(succ)
+        if cyc is None:
+            break
+        arcs = list(zip(cyc, cyc[1:] + cyc[:1]))
+        c = min(flow[a][0] for a in arcs)
+        for a in arcs:
+            v, e, s = flow[a]
+            if v - c <= 1e-15 * max(1.0, c):
+                del flow[a]
+                succ[a[0]].discard(a[1])
+                if not succ[a[0]]:
+                    del succ[a[0]]
+            else:
+                flow[a] = (v - c, e, s)
+    tau = np.zeros(G.m)
+    for (x, y), (v, e, s) in flow.items():
+        tau[e] += s * v
+    return tau
+
+
+def _find_cycle(succ):
+    state = {}
+    for root in succ:
+        if state.get(root):
+            continue
+        stack = [(root, iter(sorted(succ.get(root, ()))))]
+        state[root] = 1
+        path = [root]
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if state.get(nxt) == 1:
+                    return path[path.index(nxt):]
+                if state.get(nxt) is None:
+                    state[nxt] = 1
+                    path.append(nxt)
+                    stack.append((nxt, iter(sorted(succ.get(nxt, ())))))
+                    advanced = True
+                    break
+            if not advanced:
+                state[node] = 2
+                path.pop()
+                stack.pop()
+    return None
+
+
+def positive_support_is_acyclic(tau):
+    G = tau.graph
+    fwd = tau.a > 0
+    D = nx.DiGraph()
+    D.add_edges_from(zip(G.tails[fwd], G.heads[fwd]))
+    bwd = tau.a < 0
+    D.add_edges_from(zip(G.heads[bwd], G.tails[bwd]))
+    return nx.is_directed_acyclic_graph(D)
+
+
+def random_patterns():
+    """Random circulation-laden patterns on random 3- and 4-regular
+    graphs; every third one rounded to integers, so that several arcs of
+    a cycle tie for its least flow."""
+    from harmlab.graphs import EdgeField, random_regular_graph
+    rng = np.random.default_rng(11)
+    for t in range(60):
+        G = random_regular_graph(3 + t % 2, 2 * int(rng.integers(4, 25)),
+                                 seed=t)
+        a = rng.normal(size=G.m)
+        if t % 3 == 0:
+            a = np.round(2 * a)
+        tau = EdgeField(G, a)
+        yield T.TransportPattern(tau, VertexField(G),
+                                 VertexField(G, divergence(tau).a))
+
+
+def zd2_chain_patterns(monkeypatch):
+    """The patterns that exit_transport_chain hands to cycle_cancel on the
+    balls of radius 1..10 about the identity of Z^2."""
+    B = cayley_ball(build_group("zd:2"), 11)
+    G = B.graph
+    v = B.identity_vertex
+    seen = []
+    cancel = T.cycle_cancel
+
+    def record(pattern):
+        seen.append(pattern)
+        return cancel(pattern)
+    monkeypatch.setattr(T, "cycle_cancel", record)
+    T.exit_transport_chain(G, v, int(G.neighbors(v)[0]),
+                           [ball(G, v, r) for r in range(1, 11)])
+    monkeypatch.setattr(T, "cycle_cancel", cancel)
+    assert len(seen) == 10
+    return seen
+
+
+class TestOneSearchCycleCancel:
+    def test_matches_restarting_search_on_random_patterns(self):
+        for pat in random_patterns():
+            out = T.cycle_cancel(pat)
+            assert np.array_equal(out.tau.a, restarting_cycle_cancel(pat))
+            assert positive_support_is_acyclic(out.tau)
+
+    def test_matches_restarting_search_on_chain_patterns(self, monkeypatch):
+        for pat in zd2_chain_patterns(monkeypatch):
+            assert not positive_support_is_acyclic(pat.tau)
+            out = T.cycle_cancel(pat)
+            assert np.array_equal(out.tau.a, restarting_cycle_cancel(pat))
+            assert positive_support_is_acyclic(out.tau)
+            assert out.residual < 1e-9
+
+
 class TestExitChain:
+    def test_one_solve_per_region(self, monkeypatch):
+        import harmlab.walk as W
+        calls = []
+        solve = W.direct_solve
+
+        def counted(M, b):
+            calls.append(np.shape(b))
+            return solve(M, b)
+        monkeypatch.setattr(W, "direct_solve", counted)
+        G = torus_grid(9, 9)
+        regions = [ball(G, 0, r) for r in (1, 2, 3)]
+        T.exit_transport_chain(G, 0, int(G.neighbors(0)[0]), regions)
+        assert calls == [(A.size, 2) for A in regions]
+
     def test_chain_rows(self):
         G = torus_grid(9, 9)
         regions = [ball(G, 0, r) for r in (1, 2, 3)]

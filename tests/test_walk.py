@@ -161,6 +161,15 @@ class TestFire:
         out = W.fire(Distribution.dirac(G, 0), 0, 1.5, signed=True)
         assert abs(out.a.sum() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("v", [-1, 5])
+    def test_out_of_range_vertex_raises(self, v):
+        # -1 read vertex 4's mass and then split r over neighbors(-1), an
+        # empty slice (ZeroDivisionError when signed); 5 was an IndexError
+        nu = Distribution.dirac(path_graph(5), 0)
+        for signed in (False, True):
+            with pytest.raises(ValueError, match="vertex of the graph"):
+                W.fire(nu, v, 0.5, signed=signed)
+
     def test_preserves_harmonic_pairing(self):
         G = torus_grid(5, 5)
         rng = np.random.default_rng(0)
@@ -168,7 +177,7 @@ class TestFire:
         nu = Distribution(G, a / a.sum())
         # build f harmonic at vertex 7 only
         f = rng.normal(size=G.n)
-        ej, _ = G.incident_edges(7)
+        ej = G.edge_ids(7, G.neighbors(7))
         nb = [int(G.tails[e]) if G.heads[e] == 7 else int(G.heads[e])
               for e in ej]
         f[7] = np.mean(f[nb])

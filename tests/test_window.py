@@ -75,7 +75,7 @@ def deque_forest(sub):
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            ej, _ = sub.incident_edges(v)
+            ej = sub.edge_ids(v, sub.neighbors(v))
             for e in ej:
                 u = int(sub.tails[e]) if sub.heads[e] == v else int(sub.heads[e])
                 if not seen[u]:
