@@ -28,14 +28,14 @@ def main():
     f2 = f.a.copy()
     f2[A.members] = [ex.a @ f.a for ex in exit_distributions(G, A, A.members)]
     print(f"Dirichlet solve: interior residual"
-          f" {harmonic_residual(f, G, A.members):.2e},"
+          f" {harmonic_residual(f, A.members):.2e},"
           f" exit-average cross-check {np.abs(f.a - f2).max():.2e}")
 
     B = cayley_ball(build_group("zd:2"), 24)
     print("witness families (ratios should sit at their 1/(n+1) bounds):")
     for n in (4, 9, 19):
         _, c0 = laplacian_witness(B, "c0", n)
-        _, l1 = laplacian_witness(B, "l1", n, center=B.identity_vertex)
+        _, l1 = laplacian_witness(B, "l1", n)
         print(f"  n = {n:2d}: sup-gradient {c0:.5f} (bound"
               f" {1 / (n + 1):.5f}), ||Delta g||_1 {l1:.5f} (bound"
               f" {2 / (n + 1):.5f})")

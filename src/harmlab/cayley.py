@@ -492,15 +492,15 @@ def cayley_ball(group, R, cap=DEFAULT_BALL_CAP):
     return CayleyBall(group, graph, wl, R, labels[keep - tail[keep] * k], nbr)
 
 
-def path_of_element(ball, word, basepoint=0):
-    """Edge path from `basepoint` following the generator word.
+def path_of_element(ball, word):
+    """Edge path from the identity following the generator word.
 
     word: sequence of Generator objects (see GroupHandle.word).
     Returns (vertices, edge_steps) where edge_steps is a list of
     (edge id, sign): sign +1 if the step traverses the edge in its
     canonical orientation, -1 otherwise.
     """
-    verts = [basepoint]
+    verts = [ball.identity_vertex]
     for s in word:
         nxt = int(ball.nbr[verts[-1], ball._column[s.name]])
         if nxt < 0:

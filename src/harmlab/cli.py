@@ -117,7 +117,7 @@ def load_graph_spec(spec, cap):
         except (TypeError, ValueError) as exc:
             raise IoError(f"bad graph spec {spec!r}: {exc}") from exc
     elif os.path.exists(spec):
-        G = graphs.load_graph(spec)
+        G = graphs.load_graph(spec, cap=cap)
     else:
         raise IoError(f"unknown graph spec or missing file: {spec}")
     if G.m == 0:
@@ -162,9 +162,10 @@ def _real(lo=-np.inf, hi=np.inf):
 
 
 # -- command implementations ----------------------------------------------
+# each returns (header, rows) for CSV output or a report dict for JSON
 
 
-def cmd_spectral(args, chash):
+def cmd_spectral(args):
     try:
         p_list = [float(p) for p in args.p.split(",")]
         if not all(1 <= p <= spectral.P_MAX for p in p_list):
@@ -175,7 +176,7 @@ def cmd_spectral(args, chash):
     p_list = [p for p in p_list if p not in (1.0, 2.0)]
     G = load_graph_spec(args.graph, _ball_cap(args))
     rep = spectral.verify_gap_chain(G, p_list=p_list or (1.5, 3.0))
-    report = {
+    return {
         "graph": args.graph,
         "d": rep.d,
         "kappa1": rep.kappa1,
@@ -185,21 +186,17 @@ def cmd_spectral(args, chash):
         "entries": [vars(e) for e in rep.entries],
         "inequalities": [vars(q) for q in rep.inequalities],
     }
-    emit_json(report, args.out, chash)
-    return EXIT_OK
 
 
-def cmd_walk_profile(args, chash):
+def cmd_walk_profile(args):
     group = cayley.build_group(args.group)
     b = cayley.cayley_ball(group, args.radius, cap=_ball_cap(args))
     rows = walkmod.entropy_profile(b, args.steps, laziness=args.laziness)
-    emit_csv(rows, args.out,
-             ["n", "H0", "H1", "H2", "Hinf", "speed", "grad_l1",
-              "return_prob"], chash)
-    return EXIT_OK
+    return (["n", "H0", "H1", "H2", "Hinf", "speed", "grad_l1",
+             "return_prob"], rows)
 
 
-def cmd_walk_exit(args, chash):
+def cmd_walk_exit(args):
     group = cayley.build_group(args.group)
     r = args.region
     gen = _generator(group, args.to) if args.to else None
@@ -214,26 +211,22 @@ def cmd_walk_exit(args, chash):
                      "element": repr(b.elements[int(x)]).replace(",", " "),
                      "exit_from_origin": float(exv.a[x]),
                      "exit_from_target": float(exw.a[x])})
-    emit_csv(rows, args.out,
-             ["vertex", "element", "exit_from_origin", "exit_from_target"],
-             chash)
-    return EXIT_OK
+    return ["vertex", "element", "exit_from_origin", "exit_from_target"], rows
 
 
-def cmd_transport_wasserstein(args, chash):
+def cmd_transport_wasserstein(args):
     G = load_graph_spec(args.graph, _ball_cap(args))
     src = _load_measure(G, args.src)
     dst = _load_measure(G, args.dst)
     cost, pat = transport.wasserstein1(G, src, dst)
-    report = {"cost": cost, "residual": pat.residual,
-              "support": len(pat.tau.support)}
-    emit_json(report, args.out, chash)
-    return EXIT_OK
+    return {"cost": cost, "residual": pat.residual,
+            "support": len(pat.tau.support)}
 
 
 def _load_measure(G, path):
-    """Rows "vertex,mass"; blank, "#" and "vertex" lines are skipped."""
-    vals = np.zeros(G.n)
+    """Rows "vertex,mass", one per vertex; blank, "#" and "vertex" lines
+    are skipped."""
+    vals, seen = np.zeros(G.n), set()
     lines = _read(path, "measure file", str.splitlines)
     for num, line in enumerate(lines, 1):
         line = line.strip()
@@ -247,11 +240,14 @@ def _load_measure(G, path):
         except ValueError:
             raise IoError(f"{path} line {num}: expected vertex,mass with a "
                           f"vertex in 0..{G.n - 1}, got {line!r}") from None
+        if v in seen:
+            raise IoError(f"{path} line {num}: vertex {v} is listed twice")
+        seen.add(v)
         vals[v] = m
     return graphs.VertexField(G, vals)
 
 
-def cmd_transport_chain(args, chash):
+def cmd_transport_chain(args):
     if not (args.p == 0 or args.p >= 1):
         raise IoError(f"--p must be 0 or at least 1, not {args.p}")
     group = cayley.build_group(args.group)
@@ -267,13 +263,11 @@ def cmd_transport_chain(args, chash):
     for row, r in zip(rows, levels):
         row["r"] = r
         row.pop("pattern")
-    emit_csv(rows, args.out,
-             ["r", "interior_size", "norm_p", "norm_inf", "exit_diff_l1",
-              "exit_diff_inf", "residual"], chash)
-    return EXIT_OK
+    return (["r", "interior_size", "norm_p", "norm_inf", "exit_diff_l1",
+             "exit_diff_inf", "residual"], rows)
 
 
-def cmd_iso_profile(args, chash):
+def cmd_iso_profile(args):
     G = load_graph_spec(args.graph, _ball_cap(args))
     prof = isoperimetry.profile(G, args.max_size, budget=args.budget)
     rows = []
@@ -283,24 +277,20 @@ def cmd_iso_profile(args, chash):
         rows.append({"size": s, "boundary": b, "ratio": b / s,
                      "envelope": env[s],
                      "witness": " ".join(str(v) for v in wit)})
-    emit_csv(rows, args.out,
-             ["size", "boundary", "ratio", "envelope", "witness"], chash)
-    return EXIT_OK
+    return ["size", "boundary", "ratio", "envelope", "witness"], rows
 
 
-def cmd_iso_radial(args, chash):
+def cmd_iso_radial(args):
     G = load_graph_spec(args.graph, _ball_cap(args))
     members = _read(args.set, "vertex set")
     if not (isinstance(members, list) and members
             and all(type(v) is int and 0 <= v < G.n for v in members)):
         raise IoError(f"{args.set} must hold a JSON list of vertices in "
                       f"0..{G.n - 1}")
-    res = isoperimetry.radial_iso_check(G, members, K=args.K, k=args.k)
-    emit_json(res, args.out, chash)
-    return EXIT_OK
+    return isoperimetry.radial_iso_check(G, members, K=args.K, k=args.k)
 
 
-def cmd_window_stats(args, chash):
+def cmd_window_stats(args):
     group = cayley.build_group(args.group)
     if group.kind != "zd:2":
         raise IoError(f"window stats takes squares of zd:2, not {args.group}")
@@ -311,24 +301,21 @@ def cmd_window_stats(args, chash):
     sq = [b.vertex_of[(i, j)] for i in range(lo, lo + n)
           for j in range(lo, lo + n)]
     st = windowmod.window_projection_stats(b, sq, args.label)
-    report = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-              for k, v in st.items() if k != "window"}
-    emit_json(report, args.out, chash)
-    return EXIT_OK
+    return {k: (v.tolist() if isinstance(v, np.ndarray) else v)
+            for k, v in st.items() if k != "window"}
 
 
-def cmd_harmonic_probe(args, chash):
+def cmd_harmonic_probe(args):
     group = cayley.build_group(args.group)
     radii = _parse_radii(args.radii)
     b = cayley.cayley_ball(group, max(radii) + 1, cap=_ball_cap(args))
     v = b.identity_vertex
     w = int(b.graph.neighbors(v)[0])
     rows = harmonic.liouville_probe(b.graph, v, v, w, radii)
-    emit_csv(rows, args.out, ["r", "l1", "linf"], chash)
-    return EXIT_OK
+    return ["r", "l1", "linf"], rows
 
 
-def cmd_harmonic_divergence(args, chash):
+def cmd_harmonic_divergence(args):
     group = cayley.build_group(args.group)
     b = cayley.cayley_ball(group, args.K * args.n + 2, cap=_ball_cap(args))
     rows = harmonic.divergence_profile(b.graph, b.identity_vertex,
@@ -336,24 +323,19 @@ def cmd_harmonic_divergence(args, chash):
     for row in rows:
         if not np.isfinite(row["D"]):
             row["D"] = -1  # unreachable pair classes
-    emit_csv(rows, args.out, ["n", "S_size", "S_out_size", "D"], chash)
-    return EXIT_OK
+    return ["n", "S_size", "S_out_size", "D"], rows
 
 
-def cmd_harmonic_witness(args, chash):
+def cmd_harmonic_witness(args):
     group = cayley.build_group(args.group)
     b = cayley.cayley_ball(group, args.n + 2, cap=_ball_cap(args))
     rows = []
     for n in range(1, args.n + 1):
-        _, c0 = harmonic.laplacian_witness(b, "c0", n,
-                                           center=b.identity_vertex)
-        _, l1 = harmonic.laplacian_witness(b, "l1", n,
-                                           center=b.identity_vertex)
+        _, c0 = harmonic.laplacian_witness(b, "c0", n)
+        _, l1 = harmonic.laplacian_witness(b, "l1", n)
         rows.append({"n": n, "c0_ratio": c0, "c0_bound": 1.0 / (n + 1),
                      "l1_ratio": l1, "l1_bound": 2.0 / (n + 1)})
-    emit_csv(rows, args.out,
-             ["n", "c0_ratio", "c0_bound", "l1_ratio", "l1_bound"], chash)
-    return EXIT_OK
+    return ["n", "c0_ratio", "c0_bound", "l1_ratio", "l1_bound"], rows
 
 
 # -- argument plumbing -----------------------------------------------------
@@ -508,7 +490,13 @@ def main(argv=None):
         if getattr(args, "dry_run", False):
             print(f"config ok ({chash})")
             return EXIT_OK
-        return args.func(args, chash)
+        out = args.func(args)
+        if isinstance(out, dict):
+            emit_json(out, args.out, chash)
+        else:
+            header, rows = out
+            emit_csv(rows, args.out, header, chash)
+        return EXIT_OK
     except BUDGET_ERRORS as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

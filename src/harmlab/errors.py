@@ -34,11 +34,7 @@ class IntegerProgramFailure(HarmlabError):
 
 
 class NonConvergence(HarmlabError):
-    """Iterative estimate did not converge; best witness attached."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """Iterative estimate did not converge."""
 
 
 class SupportHitsBoundary(HarmlabError):

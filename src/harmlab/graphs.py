@@ -35,7 +35,7 @@ class OrientedGraph:
     (tails, heads) with tails < heads.
     """
 
-    def __init__(self, n, edges, labels=None, validate=True):
+    def __init__(self, n, edges, validate=True):
         self.n = int(n)
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if validate and len(edges):
@@ -51,7 +51,6 @@ class OrientedGraph:
         self.tails = np.ascontiguousarray(edges[:, 0])
         self.heads = np.ascontiguousarray(edges[:, 1])
         self.m = len(self.tails)
-        self.labels = labels
 
         ends = np.concatenate([self.tails, self.heads])
         deg = np.bincount(ends, minlength=self.n)
@@ -305,24 +304,24 @@ class Distribution(VertexField):
 # -- operations ------------------------------------------------------------
 
 
-def gradient(f, G=None):
+def gradient(f):
     """(grad f)(x, y) = f(y) - f(x) on every oriented edge."""
-    G = G or f.graph
+    G = f.graph
     return EdgeField(G, f.a[G.heads] - f.a[G.tails])
 
 
-def divergence(g, G=None):
+def divergence(g):
     """Adjoint of the gradient: <div g, h> = <g, grad h>."""
-    G = G or g.graph
+    G = g.graph
     out = np.zeros(G.n)
     np.add.at(out, G.heads, g.a)
     np.subtract.at(out, G.tails, g.a)
     return VertexField(G, out)
 
 
-def laplacian(f, G=None):
+def laplacian(f):
     """Delta f = f - Pf = (1/d) div grad f on a regular graph."""
-    G = G or f.graph
+    G = f.graph
     d = G.require_regular()
     return VertexField(G, f.a - G.adjacency_matrix().dot(f.a) / d)
 
@@ -333,9 +332,9 @@ def check_laziness(laziness):
         raise ValueError("laziness must lie in [0, 1)")
 
 
-def walk_step(nu, G=None, laziness=0.0):
+def walk_step(nu, laziness=0.0):
     """One step of the (lazy) simple random walk applied to a distribution."""
-    G = G or nu.graph
+    G = nu.graph
     check_laziness(laziness)
     d = G.require_regular()
     a = laziness * nu.a + (1.0 - laziness) * G.adjacency_matrix().dot(nu.a) / d
@@ -420,10 +419,7 @@ class SubsetView:
         return self._operator
 
     def induced_graph(self):
-        """Graph induced on F, with vertices relabelled 0..|F|-1.
-
-        Returns (graph, old_ids) where old_ids[i] is the original label.
-        """
+        """Graph induced on F, vertex i being members[i]."""
         remap = np.full(self.graph.n, -1, dtype=np.int64)
         remap[self.members] = np.arange(len(self.members))
         e = np.column_stack([
@@ -431,7 +427,7 @@ class SubsetView:
             remap[self.graph.heads[self.induced_edges]],
         ])
         # relabelling preserves order, so canonical orientation survives
-        return OrientedGraph(len(self.members), e, validate=False), self.members
+        return OrientedGraph(len(self.members), e, validate=False)
 
 
 def subset_view(G, F):
@@ -533,22 +529,35 @@ def random_regular_graph(d, n, seed):
 def save_graph(G, path):
     obj = {"vertices": G.n,
            "edges": [[int(x), int(y)] for x, y in zip(G.tails, G.heads)]}
-    if G.labels is not None:
-        obj["labels"] = G.labels
     with open(path, "w") as fh:
         json.dump(obj, fh)
 
 
-def load_graph(path):
+def load_graph(path, *, cap=DEFAULT_BALL_CAP):
+    """The connected graph of a JSON file {"vertices": n, "edges": [[x, y],
+    ...]}, n an int of at most `cap` and each endpoint an int in 0..n-1;
+    other keys are ignored.  Anything else raises IoError: a float, string
+    or bool is not coerced to an int."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise IoError(f"cannot read graph file {path}: {exc}") from exc
+    n = obj.get("vertices") if isinstance(obj, dict) else None
+    if not (type(n) is int and n >= 0):  # bool is a subclass of int
+        raise IoError(f"invalid graph file {path}: \"vertices\" must be a "
+                      f"non-negative integer, not {n!r}")
+    _guard(n, cap)
+    edges = obj.get("edges")
+    if not (isinstance(edges, list) and all(
+            isinstance(e, list) and len(e) == 2
+            and all(type(v) is int and 0 <= v < n for v in e)
+            for e in edges)):
+        raise IoError(f"invalid graph file {path}: \"edges\" must be a list "
+                      f"of [x, y] pairs of integers in 0..{n - 1}")
     try:
-        G = OrientedGraph(obj["vertices"], obj["edges"],
-                          labels=obj.get("labels"))
-    except (KeyError, TypeError, ValueError) as exc:
+        G = OrientedGraph(n, edges)
+    except ValueError as exc:
         raise IoError(f"invalid graph file {path}: {exc}") from exc
     if not G.is_connected:
         raise IoError(f"graph in {path} is not connected")

@@ -16,12 +16,9 @@ from .graphs import (EdgeField, VertexField, ball_from_distances,
 from .walk import direct_solve, exit_distributions, green_partial
 
 
-def harmonic_residual(f, G=None, interior=None):
-    """sup |div grad f| over the given interior vertices (all by default)."""
-    G = G or f.graph
-    r = divergence(gradient(f, G), G).a
-    if interior is not None:
-        r = r[interior]
+def harmonic_residual(f, interior):
+    """sup |div grad f| over the given interior vertices."""
+    r = divergence(gradient(f)).a[interior]
     return float(np.abs(r).max()) if len(r) else 0.0
 
 
@@ -67,15 +64,16 @@ def _live_components(G, outside, shell):
     return comp, np.unique(live[live >= 0])
 
 
-def gradient_decay(f, G, root, n_max=None):
+def gradient_decay(f, root, n_max=None):
     """gd_f(n): sup of |grad f| over edges outside the ball B(root, n),
     restricted to components of the complement that reach the outermost
     shell (finite stand-in for infinite components).  Nonincreasing."""
+    G = f.graph
     dist = bfs_distances(G, root)
     R = int(dist.max())
     if n_max is None:
         n_max = R - 1
-    g = np.abs(gradient(f, G).a)
+    g = np.abs(gradient(f).a)
     shell = np.flatnonzero(dist == R)
     out = []
     for n in range(n_max + 1):
@@ -121,7 +119,7 @@ def divergence_profile(G, root, K, n_max):
         s_out = S[near[S]]
         D = 0.0
         if len(s_out) > 1:
-            sub, _ = subset_view(G, S).induced_graph()
+            sub = subset_view(G, S).induced_graph()
             # S is sorted, so searchsorted maps vertices to sub's labels
             idx = np.searchsorted(S, s_out)
             d = shortest_path(sub.adjacency_matrix(), unweighted=True,
@@ -197,8 +195,9 @@ def tree_flow_level_sums(G, root_edge, tau, p):
     return dict(zip(levels.tolist(), sums))
 
 
-def laplacian_witness(ball, kind, n, center=0):
-    """Witness families with small Laplacian-to-norm ratio on a ball.
+def laplacian_witness(ball, kind, n):
+    """Witness families with small Laplacian-to-norm ratio on a ball,
+    centred at the identity.
 
     kind="c0": f = averaged ball indicators, sup-norm gradient <= 1/(n+1).
     kind="l1": f = Green partial sum over n+1 steps, ||Delta f||_1
@@ -208,11 +207,11 @@ def laplacian_witness(ball, kind, n, center=0):
         G = ball.graph
         if n + 1 > ball.radius:
             raise SupportHitsBoundary("ball too small for this n")
-        dist = bfs_distances(G, center)
+        dist = bfs_distances(G, ball.identity_vertex)
         # a ball is connected, so every distance is >= 0
         vals = np.clip((n + 1 - dist) / (n + 1.0), 0.0, None)
         f = VertexField(G, vals)
-        return f, lp_norm(gradient(f, G), np.inf)
+        return f, lp_norm(gradient(f), np.inf)
     if kind == "l1":
-        return green_partial(ball, center, n + 1)
+        return green_partial(ball, ball.identity_vertex, n + 1)
     raise ValueError("kind must be 'c0' or 'l1'")

@@ -79,19 +79,19 @@ def _distinct(sets, *cols):
 
 
 class _Block:
-    """The connected sets of one size inside the mask `inside` whose least
-    vertex is one of a..a + ROOT_BLOCK - 1: ascending bitmask rows `sets`
-    over `window`, their boundaries `bnd` in all of G and their
-    neighbourhoods `reach`.  A set of size s + 1 is a set S of size s plus
-    a vertex of N(S) outside S."""
+    """The connected sets of one size whose least vertex is one of
+    a..a + ROOT_BLOCK - 1: ascending bitmask rows `sets` over `window`,
+    their boundaries `bnd` in all of G and their neighbourhoods `reach`.
+    A set of size s + 1 is a set S of size s plus a vertex of N(S) outside
+    S."""
 
-    def __init__(self, G, a, inside, max_size):
-        window = a + np.flatnonzero(inside[a:a + ROOT_BLOCK])
+    def __init__(self, G, a, max_size):
+        window = np.arange(a, min(a + ROOT_BLOCK, G.n))
         k = len(window)
-        for _ in range(max_size - 1):  # vertices >= a of `inside` within reach
+        for _ in range(max_size - 1):  # vertices >= a within reach
             window = _sorted_unique(np.concatenate(
                 [window, G._adj_nbr[adjacency_slots(G, window)[0]]]))
-            window = window[inside[window] & (window >= a)]
+            window = window[window >= a]
         self.window, self.deg = window, G.degrees[window]
         self.nbr = neighbour_masks(G, window)
         self.sets = self.rows(np.arange(k))
@@ -127,14 +127,11 @@ class _Block:
         self.reach = reach[0] if reach else None
 
 
-def _levels(G, max_size, allowed, budget):
+def _levels(G, max_size, budget):
     """Yield, for each size 1..max_size, the connected vertex sets of that
-    size inside `allowed`, as the list of the blocks of least vertices
-    that have such sets."""
-    inside = (np.ones(G.n, dtype=bool) if allowed is None
-              else subset_view(G, allowed).mask)
-    blocks = [_Block(G, a, inside, max_size) for a in range(0, G.n, ROOT_BLOCK)
-              if inside[a:a + ROOT_BLOCK].any()]
+    size, as the list of the blocks of least vertices that have such
+    sets."""
+    blocks = [_Block(G, a, max_size) for a in range(0, G.n, ROOT_BLOCK)]
 
     def check(count):
         if count > budget:
@@ -159,12 +156,12 @@ def _levels(G, max_size, allowed, budget):
         yield blocks
 
 
-def profile(G, max_size, allowed=None, budget=ENUM_BUDGET):
+def profile(G, max_size, budget=ENUM_BUDGET):
     """Exact isoperimetric table size -> (min boundary, witness set); the
     witness is the least bitmask among the minimisers."""
     prof = IsoProfile(max_size=max_size)
     try:
-        levels = _levels(G, max_size, allowed, budget)
+        levels = _levels(G, max_size, budget)
         for size, level in enumerate(levels, 1):
             # per block the first minimiser is the least; across blocks
             # the least bitmask is the least list of members, top first
@@ -241,7 +238,7 @@ def inradius(G, F):
 def diameter(G, F):
     """Diameter of the graph induced on F."""
     F = F if isinstance(F, SubsetView) else subset_view(G, F)
-    sub, _ = F.induced_graph()
+    sub = F.induced_graph()
     best = 0
     for v in range(sub.n):
         d = bfs_distances(sub, v)
@@ -258,10 +255,11 @@ def mean_boundary_distance(G, F):
     F = F if isinstance(F, SubsetView) else subset_view(G, F)
     if not F.boundary_size:
         return 0.0
-    sub, members = F.induced_graph()
+    sub = F.induced_graph()
     # the endpoint of each boundary edge inside F, in sub's labels
     t, h = G.tails[F.boundary_edges], G.heads[F.boundary_edges]
-    d = bfs_distances(sub, np.searchsorted(members, np.where(F.mask[t], t, h)))
+    d = bfs_distances(sub, np.searchsorted(F.members,
+                                           np.where(F.mask[t], t, h)))
     if d.min() < 0:
         # vertices cut off from the boundary inside F: treat distance as the
         # largest finite value (thick components of closed regions)
@@ -276,9 +274,7 @@ def radial_iso_check(G, A, K=1.0, k=1.0):
     A = A if isinstance(A, SubsetView) else subset_view(G, A)
     comp = np.flatnonzero(~A.mask)
     if len(comp):
-        sub = subset_view(G, comp)
-        g, _ = sub.induced_graph()
-        if not g.is_connected:
+        if not subset_view(G, comp).induced_graph().is_connected:
             raise ComplementDisconnected("complement of A is disconnected")
     lhs = K * A.boundary_size * (1.0 + inradius(G, A)) ** k
     rhs = float(A.size)

@@ -203,7 +203,7 @@ def kappa_p_estimate(G, p):
             if 0 < nf < np.inf and 0 < ng < np.inf and ng / nf < best[0]:
                 best = (ng / nf, res.x - res.x.mean())
     if not np.isfinite(best[0]):
-        raise NonConvergence("descent produced no finite ratio", witness=None)
+        raise NonConvergence("descent produced no finite ratio")
     return float(best[0]), "upper_bound", best[1]
 
 
@@ -260,7 +260,7 @@ def lambda_p_estimate(G, p):
         X /= _row_norms(X, p)[:, None]
     best = max([0.0] + est.tolist())
     if best <= 0:
-        raise NonConvergence("norm iteration collapsed", witness=None)
+        raise NonConvergence("norm iteration collapsed")
     return float(1.0 / best), "upper_bound"
 
 
@@ -334,12 +334,11 @@ def verify_gap_chain(G, p_list=(1.5, 3, 4)):
 
     for p in p_list:
         kp, kdir, _ = kappa_p_estimate(G, p)
-        if 1 < p < np.inf:
+        if p > 1:
             lp, ldir = lambda_p_estimate(G, p)
         else:
             lp, ldir = np.nan, "none"
         rep.entries.append(PEntry(p, kp, kdir, lp, ldir))
-        pbar = max(p, p / (p - 1)) if p > 1 else np.inf
         # item 1: 2^{p-1} kappa_1 >= kappa_p^p
         rep.inequalities.append(_judge(
             "item1", p, 2.0 ** (p - 1) * k1, kp ** p, k1dir, kdir))
@@ -347,11 +346,11 @@ def verify_gap_chain(G, p_list=(1.5, 3, 4)):
         rep.inequalities.append(_judge(
             "item3", p, max(2.0, p) * d ** ((p - 1) / p) * kp,
             2.0 ** ((p - 1) / p) * k1, kdir, k1dir))
-        if 1 < p < np.inf:
+        if p > 1:
             # item 4 in its lemma form: kappa_p >= (d^{1/p}/2) lambda_p
             rep.inequalities.append(_judge(
                 "item4_lemma", p, kp, d ** (1 / p) / 2 * lp, kdir, ldir))
             # item 5: max{p, p'} lambda_p >= 2 lambda_2
             rep.inequalities.append(_judge(
-                "item5", p, pbar * lp, 2 * l2, ldir, "exact"))
+                "item5", p, max(p, p / (p - 1)) * lp, 2 * l2, ldir, "exact"))
     return rep

@@ -111,7 +111,7 @@ def laplacian_transport(G, F, g):
     b = g.a[F.members]
     if abs(b.sum()) > RESIDUAL_TOL * max(1.0, np.abs(b).sum()):
         raise NonZeroSum("g must sum to zero on the region")
-    sub, members = F.induced_graph()
+    sub = F.induced_graph()
     if not sub.is_connected:
         raise DisconnectedRegion("induced graph on F is not connected")
     L = (sp.diags(sub.degrees.astype(float))
@@ -119,7 +119,7 @@ def laplacian_transport(G, F, g):
     b = b - b.mean()
     h = np.zeros(G.n)
     if sub.n > 1:
-        h[members[1:]] = direct_solve(L[1:, 1:], b[1:])
+        h[F.members[1:]] = direct_solve(L[1:, 1:], b[1:])
     tau = EdgeField(G)
     tau.a[F.induced_edges] = (h[G.heads[F.induced_edges]]
                               - h[G.tails[F.induced_edges]])

@@ -38,15 +38,6 @@ class StoppedWalk:
         return Distribution(self.graph, a, check=False)
 
 
-class ExitDistribution(Distribution):
-    """Law of the first vertex outside A hit by a walk started at origin."""
-
-    def __init__(self, graph, values, origin, region):
-        super().__init__(graph, values, check=False)
-        self.origin = origin
-        self.region = region
-
-
 def direct_solve(M, b):
     """Solve the square sparse system M x = b (b a vector or one column per
     right-hand side) by sparse LU: SuperLU through spsolve, default column
@@ -84,8 +75,7 @@ def _interior_solve(G, A, sources):
         total = ex.sum()
         if abs(total - 1.0) > 1e-9:
             raise SingularSystem(f"exit mass {total} differs from 1")
-    return h, [ExitDistribution(G, ex, origin=v, region=A)
-               for ex, v in zip(exits, sources)]
+    return h, [Distribution(G, ex, check=False) for ex in exits]
 
 
 def exit_distributions(G, A, origins):
@@ -251,10 +241,9 @@ class RadialTreeWalk:
         new[2:] += m[1:-1] * ((d - 1.0) / d)
         self.m = new
 
-    def values(self, masses=None):
-        """Per-vertex value at each level."""
-        m = self.m if masses is None else masses
-        return m / self.counts
+    def values(self, masses):
+        """Per-vertex value at each level for the given level masses."""
+        return masses / self.counts
 
     def laplacian_l1(self, masses):
         """||Delta g||_1 for the radial function with given level masses."""

@@ -78,7 +78,7 @@ def build_window(G, F):
         np.repeat(np.arange(F.size), deg)] = -G._adj_sign[slots]
     # the row of each induced edge
     row = np.searchsorted(edge_ids, F.induced_edges)
-    sub, old = F.induced_graph()
+    sub = F.induced_graph()
     parent, pedge, labels = _spanning_forest(sub)
     ncomp = len(np.unique(labels))
     # minus the components of F that no boundary edge leaves
@@ -134,19 +134,11 @@ def window_projection_stats(ball, F, label):
     s_rows = np.searchsorted(ws.edge_ids, eids)
     # V' = V_F intersected with the coordinate subspace of label edges:
     # combinations of the basis vanishing on all other rows
+    # (with no other rows, numpy's SVD of the empty B[other] gives Vt = I)
     other = np.setdiff1d(np.arange(nE), s_rows)
-    if len(other):
-        _, sv, Vt = np.linalg.svd(B[other], full_matrices=True)
-        null = Vt[np.sum(sv > RANK_TOL):].T
-    else:
-        null = np.eye(dimV)
-    W = B.dot(null)
-    if W.shape[1]:
-        u, sv2, _ = np.linalg.svd(W, full_matrices=False)
-        keep = sv2 > RANK_TOL * max(1.0, sv2[0])
-        Q = u[:, keep]
-    else:
-        Q = np.zeros((nE, 0))
+    _, sv, Vt = np.linalg.svd(B[other], full_matrices=True)
+    # B and the null space basis both have orthonormal columns, so Q does
+    Q = B @ Vt[np.sum(sv > RANK_TOL):].T
     diag = (Q ** 2).sum(axis=1)
     s_diag = diag[s_rows]
     k = F.boundary_size - 1

@@ -277,7 +277,7 @@ def test_criterion_08_laplacian_norm_bound():
         members = [B.vertex_of[(i, j)] for i in range(lo, lo + side)
                    for j in range(lo, lo + side)]
         F = subset_view(G, members)
-        sub, _ = F.induced_graph()
+        sub = F.induced_graph()
         L = (np.diag(sub.degrees.astype(float))
              - sub.adjacency_matrix().toarray())
         lam2F = np.sort(scipy.linalg.eigvalsh(L))[1] / d

@@ -344,17 +344,3 @@ class TestMultiplicationTable:
         with pytest.raises(ValueError):
             B.translation_table(B.group.gen("s1"))[0] = 5
 
-    @pytest.mark.parametrize("spec", ["zd:2", "heisenberg", "free:2"])
-    def test_path_from_basepoint(self, spec):
-        g = build_group(spec)
-        B = cayley_ball(g, 4)
-        base = int(B.sphere(3)[-1])
-        verts, steps = path_of_element(B, g.word(["s1", "s1'"]),
-                                       basepoint=base)
-        x = B.elements[base]
-        assert verts == [base, B.vertex_of[g.multiply(x, g.gen("s1").element)],
-                         base]
-        assert steps[0][0] == steps[1][0] and steps[0][1] == -steps[1][1]
-        # |x s1^9| >= 9 - |x| = 6 > 4 in all three groups
-        with pytest.raises(PathExitsBall):
-            path_of_element(B, g.word(["s1"] * 9), basepoint=base)

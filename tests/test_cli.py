@@ -275,6 +275,16 @@ class TestFileInputs:
                                str(dst)], capsys)
         assert "masses differ" in err
 
+    def test_repeated_measure_vertex(self, tmp_path, capsys):
+        # each file lists a mass of 1; keeping the last row would halve it
+        src, dst = tmp_path / "src.csv", tmp_path / "dst.csv"
+        src.write_text("0,0.5\n0,0.5\n")
+        dst.write_text("1,0.5\n1,0.5\n")
+        err = one_line_exit_2(["transport", "wasserstein", "--graph",
+                               "cycle:6", "--src", str(src), "--dst",
+                               str(dst)], capsys)
+        assert "line 2" in err
+
     def test_missing_measure_file(self, tmp_path, capsys):
         src = tmp_path / "src.csv"
         src.write_text("0,1\n")
@@ -296,6 +306,30 @@ class TestFileInputs:
         path = tmp_path / "g.json"
         path.write_text("[1, 2]")
         one_line_exit_2(["spectral", "--graph", str(path)], capsys)
+
+    # a triangle but for one value, which json gives as a float, string or
+    # bool: none is coerced to an int
+    @pytest.mark.parametrize("vertices, edge, key", [
+        (3.7, [0, 2], "vertices"), ("3", [0, 2], "vertices"),
+        (True, [0, 2], "vertices"), (3, [0, 2.5], "edges"),
+        (3, ["0", "2"], "edges"), (3, [True, 2], "edges")])
+    def test_graph_file_values_are_ints(self, vertices, edge, key, tmp_path,
+                                        capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"vertices": vertices,
+                                    "edges": [[0, 1], [1, 2], edge]}))
+        err = one_line_exit_2(["spectral", "--graph", str(path)], capsys)
+        assert f'"{key}"' in err
+
+    @pytest.mark.parametrize("vertices, cap", [(10 ** 20, []),
+                                               (5, ["--ball-cap", "4"])])
+    def test_graph_file_over_the_cap(self, vertices, cap, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"vertices": vertices, "edges": [
+            [0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]}))
+        assert run(["spectral", "--graph", str(path)] + cap) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("budget exceeded")
 
 
 class TestArgumentValues:

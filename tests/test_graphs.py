@@ -498,7 +498,7 @@ class TestAdjacencyArrays:
 def induced_neighbour_masks(G, verts):
     """Neighbour masks of the graph induced on `verts`, relabelled
     0..len(verts)-1: the construction that reads all of G."""
-    sub, _ = subset_view(G, verts).induced_graph()
+    sub = subset_view(G, verts).induced_graph()
     ends = np.concatenate([sub.tails, sub.heads])
     return bitmask_rows(sub.n, np.roll(ends, sub.m), ends, sub.n)
 

@@ -35,7 +35,7 @@ class TestDirichlet:
         A = ball(G, 10, 2)
         bv = {int(v): float(v % 5) for v in A.outer_boundary}
         f = H.dirichlet_extend(G, A, bv)
-        assert H.harmonic_residual(f, G, A.members) < 1e-10
+        assert H.harmonic_residual(f, A.members) < 1e-10
 
     def test_maximum_principle(self):
         rng = np.random.default_rng(1)
@@ -101,16 +101,15 @@ class TestDecayProfiles:
         B = cayley_ball(build_group("zd:2"), 10)
         f = VertexField(B.graph,
                         np.array([g[0] for g in B.elements], dtype=float))
-        assert H.harmonic_residual(
-            f, B.graph, np.flatnonzero(B.interior)) < 1e-12
-        gd = H.gradient_decay(f, B.graph, 0, n_max=6)
+        assert H.harmonic_residual(f, np.flatnonzero(B.interior)) < 1e-12
+        gd = H.gradient_decay(f, 0, n_max=6)
         assert np.all(gd == 1.0)
 
     def test_gradient_decay_nonincreasing(self):
         B = cayley_ball(build_group("zd:2"), 10)
         rng = np.random.default_rng(3)
         f = VertexField(B.graph, rng.normal(size=B.n))
-        gd = H.gradient_decay(f, B.graph, 0, n_max=7)
+        gd = H.gradient_decay(f, 0, n_max=7)
         assert np.all(np.diff(gd) <= 1e-15)
 
     def test_divergence_profile_rows(self):
@@ -132,7 +131,7 @@ class TestDecayProfiles:
         G = path_graph(11)
         f = VertexField(G, np.arange(11.0))
         f.a[0] = 100.0
-        gd = H.gradient_decay(f, G, 2, n_max=3)
+        gd = H.gradient_decay(f, 2, n_max=3)
         assert gd.tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_probe_decay_on_z(self):
@@ -265,7 +264,6 @@ class TestWitnesses:
     def test_l1_ratio(self):
         B = cayley_ball(build_group("zd:2"), 30)
         for n in (5, 12, 25):
-            g, resid = H.laplacian_witness(B, "l1", n,
-                                           center=B.identity_vertex)
+            g, resid = H.laplacian_witness(B, "l1", n)
             assert resid <= 2.0 / (n + 1) + 1e-12
             assert abs(g.a.sum() - 1.0) < 1e-12

@@ -21,14 +21,13 @@ def z2ball():
     return cayley_ball(build_group("zd:2"), 12)
 
 
-def branch_and_extend(G, max_size, allowed=None):
+def branch_and_extend(G, max_size):
     """Reference enumeration (Wernicke's ESU): each connected set is grown
     from its least vertex, including or forbidding one candidate at a
     time.  Yields (members, boundary_size)."""
-    ok = set(range(G.n)) if allowed is None else set(allowed)
     nbrs = [list(map(int, G.neighbors(v))) for v in range(G.n)]
     deg = G.degrees
-    for root in sorted(ok):
+    for root in range(G.n):
         stack = [([root], {root}, set(), int(deg[root]))]
         while stack:
             S, Sset, X, b = stack.pop()
@@ -36,7 +35,7 @@ def branch_and_extend(G, max_size, allowed=None):
             if len(S) >= max_size:
                 continue
             cand = [u for v in S for u in nbrs[v]
-                    if u > root and u not in Sset and u not in X and u in ok]
+                    if u > root and u not in Sset and u not in X]
             seen = set()
             cand = [u for u in cand if not (u in seen or seen.add(u))]
             forb = set(X)
@@ -47,10 +46,10 @@ def branch_and_extend(G, max_size, allowed=None):
                 forb.add(u)
 
 
-def connected_sets(G, max_size, allowed=None, budget=I.ENUM_BUDGET):
+def connected_sets(G, max_size, budget=I.ENUM_BUDGET):
     """(members, boundary_size) of every connected set, decoded from the
     bitmask levels size by size."""
-    for level in I._levels(G, max_size, allowed, budget):
+    for level in I._levels(G, max_size, budget):
         for b in level:
             members = b.window[I._members(b.sets)[1]].reshape(len(b.sets), -1)
             yield from zip(members.tolist(), b.bnd.tolist())
@@ -67,23 +66,20 @@ def random_connected_graph(rng, n):
 
 class TestLevelsAgainstBranchAndExtend:
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000), st.booleans())
-    def test_matches_reference(self, seed, restrict):
+    @given(st.integers(0, 10_000))
+    def test_matches_reference(self, seed):
         rng = np.random.default_rng(seed)
         # n up to 150 reaches bitmask rows of three words
         n = int(rng.integers(2, 151))
         G = random_connected_graph(rng, n)
-        allowed = None
-        if restrict:
-            allowed = [int(v) for v in np.flatnonzero(rng.random(n) < 0.6)]
         max_size = 5 if n <= 40 else 3
         want, least = {}, {}
-        for S, b in branch_and_extend(G, max_size, allowed):
+        for S, b in branch_and_extend(G, max_size):
             want.setdefault(len(S), []).append(frozenset(S))
             key = (b, sum(1 << v for v in S))  # least bitmask breaks ties
             least[len(S)] = min(least.get(len(S), key), key)
         got = {}
-        for S, b in connected_sets(G, max_size, allowed):
+        for S, b in connected_sets(G, max_size):
             assert b == subset_view(G, S).boundary_size
             got.setdefault(len(S), []).append(frozenset(S))
         assert {s: len(v) for s, v in got.items()} == \
@@ -92,7 +88,7 @@ class TestLevelsAgainstBranchAndExtend:
             assert len(set(sets)) == len(sets)
         assert {s: set(v) for s, v in got.items()} == \
             {s: set(v) for s, v in want.items()}
-        prof = I.profile(G, max_size, allowed)
+        prof = I.profile(G, max_size)
         assert sorted(prof.table) == sorted(least)
         for s, (b, mask) in least.items():
             assert prof.table[s][0] == b
@@ -149,12 +145,6 @@ class TestEnumeration:
         partial = info.value.partial
         assert partial.complete is False
         assert partial.table == {s: full.table[s] for s in (1, 2)}
-
-    def test_allowed_restriction(self):
-        G = cycle_graph(8)
-        allowed = [0, 1, 2]
-        for Sset, _ in connected_sets(G, 3, allowed=allowed):
-            assert set(Sset) <= set(allowed)
 
 
 class TestProfile:

@@ -93,7 +93,6 @@ class TestExit:
         for origin, ex in ((v, exv), (w, exw)):
             alone = W.exit_distribution(G, A, origin)
             assert np.abs(ex.a - alone.a).max() <= 1e-12
-            assert ex.origin == origin and ex.region is A
 
     @pytest.mark.parametrize("case", ["torus", "tree"])
     def test_exit_laws_match_dense_solve(self, case):
@@ -114,7 +113,6 @@ class TestExit:
         exits = W.exit_distributions(G, A, origins)
         assert len(exits) == len(origins) > 1
         for j, ex in enumerate(exits):
-            assert ex.origin == origins[j]
             assert np.abs(ex.a - R.T @ h[:, j]).max() <= 1e-12
 
     def test_stopped_walk_converges_to_exit_law(self):

@@ -156,6 +156,32 @@ class TestProjectionStats:
         assert abs(out["trace"] - out["dim_Vprime"]) < 1e-8
         assert 0.0 <= out["small_diag_fraction"] <= 1.0
 
+    def test_one_svd_matches_two(self):
+        # reference: the two-SVD projection, which orthonormalises
+        # W = B @ null again and cuts it at RANK_TOL relative to its
+        # largest singular value
+        B = cayley_ball(build_group("zd:2"), 42)
+        for n in range(1, 21):
+            F = subset_view(B.graph, square_members(B, n))
+            for label in ("s1", "s2"):
+                out = WD.window_projection_stats(B, F, label)
+                ws = out["window"]
+                basis = ws.basis()
+                targets = B.translation_table(B.group.gen(label))[F.members]
+                s_rows = np.searchsorted(
+                    ws.edge_ids, B.graph.edge_ids(F.members, targets))
+                other = np.setdiff1d(np.arange(len(ws.edge_ids)), s_rows)
+                _, sv, Vt = np.linalg.svd(basis[other], full_matrices=True)
+                W = basis @ Vt[np.sum(sv > WD.RANK_TOL):].T
+                Q = W
+                if W.shape[1]:
+                    u, sv2, _ = np.linalg.svd(W, full_matrices=False)
+                    Q = u[:, sv2 > WD.RANK_TOL * max(1.0, sv2[0])]
+                diag = (Q ** 2).sum(axis=1)
+                assert out["dim_Vprime"] == Q.shape[1]
+                assert out["codim"] == len(ws.edge_ids) - basis.shape[1]
+                assert np.abs(out["diag"] - diag[s_rows]).max() <= 1e-14
+
     def test_diag_entries_in_unit_interval(self, z2ball):
         F = subset_view(z2ball.graph, square_members(z2ball, 4))
         out = WD.window_projection_stats(z2ball, F, "s2")
