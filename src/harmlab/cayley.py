@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BallTooLarge, PathExitsBall, UnsupportedGroup
+from .errors import BudgetExceeded, InvalidInput
 from .graphs import DEFAULT_BALL_CAP, OrientedGraph
 
 
@@ -161,7 +161,7 @@ class Lamplighter(GroupHandle):
     def __init__(self, q, d):
         super().__init__()
         if q < 2 or d < 0:  # C_1 wr Z^d is Z^d with identity generators
-            raise UnsupportedGroup("lamplighter:q,d needs q >= 2, d >= 0")
+            raise InvalidInput("lamplighter:q,d needs q >= 2, d >= 0")
         self.kind = f"lamplighter:{q},{d}"
         self.q = q
         self.d = d
@@ -202,7 +202,7 @@ class Lamplighter(GroupHandle):
         for pos, val in lamps_h:
             x = cur + np.asarray(pos, dtype=rows.dtype)  # () reads as float
             if np.any(np.abs(x) > L):
-                raise UnsupportedGroup(f"{self.kind}: lamp outside the window")
+                raise InvalidInput(f"{self.kind}: lamp outside the window")
             place = q ** ((x + L) @ (2 * L + 1) ** np.arange(d - 1, -1, -1))
             old = lamps // place % q
             lamps = lamps + ((old + val) % q - old) * place
@@ -258,7 +258,7 @@ class BaumslagSolitar(GroupHandle):
     def __init__(self, n):
         super().__init__()
         if n < 2:
-            raise UnsupportedGroup("bs(1,n) needs n >= 2")
+            raise InvalidInput("bs(1,n) needs n >= 2")
         self.kind = f"bs:1,{n}"
         self.n = n
         self._add_gen_pair("a", (Fraction(1), 0))
@@ -280,7 +280,7 @@ class BaumslagSolitar(GroupHandle):
 
     def multiply_rows(self, rows, h, L):
         if h[0].denominator != 1:
-            raise UnsupportedGroup(f"{self.kind}: fractional generator")
+            raise InvalidInput(f"{self.kind}: fractional generator")
         e, r = rows[:, 0], rows[:, 1]
         return np.column_stack([e + h[1], r + int(h[0]) * self.n ** (e + L)])
 
@@ -332,13 +332,13 @@ def build_group(spec):
         if head == "bs":
             one, n = (int(a) for a in args.split(","))
             if one != 1:
-                raise UnsupportedGroup("only bs(1,n) is supported")
+                raise InvalidInput("only bs(1,n) is supported")
             return BaumslagSolitar(n)
         if head == "dinf":
             return InfiniteDihedral()
     except (ValueError, TypeError) as exc:
-        raise UnsupportedGroup(f"malformed group spec {spec!r}") from exc
-    raise UnsupportedGroup(f"unknown group kind {head!r}")
+        raise InvalidInput(f"malformed group spec {spec!r}") from exc
+    raise InvalidInput(f"unknown group kind {head!r}")
 
 
 class CayleyBall:
@@ -427,8 +427,8 @@ def _search(group, R, cap):
         prod = np.stack([group.multiply_rows(frontier, h, L) for h in gens],
                         axis=1).reshape(len(frontier) * k, len(radix))
         if np.any(np.abs(prod) > bounds):
-            raise UnsupportedGroup(f"{group.kind}: a product leaves the "
-                                   f"coordinate bounds of radius {L}")
+            raise InvalidInput(f"{group.kind}: a product leaves the "
+                               f"coordinate bounds of radius {L}")
         keys = (prod + bounds) @ weights
         order = np.argsort(keys)
         keys = keys[order]
@@ -449,7 +449,7 @@ def _search(group, R, cap):
             rank = np.empty(len(at), dtype=np.int64)
             rank[np.argsort(at)] = np.arange(len(at))
             if n + len(at) > cap:
-                raise BallTooLarge(f"ball of radius {R} exceeds cap {cap}")
+                raise BudgetExceeded(f"ball of radius {R} exceeds cap {cap}")
             found[miss] = n + rank[np.cumsum(first) - 1]
             new = (mkeys[first], n + rank)
             frontier = prod[np.sort(at)]
@@ -471,7 +471,7 @@ def cayley_ball(group, R, cap=DEFAULT_BALL_CAP):
     if R < 1:
         raise ValueError("radius must be >= 1")
     if not group.generators:
-        raise UnsupportedGroup(f"{group.kind} has no generators")
+        raise InvalidInput(f"{group.kind} has no generators")
     wl, nbr = _search(group, R, cap)
     # the edges are the pairs (i, nbr[i, k]) with i < nbr[i, k]; a stable
     # sort by the key i * n + j keeps, of the products that collapse to one
@@ -504,12 +504,12 @@ def path_of_element(ball, word):
     for s in word:
         nxt = int(ball.nbr[verts[-1], ball._column[s.name]])
         if nxt < 0:
-            raise PathExitsBall(
+            raise InvalidInput(
                 f"path left the radius-{ball.radius} ball")
         verts.append(nxt)
     eids = ball.graph.edge_ids(verts[:-1], verts[1:])
     if np.any(eids < 0):
-        raise PathExitsBall("step is not an edge of the ball")
+        raise InvalidInput("step is not an edge of the ball")
     steps = [(int(e), 1 if x < y else -1)
              for e, x, y in zip(eids, verts, verts[1:])]
     return verts, steps

@@ -20,9 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (BallTooLarge, ComplementDisconnected,
-                     DenseBudgetExceeded, EnumerationBudgetExceeded,
-                     HarmlabError, IoError, MassMismatch, UnsupportedGroup)
+from .errors import BudgetExceeded, InvalidInput, NumericalFailure
 from . import cayley, graphs, harmonic, isoperimetry, spectral, transport
 from . import walk as walkmod
 from . import window as windowmod
@@ -32,14 +30,11 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_NUMERIC = 4
 
-BUDGET_ERRORS = (BallTooLarge, EnumerationBudgetExceeded,
-                 DenseBudgetExceeded)
-
 
 def _fmt(x):
     if isinstance(x, float) or isinstance(x, np.floating):
         if np.isnan(x):
-            raise FloatingPointError("NaN in output")
+            raise NumericalFailure("NaN in output")
         if x == 0:
             x = 0.0  # avoid "-0"
         return f"{x:.12g}"
@@ -68,16 +63,16 @@ def _write(text, path):
             with open(path, "w") as fh:
                 fh.write(text)
     except OSError as exc:
-        raise IoError(str(exc)) from exc
+        raise InvalidInput(str(exc)) from exc
 
 
 def _read(path, what, parse=json.loads):
-    """parse() of a file's text; IoError if either fails."""
+    """parse() of a file's text; InvalidInput if either fails."""
     try:
         with open(path) as fh:
             return parse(fh.read())
     except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise IoError(f"cannot read {what}: {exc}") from None
+        raise InvalidInput(f"cannot read {what}: {exc}") from None
 
 
 def _ball_cap(args):
@@ -86,8 +81,8 @@ def _ball_cap(args):
         try:
             return int(cap)
         except ValueError:
-            raise IoError(f"HARMLAB_BUDGET must be an integer, got {cap!r}") \
-                from None
+            raise InvalidInput(f"HARMLAB_BUDGET must be an integer, got "
+                               f"{cap!r}") from None
     return getattr(args, "ball_cap", None) or cayley.DEFAULT_BALL_CAP
 
 
@@ -96,8 +91,8 @@ def _generator(group, name):
         return group.gen(name)
     except KeyError:
         names = ", ".join(s.name for s in group.generators)
-        raise IoError(f"{group.kind} has no generator {name!r} "
-                      f"(one of {names})") from None
+        raise InvalidInput(f"{group.kind} has no generator {name!r} "
+                           f"(one of {names})") from None
 
 
 GRAPH_FAMILIES = {"cycle": graphs.cycle_graph, "tree": graphs.regular_tree,
@@ -115,13 +110,13 @@ def load_graph_spec(spec, cap):
             G = GRAPH_FAMILIES[head](*(int(a) for a in rest.split(",")),
                                      cap=cap)
         except (TypeError, ValueError) as exc:
-            raise IoError(f"bad graph spec {spec!r}: {exc}") from exc
+            raise InvalidInput(f"bad graph spec {spec!r}: {exc}") from exc
     elif os.path.exists(spec):
         G = graphs.load_graph(spec, cap=cap)
     else:
-        raise IoError(f"unknown graph spec or missing file: {spec}")
+        raise InvalidInput(f"unknown graph spec or missing file: {spec}")
     if G.m == 0:
-        raise IoError(f"graph {spec} has no edges")
+        raise InvalidInput(f"graph {spec} has no edges")
     return G
 
 
@@ -133,8 +128,8 @@ def _parse_radii(text):
     except ValueError:
         radii = []
     if not radii or min(radii) < 1:
-        raise IoError(f"radii must be a..b or a comma list of integers "
-                      f">= 1, got {text!r}")
+        raise InvalidInput(f"radii must be a..b or a comma list of "
+                           f"integers >= 1, got {text!r}")
     return radii
 
 
@@ -171,11 +166,11 @@ def cmd_spectral(args):
         if not all(1 <= p <= spectral.P_MAX for p in p_list):
             raise ValueError
     except ValueError:
-        raise IoError(f"--p takes comma-separated numbers in "
-                      f"[1, {spectral.P_MAX:g}], not {args.p!r}") from None
+        raise InvalidInput(f"--p takes comma-separated numbers in [1, "
+                           f"{spectral.P_MAX:g}], not {args.p!r}") from None
     p_list = [p for p in p_list if p not in (1.0, 2.0)]
     G = load_graph_spec(args.graph, _ball_cap(args))
-    rep = spectral.verify_gap_chain(G, p_list=p_list or (1.5, 3.0))
+    rep = spectral.verify_gap_chain(G, p_list=p_list)
     return {
         "graph": args.graph,
         "d": rep.d,
@@ -238,10 +233,12 @@ def _load_measure(G, path):
             if not (0 <= v < G.n and np.isfinite(m)):
                 raise ValueError
         except ValueError:
-            raise IoError(f"{path} line {num}: expected vertex,mass with a "
-                          f"vertex in 0..{G.n - 1}, got {line!r}") from None
+            raise InvalidInput(f"{path} line {num}: expected vertex,mass "
+                               f"with a vertex in 0..{G.n - 1}, got "
+                               f"{line!r}") from None
         if v in seen:
-            raise IoError(f"{path} line {num}: vertex {v} is listed twice")
+            raise InvalidInput(f"{path} line {num}: vertex {v} is listed "
+                               f"twice")
         seen.add(v)
         vals[v] = m
     return graphs.VertexField(G, vals)
@@ -249,7 +246,7 @@ def _load_measure(G, path):
 
 def cmd_transport_chain(args):
     if not (args.p == 0 or args.p >= 1):
-        raise IoError(f"--p must be 0 or at least 1, not {args.p}")
+        raise InvalidInput(f"--p must be 0 or at least 1, not {args.p}")
     group = cayley.build_group(args.group)
     levels = _parse_radii(args.levels)
     R = max(levels) + 2
@@ -285,15 +282,13 @@ def cmd_iso_radial(args):
     members = _read(args.set, "vertex set")
     if not (isinstance(members, list) and members
             and all(type(v) is int and 0 <= v < G.n for v in members)):
-        raise IoError(f"{args.set} must hold a JSON list of vertices in "
-                      f"0..{G.n - 1}")
+        raise InvalidInput(f"{args.set} must hold a JSON list of vertices "
+                           f"in 0..{G.n - 1}")
     return isoperimetry.radial_iso_check(G, members, K=args.K, k=args.k)
 
 
 def cmd_window_stats(args):
-    group = cayley.build_group(args.group)
-    if group.kind != "zd:2":
-        raise IoError(f"window stats takes squares of zd:2, not {args.group}")
+    group = cayley.build_group("zd:2")
     _generator(group, args.label)  # rejects an unknown label
     n = args.square
     b = cayley.cayley_ball(group, 2 * n + 2, cap=_ball_cap(args))
@@ -415,7 +410,6 @@ def build_parser(supplied=()):
     p = sub.add_parser("window")
     wsub2 = p.add_subparsers(dest="subcommand")
     q = wsub2.add_parser("stats")
-    q.add_argument("--group", default="zd:2")
     q.add_argument("--square", type=_at_least(1), required=True)
     q.add_argument("--label", default="s1")
     common(q, cmd_window_stats)
@@ -448,7 +442,7 @@ def _read_config(argv):
         return {}
     overrides = _read(path, "config")
     if not isinstance(overrides, dict):
-        raise IoError("config must be a JSON object")
+        raise InvalidInput("config must be a JSON object")
     return overrides
 
 
@@ -463,12 +457,12 @@ def _apply_config(args, overrides):
             continue
         if act.nargs == 0:
             if not isinstance(val, bool):
-                raise IoError(f"{key} takes true or false, not {val!r}")
+                raise InvalidInput(f"{key} takes true or false, not {val!r}")
         else:
             try:
                 val = (act.type or str)(str(val))
             except (ValueError, argparse.ArgumentTypeError):
-                raise IoError(f"invalid {key} {val!r}") from None
+                raise InvalidInput(f"invalid {key} {val!r}") from None
         act.default = val
 
 
@@ -497,14 +491,13 @@ def main(argv=None):
             header, rows = out
             emit_csv(rows, args.out, header, chash)
         return EXIT_OK
-    except BUDGET_ERRORS as exc:
+    except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (IoError, UnsupportedGroup, MassMismatch,
-            ComplementDisconnected) as exc:  # properties of the input
+    except InvalidInput as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (HarmlabError, FloatingPointError) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

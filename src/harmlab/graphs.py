@@ -13,7 +13,7 @@ import json
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BallTooLarge, InvalidExponent, IoError, NonRegularGraph
+from .errors import BudgetExceeded, InvalidInput
 
 MASS_TOL = 1e-12
 DEFAULT_BALL_CAP = 2_000_000  # vertices of a Cayley ball or builtin graph
@@ -117,7 +117,7 @@ class OrientedGraph:
     def require_regular(self):
         d = self.regular_degree
         if d is None:
-            raise NonRegularGraph("operation requires a regular graph")
+            raise InvalidInput("operation requires a regular graph")
         return d
 
     @property
@@ -349,7 +349,7 @@ def lp_norm(field, p):
     if p == np.inf:
         return float(np.max(np.abs(a))) if len(a) else 0.0
     if p < 1:
-        raise InvalidExponent(f"p={p} not in {{0}} | [1, inf]")
+        raise InvalidInput(f"p={p} not in {{0}} | [1, inf]")
     if p == 1:
         return float(np.abs(a).sum())
     if p == 2:
@@ -451,9 +451,9 @@ def ball_from_distances(G, dist, r):
 
 
 def _guard(n, cap):
-    """Raise BallTooLarge before a builtin graph of n vertices is built."""
+    """Raise BudgetExceeded before a builtin graph of n vertices is built."""
     if n > cap:
-        raise BallTooLarge(f"graph of {n} vertices exceeds cap {cap}")
+        raise BudgetExceeded(f"graph of {n} vertices exceeds cap {cap}")
 
 
 def cycle_graph(n, *, cap=DEFAULT_BALL_CAP):
@@ -536,29 +536,30 @@ def save_graph(G, path):
 def load_graph(path, *, cap=DEFAULT_BALL_CAP):
     """The connected graph of a JSON file {"vertices": n, "edges": [[x, y],
     ...]}, n an int of at most `cap` and each endpoint an int in 0..n-1;
-    other keys are ignored.  Anything else raises IoError: a float, string
-    or bool is not coerced to an int."""
+    other keys are ignored.  Anything else raises InvalidInput: a float,
+    string or bool is not coerced to an int."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise IoError(f"cannot read graph file {path}: {exc}") from exc
+        raise InvalidInput(f"cannot read graph file {path}: {exc}") from exc
     n = obj.get("vertices") if isinstance(obj, dict) else None
     if not (type(n) is int and n >= 0):  # bool is a subclass of int
-        raise IoError(f"invalid graph file {path}: \"vertices\" must be a "
-                      f"non-negative integer, not {n!r}")
+        raise InvalidInput(f"invalid graph file {path}: \"vertices\" must "
+                           f"be a non-negative integer, not {n!r}")
     _guard(n, cap)
     edges = obj.get("edges")
     if not (isinstance(edges, list) and all(
             isinstance(e, list) and len(e) == 2
             and all(type(v) is int and 0 <= v < n for v in e)
             for e in edges)):
-        raise IoError(f"invalid graph file {path}: \"edges\" must be a list "
-                      f"of [x, y] pairs of integers in 0..{n - 1}")
+        raise InvalidInput(f"invalid graph file {path}: \"edges\" must be "
+                           f"a list of [x, y] pairs of integers in "
+                           f"0..{n - 1}")
     try:
         G = OrientedGraph(n, edges)
     except ValueError as exc:
-        raise IoError(f"invalid graph file {path}: {exc}") from exc
+        raise InvalidInput(f"invalid graph file {path}: {exc}") from exc
     if not G.is_connected:
-        raise IoError(f"graph in {path} is not connected")
+        raise InvalidInput(f"graph in {path} is not connected")
     return G

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .errors import NotATree, SupportHitsBoundary
+from .errors import InvalidInput
 from .graphs import (EdgeField, VertexField, ball_from_distances,
                      bfs_distances, divergence, gradient, lp_norm,
                      subset_view)
@@ -24,7 +24,7 @@ def harmonic_residual(f, interior):
 
 def dirichlet_extend(G, A, boundary_values):
     """Unique function harmonic inside A with the given values on the
-    outer boundary.  Raises SingularSystem if some vertex of A cannot
+    outer boundary.  Raises NumericalFailure if some vertex of A cannot
     reach the boundary."""
     bv = np.zeros(G.n)
     for v, val in boundary_values.items():
@@ -51,13 +51,8 @@ def _live_components(G, outside, shell):
     """Component label of each vertex of the set `outside` (-1 elsewhere)
     and the labels of the components that meet `shell` (stand-in for the
     infinite components of a ball complement)."""
-    remap = np.full(G.n, -1, dtype=np.int64)
-    remap[outside] = np.arange(len(outside))
-    t, h = remap[G.tails], remap[G.heads]
-    keep = (t >= 0) & (h >= 0)
-    adj = sp.csr_matrix((np.ones(np.count_nonzero(keep)), (t[keep], h[keep])),
-                        shape=(len(outside), len(outside)))
-    _, labels = connected_components(adj, directed=False)
+    sub = subset_view(G, outside).induced_graph()
+    _, labels = connected_components(sub.adjacency_matrix(), directed=False)
     comp = np.full(G.n, -1, dtype=np.int64)
     comp[outside] = labels
     live = comp[shell]
@@ -139,7 +134,7 @@ def liouville_probe(G, center, v, w, radii):
     for r in radii:
         A = ball_from_distances(G, dist, r)
         if len(A.outer_boundary) == 0:
-            raise SupportHitsBoundary(f"radius {r} swallows the graph")
+            raise InvalidInput(f"radius {r} swallows the graph")
         exv, exw = exit_distributions(G, A, [v, w])
         diff = exv.a - exw.a
         out.append({
@@ -156,7 +151,7 @@ def tree_flow(G, root_edge):
     separated from the root edge by vertices of degrees d_1..d_k is
     1/((d_1 - 1)...(d_k - 1))."""
     if G.m != G.n - 1 or not G.is_connected:
-        raise NotATree("tree flow needs a connected tree")
+        raise InvalidInput("tree flow needs a connected tree")
     x0, y0 = (int(root_edge[0]), int(root_edge[1]))
     e0 = G.edge_ids(x0, y0)
     if e0 < 0:
@@ -206,7 +201,7 @@ def laplacian_witness(ball, kind, n):
     if kind == "c0":
         G = ball.graph
         if n + 1 > ball.radius:
-            raise SupportHitsBoundary("ball too small for this n")
+            raise InvalidInput("ball too small for this n")
         dist = bfs_distances(G, ball.identity_vertex)
         # a ball is connected, so every distance is >= 0
         vals = np.clip((n + 1 - dist) / (n + 1.0), 0.0, None)

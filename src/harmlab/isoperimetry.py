@@ -15,8 +15,7 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse as sp
 
-from .errors import (ComplementDisconnected, DisconnectedSet,
-                     EnumerationBudgetExceeded, IntegerProgramFailure)
+from .errors import BudgetExceeded, InvalidInput, NumericalFailure
 from .graphs import (SubsetView, _sorted_unique, adjacency_slots,
                      bfs_distances, bitmask_rows, boundary_gain,
                      neighbour_masks, subset_view)
@@ -135,8 +134,7 @@ def _levels(G, max_size, budget):
 
     def check(count):
         if count > budget:
-            raise EnumerationBudgetExceeded(
-                f"more than {budget} connected sets", partial=None)
+            raise BudgetExceeded(f"more than {budget} connected sets")
 
     total = 0
     for size in range(1, max_size + 1):
@@ -170,7 +168,7 @@ def profile(G, max_size, budget=ENUM_BUDGET):
                     b.sets[np.argmin(b.bnd)])[0]][::-1].tolist())
                 for b in level)
             prof.table[size] = (bnd, top_first[::-1])
-    except EnumerationBudgetExceeded as exc:
+    except BudgetExceeded as exc:
         prof.complete = False
         exc.partial = prof
         raise
@@ -185,7 +183,7 @@ def cut_program(G, edge_cost, vertex_cost, size):
     The costs must be integers, so the objective is an integer and a
     HiGHS dual bound above (value - 1) proves the incumbent optimal.
     Returns (F as a SubsetView, value), with value recomputed exactly
-    from F; raises IntegerProgramFailure without that proof.
+    from F; raises NumericalFailure without that proof.
     """
     n, m = G.n, G.m
     is_x = np.repeat([1.0, 0.0], [n, m])
@@ -200,11 +198,11 @@ def cut_program(G, edge_cost, vertex_cost, size):
                      scipy.optimize.LinearConstraint(is_x, *size)],
         integrality=is_x, bounds=scipy.optimize.Bounds(0.0, 1.0))
     if res.status != 0:
-        raise IntegerProgramFailure(f"integer program: {res.message}")
+        raise NumericalFailure(f"integer program: {res.message}")
     F = subset_view(G, np.flatnonzero(res.x[:n] > 0.5))
     value = edge_cost * F.boundary_size + vertex_cost * F.size
     if not (size[0] <= F.size <= size[1] and res.mip_dual_bound > value - 1):
-        raise IntegerProgramFailure(
+        raise NumericalFailure(
             f"integer program: incumbent {value} of size {F.size} is not "
             f"proved optimal (dual bound {res.mip_dual_bound})")
     return F, value
@@ -243,7 +241,7 @@ def diameter(G, F):
     for v in range(sub.n):
         d = bfs_distances(sub, v)
         if d.min() < 0:
-            raise DisconnectedSet("induced graph on F is disconnected")
+            raise InvalidInput("induced graph on F is disconnected")
         best = max(best, int(d.max()))
     return best
 
@@ -275,7 +273,7 @@ def radial_iso_check(G, A, K=1.0, k=1.0):
     comp = np.flatnonzero(~A.mask)
     if len(comp):
         if not subset_view(G, comp).induced_graph().is_connected:
-            raise ComplementDisconnected("complement of A is disconnected")
+            raise InvalidInput("complement of A is disconnected")
     lhs = K * A.boundary_size * (1.0 + inradius(G, A)) ** k
     rhs = float(A.size)
     dia = diameter(G, A)

@@ -17,7 +17,7 @@ import scipy.optimize
 import scipy.sparse as sp
 
 from . import isoperimetry
-from .errors import EigensolveFailure, NonConvergence
+from .errors import BudgetExceeded, InvalidInput, NumericalFailure
 from .graphs import boundary_gain, neighbour_masks, subset_view
 
 BITMASK_LIMIT = 24
@@ -111,7 +111,7 @@ def cheeger_kappa1(G):
     ratio.  Up to BITMASK_LIMIT vertices every subset is scored.  Up to
     MILP_LIMIT, Dinkelbach's method runs integer programs from the sweep
     cut; "exact" needs HiGHS status optimal and a dual bound above -1 on
-    the last (integer) objective, else IntegerProgramFailure is raised.
+    the last (integer) objective, else NumericalFailure is raised.
     Above BITMASK_LIMIT, a vertex of degree 0 is an exact witness of 0.
     Larger graphs get a sweep cut flagged "upper_bound".
     """
@@ -131,9 +131,9 @@ def cheeger_kappa1(G):
 def _dense_laplacian(G):
     d = G.require_regular()
     if d == 0:
-        raise EigensolveFailure("the walk operator needs degree >= 1")
+        raise InvalidInput("the walk operator needs degree >= 1")
     if G.n > DENSE_LIMIT:
-        raise EigensolveFailure(
+        raise BudgetExceeded(
             f"{G.n} vertices exceeds the dense eigensolve limit {DENSE_LIMIT}")
     return np.eye(G.n) - G.adjacency_matrix().toarray() / d
 
@@ -203,7 +203,7 @@ def kappa_p_estimate(G, p):
             if 0 < nf < np.inf and 0 < ng < np.inf and ng / nf < best[0]:
                 best = (ng / nf, res.x - res.x.mean())
     if not np.isfinite(best[0]):
-        raise NonConvergence("descent produced no finite ratio")
+        raise NumericalFailure("descent produced no finite ratio")
     return float(best[0]), "upper_bound", best[1]
 
 
@@ -260,7 +260,7 @@ def lambda_p_estimate(G, p):
         X /= _row_norms(X, p)[:, None]
     best = max([0.0] + est.tolist())
     if best <= 0:
-        raise NonConvergence("norm iteration collapsed")
+        raise NumericalFailure("norm iteration collapsed")
     return float(1.0 / best), "upper_bound"
 
 

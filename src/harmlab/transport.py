@@ -13,9 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .errors import (DisconnectedRegion, Infeasible, MassMismatch,
-                     NonConvergence, NonRegularGraph, NonZeroSum,
-                     PathExitsBall)
+from .errors import InvalidInput, NumericalFailure
 from .graphs import (Distribution, EdgeField, VertexField, adjacency_slots,
                      divergence, lp_norm)
 from .walk import _interior_solve, direct_solve
@@ -49,16 +47,19 @@ def wasserstein1(G, source, target):
     Returns (cost, TransportPattern): tau = tau+ - tau- for the least
     sum(tau+ + tau-) with div(tau+ - tau-) = target - source and tau+,
     tau- >= 0, one linear program on the edges (HiGHS dual simplex).
-    Raises Infeasible if no flow joins the supports, NonConvergence if
-    HiGHS finds no optimum or the residual exceeds RESIDUAL_TOL.
+    Raises InvalidInput if the masses differ or no flow joins the
+    supports, NumericalFailure if HiGHS finds no optimum or the residual
+    exceeds RESIDUAL_TOL.
     """
-    if abs(source.a.sum() - target.a.sum()) > RESIDUAL_TOL:
-        raise MassMismatch("source and target masses differ")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = abs(source.a.sum() - target.a.sum())
+    if not gap <= RESIDUAL_TOL:  # also when a total overflows: inf - inf
+        raise InvalidInput("source and target masses differ")
     m = G.m
     if m == 0:  # nothing to solve: tau = 0 is the only pattern
         pat = TransportPattern(EdgeField(G), source, target)
         if pat.residual > RESIDUAL_TOL:
-            raise Infeasible("no feasible flow between the supports")
+            raise InvalidInput("no feasible flow between the supports")
         return 0.0, pat
     div = sp.csr_matrix((np.repeat([1.0, -1.0, -1.0, 1.0], m),
                          (np.concatenate([G.heads, G.heads, G.tails, G.tails]),
@@ -68,12 +69,13 @@ def wasserstein1(G, source, target):
     res = linprog(np.ones(2 * m), A_eq=div[1:], b_eq=(target.a - source.a)[1:],
                   method="highs-ds", options=LP_OPTIONS)
     if res.status == 2:
-        raise Infeasible("no feasible flow between the supports")
+        raise InvalidInput("no feasible flow between the supports")
     if res.status != 0:
-        raise NonConvergence(f"transport program not solved: {res.message}")
+        raise NumericalFailure(f"transport program not solved: {res.message}")
     pat = TransportPattern(EdgeField(G, res.x[:m] - res.x[m:]), source, target)
     if pat.residual > RESIDUAL_TOL:
-        raise NonConvergence(f"W1 residual {pat.residual:.3g} above tolerance")
+        raise NumericalFailure(
+            f"W1 residual {pat.residual:.3g} above tolerance")
     return float(res.fun), pat
 
 
@@ -81,14 +83,14 @@ def random_step_transport(G, mu, A):
     """One simple-walk step applied to the part of mu inside A: each vertex
     splits its mass evenly over all d neighbours.  The divergence is
     P_A mu - mu restricted to moves out of A-vertices.  Raises
-    NonRegularGraph if the vertices of A carrying mass have mixed
+    InvalidInput if the vertices of A carrying mass have mixed
     degrees."""
     active = np.flatnonzero((mu.a != 0) & A.mask)
     deg = G.degrees[active]
     bad = np.flatnonzero(deg != deg[:1])
     if len(bad):
-        raise NonRegularGraph(f"vertex {active[bad[0]]} has degree "
-                              f"{deg[bad[0]]} != {deg[0]}")
+        raise InvalidInput(f"vertex {active[bad[0]]} has degree "
+                           f"{deg[bad[0]]} != {deg[0]}")
     d = int(deg[0]) if len(active) else G.d_max
     slots, _ = adjacency_slots(G, active)
     w = np.repeat(mu.a[active] / d, d)
@@ -107,13 +109,13 @@ def laplacian_transport(G, F, g):
     centred on F and h grounded to 0 at the first vertex of F: one sparse
     LU solve of the reduced, positive definite Laplacian."""
     if np.any(g.a[~F.mask] != 0):
-        raise NonZeroSum("g must be supported on the region")
+        raise InvalidInput("g must be supported on the region")
     b = g.a[F.members]
     if abs(b.sum()) > RESIDUAL_TOL * max(1.0, np.abs(b).sum()):
-        raise NonZeroSum("g must sum to zero on the region")
+        raise InvalidInput("g must sum to zero on the region")
     sub = F.induced_graph()
     if not sub.is_connected:
-        raise DisconnectedRegion("induced graph on F is not connected")
+        raise InvalidInput("induced graph on F is not connected")
     L = (sp.diags(sub.degrees.astype(float))
          - sub.adjacency_matrix()).tocsr()
     b = b - b.mean()
@@ -138,11 +140,11 @@ def central_transport(ball, word, mu):
     for gen in word:
         nxt = ball.translation_table(gen)[cur]
         if np.any(nxt < 0):
-            raise PathExitsBall("translation leaves the ball; increase the "
-                                "radius by the word length")
+            raise InvalidInput("translation leaves the ball; increase the "
+                               "radius by the word length")
         eid = G.edge_ids(cur, nxt)
         if np.any(eid < 0):
-            raise PathExitsBall("missing edge along the word path")
+            raise InvalidInput("missing edge along the word path")
         sign = np.where(cur < nxt, 1.0, -1.0)
         np.add.at(tau.a, eid, sign * w)
         cur = nxt
@@ -221,8 +223,8 @@ def stopped_exit_transport(G, A, v):
     flux of h out of A, the endpoint ex; the pattern's divergence is
     ex - delta_v up to the solver residual.
 
-    Returns (pattern, ex).  Raises SingularSystem if the walk cannot leave
-    A and NonRegularGraph if A has mixed degrees.
+    Returns (pattern, ex).  Raises NumericalFailure if the walk cannot leave
+    A and InvalidInput if A has mixed degrees.
     """
     h, (ex,) = _interior_solve(G, A, [v])
     return TransportPattern(_green_step(G, A, h[:, 0]),

@@ -3,7 +3,7 @@ Green partial sums.
 
 Walks on Cayley balls use the ambient group degree, so distributions are
 faithful as long as their support stays in the interior; operations that
-would touch the truncation sphere raise SupportHitsBoundary instead of
+would touch the truncation sphere raise InvalidInput instead of
 silently leaking mass.
 """
 
@@ -15,8 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (MaxNormTooLarge, NegativeMass, SingularSystem,
-                     SupportHitsBoundary)
+from .errors import InvalidInput, NumericalFailure
 from .graphs import (Distribution, check_laziness, check_vertices, gradient,
                      lp_norm)
 
@@ -41,16 +40,16 @@ class StoppedWalk:
 def direct_solve(M, b):
     """Solve the square sparse system M x = b (b a vector or one column per
     right-hand side) by sparse LU: SuperLU through spsolve, default column
-    ordering.  Raises SingularSystem when SuperLU finds M singular or the
+    ordering.  Raises NumericalFailure when SuperLU finds M singular or the
     solution is not finite."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", spla.MatrixRankWarning)
         try:
             x = spla.spsolve(M.tocsc(), b)
         except spla.MatrixRankWarning:
-            raise SingularSystem("singular sparse system") from None
+            raise NumericalFailure("singular sparse system") from None
     if not np.all(np.isfinite(x)):
-        raise SingularSystem("sparse solve gave a non-finite solution")
+        raise NumericalFailure("sparse solve gave a non-finite solution")
     return x.reshape(np.shape(b))
 
 
@@ -59,12 +58,13 @@ def _interior_solve(G, A, sources):
     j of h solves (I - P^T) h = delta_{sources[j]}, P the interior block of
     A.interior_operator(), all columns by one sparse LU solve.  Returns (h,
     exit laws), the exit law of column j being the flux E^T h[:, j] out of
-    A.  Raises SingularSystem if the walk from a source cannot leave A."""
+    A.  Raises InvalidInput if A has no outer boundary, NumericalFailure if
+    the walk from a source cannot leave A."""
     sources = [int(v) for v in check_vertices(G, sources)]
     if not np.all(A.mask[sources]):
         raise ValueError("origin must lie inside the region")
     if len(A.outer_boundary) == 0:
-        raise SingularSystem("region has no outer boundary")
+        raise InvalidInput("region has no outer boundary")
     P, E = A.interior_operator()
     k = A.size
     b = np.zeros((k, len(sources)))
@@ -74,7 +74,7 @@ def _interior_solve(G, A, sources):
     for ex in exits:
         total = ex.sum()
         if abs(total - 1.0) > 1e-9:
-            raise SingularSystem(f"exit mass {total} differs from 1")
+            raise NumericalFailure(f"exit mass {total} differs from 1")
     return h, [Distribution(G, ex, check=False) for ex in exits]
 
 
@@ -97,7 +97,7 @@ def fire(nu, v, r, signed=False):
         raise ValueError("firing rate must be >= 0")
     check_vertices(nu.graph, v)
     if not signed and r > nu.a[v] + 1e-12:
-        raise NegativeMass(f"firing {r} exceeds mass {nu.a[v]} at vertex {v}")
+        raise InvalidInput(f"firing {r} exceeds mass {nu.a[v]} at vertex {v}")
     G = nu.graph
     a = nu.a.copy()
     a[v] -= r
@@ -140,7 +140,7 @@ def entropy_isoperimetry_check(f, nu, K):
     ||grad f||_1 >= (K nu/(nu+1)) H(f)^{-1/nu} for a distribution with
     all atoms <= 1/e."""
     if f.a.max() > np.exp(-1.0) + 1e-15:
-        raise MaxNormTooLarge("inequality requires ||f||_inf <= 1/e")
+        raise InvalidInput("inequality requires ||f||_inf <= 1/e")
     lhs = lp_norm(gradient(f), 1)
     H = entropy(f)
     rhs = (K * nu / (nu + 1.0)) * H ** (-1.0 / nu)
@@ -160,7 +160,7 @@ def _ball_step(ball, a, laziness):
 
 def _walk(ball, x, steps, laziness):
     """The laws of the walk from x after 0..steps steps.  Raises
-    SupportHitsBoundary before a step from a law that touches the
+    InvalidInput before a step from a law that touches the
     truncation sphere."""
     check_laziness(laziness)
     sphere = ball.word_length == ball.radius
@@ -169,7 +169,7 @@ def _walk(ball, x, steps, laziness):
     yield a
     for _ in range(steps):
         if np.any(a[sphere]):
-            raise SupportHitsBoundary(
+            raise InvalidInput(
                 "distribution support reached the truncation sphere; "
                 "increase the ball radius")
         a = _ball_step(ball, a, laziness)
@@ -257,7 +257,7 @@ class RadialTreeWalk:
     def green_residuals(self, n_max):
         """||Delta g_n||_1 for n = 1..n_max (needs horizon >= n_max + 1)."""
         if self.horizon < n_max + 1:
-            raise SupportHitsBoundary("horizon too small for this n")
+            raise InvalidInput("horizon too small for this n")
         acc = self.m.copy()
         out = []
         for n in range(1, n_max + 1):

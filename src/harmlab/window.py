@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .errors import DenseBudgetExceeded, PathExitsBall
+from .errors import BudgetExceeded, InvalidInput
 from .graphs import SubsetView, adjacency_slots, subset_view
 
 DENSE_EDGE_BUDGET = 4000
@@ -117,8 +117,7 @@ def window_projection_stats(ball, F, label):
     F = F if isinstance(F, SubsetView) else subset_view(G, F)
     nE = len(F.induced_edges) + len(F.boundary_edges)
     if nE > DENSE_EDGE_BUDGET:
-        raise DenseBudgetExceeded(f"window has {nE} edges > "
-                                  f"{DENSE_EDGE_BUDGET}")
+        raise BudgetExceeded(f"window has {nE} edges > {DENSE_EDGE_BUDGET}")
     ws = build_window(G, F)
     B = ws.basis()
     dimV = B.shape[1]
@@ -126,11 +125,11 @@ def window_projection_stats(ball, F, label):
     # one s-edge per window vertex: x -> x*s, |F| edges in total
     targets = ball.translation_table(ball.group.gen(label))[F.members]
     if np.any(targets < 0):
-        raise DenseBudgetExceeded("window touches the truncation sphere; "
-                                  "enlarge the ball")
+        raise InvalidInput("window touches the truncation sphere; "
+                           "enlarge the ball")
     eids = G.edge_ids(F.members, targets)
     if np.any(eids < 0):
-        raise PathExitsBall(f"a {label} step is not an edge of the ball")
+        raise InvalidInput(f"a {label} step is not an edge of the ball")
     s_rows = np.searchsorted(ws.edge_ids, eids)
     # V' = V_F intersected with the coordinate subspace of label edges:
     # combinations of the basis vanishing on all other rows

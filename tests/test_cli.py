@@ -5,6 +5,7 @@ import os
 import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from harmlab import cli
 from harmlab.cli import main
+from harmlab.errors import (BudgetExceeded, HarmlabError, InvalidInput,
+                            NumericalFailure)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DEMOS = Path(__file__).parent.parent / "demos"
@@ -49,6 +53,14 @@ class TestSpectral:
         for case in cases:
             assert run(case["argv"]) == 0
             assert capsys.readouterr().out == case["stdout"], case["argv"]
+
+    @pytest.mark.parametrize("p", ["1", "2", "1,2"])
+    def test_exact_exponents_only(self, p, capsys):
+        # the exact rows cover p = 1 and 2; no other exponent is estimated
+        assert run(["spectral", "--graph", "cycle:6", "--p", p]) == 0
+        rep = json.loads(capsys.readouterr().out)["report"]
+        assert rep["entries"] == []
+        assert [q["p"] for q in rep["inequalities"]] == [2] + [None] * 4
 
     def test_ball_outputs_match_frozen_fixture(self, capsys):
         # window stats, transport chain, walk profile and harmonic witness
@@ -226,8 +238,6 @@ class TestPlumbing:
         assert "nosuch" in capsys.readouterr().err
 
     def test_window_stats_needs_z2(self, capsys):
-        assert run(["window", "stats", "--group", "free:2",
-                    "--square", "3"]) == 2
         assert run(["window", "stats", "--square", "3", "--label", "q"]) == 2
         assert capsys.readouterr().out == ""
 
@@ -254,6 +264,50 @@ def one_line_exit_2(argv, capsys):
     return err
 
 
+class TestExitCodes:
+    def test_one_error_class_per_exit_code(self):
+        assert HarmlabError.__subclasses__() == [InvalidInput, BudgetExceeded,
+                                                 NumericalFailure]
+
+    @pytest.mark.parametrize("cls, code", [(InvalidInput, 2),
+                                           (BudgetExceeded, 3),
+                                           (NumericalFailure, 4)])
+    def test_class_decides_the_exit_code(self, cls, code, monkeypatch,
+                                         capsys):
+        def fail(args):
+            raise cls("stop")
+
+        monkeypatch.setattr(cli, "cmd_spectral", fail)
+        assert run(["spectral", "--graph", "cycle:6"]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+
+    def test_non_regular_graph(self, tmp_path, capsys):
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({"vertices": 3, "edges": [[0, 1], [1, 2]]}))
+        for graph in ("tree:3,3", str(path)):
+            err = one_line_exit_2(["spectral", "--graph", graph], capsys)
+            assert "regular graph" in err
+
+    def test_disconnected_vertex_set(self, tmp_path, capsys):
+        path = tmp_path / "set.json"
+        path.write_text("[0, 10]")
+        err = one_line_exit_2(["iso", "radial", "--graph", "grid:4,4",
+                               "--set", str(path)], capsys)
+        assert "disconnected" in err
+
+    def test_walk_reaches_the_truncation_sphere(self, capsys):
+        err = one_line_exit_2(["walk", "profile", "--group", "zd:2",
+                               "--radius", "3", "--steps", "5"], capsys)
+        assert "increase the ball radius" in err
+
+    def test_dense_eigensolve_limit(self, capsys):
+        assert run(["spectral", "--graph", "cycle:5001"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("budget exceeded") and "limit 5000" in err
+
+
 class TestFileInputs:
     @pytest.mark.parametrize("row", ["-1,1", "99,1", "1,abc", "1", "1,2,3",
                                      "x,1", "1,nan"])
@@ -273,6 +327,19 @@ class TestFileInputs:
         err = one_line_exit_2(["transport", "wasserstein", "--graph",
                                "cycle:8", "--src", str(src), "--dst",
                                str(dst)], capsys)
+        assert "masses differ" in err
+
+    def test_mass_totals_overflow(self, tmp_path, capsys):
+        # both totals are inf and inf - inf is NaN: the masses still
+        # count as different, with no numpy warning on the way
+        src, dst = tmp_path / "src.csv", tmp_path / "dst.csv"
+        src.write_text("0,1e308\n1,1e308\n")
+        dst.write_text("2,1e308\n3,1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = one_line_exit_2(["transport", "wasserstein", "--graph",
+                                   "cycle:6", "--src", str(src), "--dst",
+                                   str(dst)], capsys)
         assert "masses differ" in err
 
     def test_repeated_measure_vertex(self, tmp_path, capsys):
@@ -466,8 +533,7 @@ SUBCOMMANDS = {
     "iso profile": {"--graph": GRAPHS, "--max-size": INTS, "--budget": INTS},
     "iso radial": {"--graph": GRAPHS, "--set": SETS, "--K": FLOATS,
                    "--k": FLOATS},
-    "window stats": {"--group": GROUPS, "--square": INTS,
-                     "--label": (["s1", "s2"], ["q"])},
+    "window stats": {"--square": INTS, "--label": (["s1", "s2"], ["q"])},
     "harmonic probe": {"--group": GROUPS, "--radii": RADII},
     "harmonic divergence": {"--group": GROUPS, "--K": INTS, "--n": INTS},
     "harmonic witness": {"--group": GROUPS, "--n": INTS},

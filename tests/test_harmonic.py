@@ -5,7 +5,7 @@ import pytest
 
 import harmlab.harmonic as H
 from harmlab.cayley import build_group, cayley_ball
-from harmlab.errors import NotATree, SingularSystem, SupportHitsBoundary
+from harmlab.errors import InvalidInput, NumericalFailure
 from harmlab.graphs import (EdgeField, OrientedGraph, VertexField, ball,
                             bfs_distances, cycle_graph, gradient, lp_norm,
                             path_graph, regular_tree, subset_view, torus_grid)
@@ -64,7 +64,7 @@ class TestDirichlet:
         bv = {int(v): 1.0 for v in A.outer_boundary}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SingularSystem):
+            with pytest.raises(NumericalFailure, match="singular"):
                 H.dirichlet_extend(G, A, bv)
 
     def test_missing_boundary_value(self):
@@ -239,7 +239,7 @@ class TestTreeFlow:
                 assert all(got[k] == want[k] for k in want)
 
     def test_not_a_tree(self):
-        with pytest.raises(NotATree):
+        with pytest.raises(InvalidInput, match="connected tree"):
             H.tree_flow(cycle_graph(5), (0, 1))
 
     def test_root_pair_must_be_an_edge(self):
@@ -258,7 +258,7 @@ class TestWitnesses:
 
     def test_c0_needs_room(self):
         B = cayley_ball(build_group("zd:1"), 4)
-        with pytest.raises(SupportHitsBoundary):
+        with pytest.raises(InvalidInput, match="too small"):
             H.laplacian_witness(B, "c0", 5)
 
     def test_l1_ratio(self):

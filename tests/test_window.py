@@ -5,7 +5,7 @@ import pytest
 
 import harmlab.window as WD
 from harmlab.cayley import build_group, cayley_ball
-from harmlab.errors import DenseBudgetExceeded
+from harmlab.errors import BudgetExceeded
 from harmlab.graphs import (OrientedGraph, cycle_graph, hypercube_graph,
                             subset_view, torus_grid)
 
@@ -191,7 +191,7 @@ class TestProjectionStats:
     def test_budget_guard(self):
         B = cayley_ball(build_group("zd:2"), 92)
         F = subset_view(B.graph, square_members(B, 45))
-        with pytest.raises(DenseBudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="edges >"):
             WD.window_projection_stats(B, F, "s1")
 
     def test_budget_is_checked_before_the_dense_build(self, monkeypatch):
@@ -202,5 +202,5 @@ class TestProjectionStats:
             raise AssertionError("dense window built past the budget")
 
         monkeypatch.setattr(WD, "build_window", no_build)
-        with pytest.raises(DenseBudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="edges >"):
             WD.window_projection_stats(B, F, "s1")
