@@ -79,10 +79,10 @@ def _ball_cap(args):
     cap = os.environ.get("HARMLAB_BUDGET")
     if cap:
         try:
-            return int(cap)
-        except ValueError:
-            raise InvalidInput(f"HARMLAB_BUDGET must be an integer, got "
-                               f"{cap!r}") from None
+            return _at_least(1)(cap)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise InvalidInput(f"HARMLAB_BUDGET must be an integer >= 1, "
+                               f"got {cap!r}") from None
     return getattr(args, "ball_cap", None) or cayley.DEFAULT_BALL_CAP
 
 

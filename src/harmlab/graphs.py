@@ -57,17 +57,13 @@ class OrientedGraph:
         self.degrees = deg
         self.d_max = int(deg.max()) if self.n else 0
 
-        # CSR adjacency: for vertex v, slice ptr[v]:ptr[v+1] of (nbr, edge, sign)
+        # CSR adjacency: the neighbours of v are nbr[ptr[v]:ptr[v+1]]
         order = np.argsort(ends, kind="stable")
         self._adj_nbr = np.concatenate([self.heads, self.tails])[order]
-        # slot order[i] < m is edge order[i] seen from its tail, and
-        # order[i] >= m edge order[i] - m seen from its head
-        self._adj_edge = order % max(self.m, 1)
-        self._adj_sign = np.where(order < self.m, 1, -1).astype(np.int8)
         self._adj_ptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(deg, out=self._adj_ptr[1:])
 
-        self._A = None
+        self._A = self._B = None
         self._keys = None
         self._connected = None
 
@@ -106,6 +102,16 @@ class OrientedGraph:
             self._A = sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
         return self._A
 
+    def incidence_matrix(self):
+        """m x n CSR matrix B with (B f)(e) = f(head) - f(tail): row e
+        holds -1 at its tail and +1 at its head."""
+        if self._B is None:
+            self._B = sp.csr_matrix(
+                (np.tile([-1.0, 1.0], self.m),
+                 np.column_stack([self.tails, self.heads]).ravel(),
+                 np.arange(0, 2 * self.m + 1, 2)), shape=(self.m, self.n))
+        return self._B
+
     @property
     def regular_degree(self):
         """Common degree if the graph is regular, else None."""
@@ -143,9 +149,9 @@ def check_vertices(G, verts):
 
 
 def adjacency_slots(G, verts):
-    """Positions in the CSR adjacency arrays (_adj_nbr, _adj_edge,
-    _adj_sign) of the incidences of each vertex of `verts`, concatenated
-    in that order, and the degree of each vertex."""
+    """Positions in the CSR adjacency array _adj_nbr of the neighbours
+    of each vertex of `verts`, concatenated in that order, and the degree
+    of each vertex."""
     starts = G._adj_ptr[verts]
     counts = G._adj_ptr[verts + 1] - starts
     # output position j belongs to verts[i] and reads starts[i] + (j - j_i),
@@ -291,7 +297,10 @@ class Distribution(VertexField):
 
     @classmethod
     def uniform(cls, graph, vertices):
-        vertices = np.asarray(vertices, dtype=np.int64)
+        """Equal mass on the distinct vertices of `vertices`."""
+        vertices = _sorted_unique(check_vertices(graph, vertices))
+        if not len(vertices):
+            raise ValueError("uniform distribution on no vertices")
         d = cls(graph, check=False)
         d.a[vertices] = 1.0 / len(vertices)
         return d
@@ -368,7 +377,7 @@ class SubsetView:
         self.graph = graph
         if not isinstance(members, np.ndarray):
             members = list(members)
-        members = _sorted_unique(np.asarray(members, dtype=np.int64))
+        members = _sorted_unique(check_vertices(graph, members))
         self.members = members
         mask = np.zeros(graph.n, dtype=bool)
         mask[members] = True
@@ -431,6 +440,11 @@ class SubsetView:
 
 
 def subset_view(G, F):
+    """F as a SubsetView of G; a SubsetView of G is returned as it is."""
+    if isinstance(F, SubsetView):
+        if F.graph is not G:
+            raise ValueError("subset view of another graph")
+        return F
     return SubsetView(G, F)
 
 

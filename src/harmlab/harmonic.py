@@ -26,9 +26,7 @@ def dirichlet_extend(G, A, boundary_values):
     """Unique function harmonic inside A with the given values on the
     outer boundary.  Raises NumericalFailure if some vertex of A cannot
     reach the boundary."""
-    bv = np.zeros(G.n)
-    for v, val in boundary_values.items():
-        bv[v] = val
+    bv = VertexField.from_dict(G, boundary_values).a
     missing = [int(v) for v in A.outer_boundary
                if int(v) not in boundary_values]
     if missing:

@@ -16,9 +16,8 @@ import scipy.optimize
 import scipy.sparse as sp
 
 from .errors import BudgetExceeded, InvalidInput, NumericalFailure
-from .graphs import (SubsetView, _sorted_unique, adjacency_slots,
-                     bfs_distances, bitmask_rows, boundary_gain,
-                     neighbour_masks, subset_view)
+from .graphs import (_sorted_unique, adjacency_slots, bfs_distances,
+                     bitmask_rows, boundary_gain, neighbour_masks, subset_view)
 
 ENUM_BUDGET = 10 ** 7
 
@@ -188,10 +187,8 @@ def cut_program(G, edge_cost, vertex_cost, size):
     n, m = G.n, G.m
     is_x = np.repeat([1.0, 0.0], [n, m])
     # rows 2e, 2e + 1: x_u - x_v - y_e <= 0 and x_v - x_u - y_e <= 0
-    cols = np.column_stack([G.tails, G.heads, n + np.arange(m)])
-    A = sp.csr_matrix((np.tile([1.0, -1.0, -1.0, -1.0, 1.0, -1.0], m),
-                       (np.repeat(np.arange(2 * m), 3),
-                        cols.repeat(2, axis=0).ravel())), shape=(2 * m, n + m))
+    A = sp.hstack([sp.kron(G.incidence_matrix(), [[-1.0], [1.0]]),
+                   sp.kron(sp.identity(m), [[-1.0], [-1.0]])], format="csr")
     res = scipy.optimize.milp(
         np.where(is_x, vertex_cost, edge_cost).astype(float),
         constraints=[scipy.optimize.LinearConstraint(A, -np.inf, 0),
@@ -224,7 +221,7 @@ def min_boundary_exact(G, size):
 
 def inradius(G, F):
     """Largest r such that some ball B(x, r), x in F, stays inside F."""
-    F = F if isinstance(F, SubsetView) else subset_view(G, F)
+    F = subset_view(G, F)
     comp = np.flatnonzero(~F.mask)
     if len(comp) == 0:
         # F = V: every ball fits; report the largest radius that matters
@@ -235,7 +232,7 @@ def inradius(G, F):
 
 def diameter(G, F):
     """Diameter of the graph induced on F."""
-    F = F if isinstance(F, SubsetView) else subset_view(G, F)
+    F = subset_view(G, F)
     sub = F.induced_graph()
     best = 0
     for v in range(sub.n):
@@ -250,7 +247,7 @@ def mean_boundary_distance(G, F):
     """Average over x in F of the induced-graph distance from x to an
     endpoint of a boundary edge lying in F (0 on boundary-adjacent
     vertices)."""
-    F = F if isinstance(F, SubsetView) else subset_view(G, F)
+    F = subset_view(G, F)
     if not F.boundary_size:
         return 0.0
     sub = F.induced_graph()
@@ -269,7 +266,7 @@ def radial_iso_check(G, A, K=1.0, k=1.0):
     """Evaluate K |boundary A| (1 + inrad A)^k >= |A| and the diameter
     variant (which holds with K = k = 1 whenever the complement of A is
     connected)."""
-    A = A if isinstance(A, SubsetView) else subset_view(G, A)
+    A = subset_view(G, A)
     comp = np.flatnonzero(~A.mask)
     if len(comp):
         if not subset_view(G, comp).induced_graph().is_connected:

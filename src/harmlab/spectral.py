@@ -43,14 +43,6 @@ LAMBDA_TOL = 1e-9  # relative change of the norm estimate that ends a start
 P_MAX = 100.0
 
 
-def _gradient_matrix(G):
-    """Sparse m x n incidence matrix B with (B f)(e) = f(head) - f(tail)."""
-    rows = np.repeat(np.arange(G.m), 2)
-    cols = np.column_stack([G.heads, G.tails]).ravel()
-    data = np.tile([1.0, -1.0], G.m)
-    return sp.csr_matrix((data, (rows, cols)), shape=(G.m, G.n))
-
-
 def _cheeger_bitmask(G):
     # boundary[S] for every bitmask S, filled one vertex b at a time from
     # the sets S of lower vertices
@@ -170,7 +162,7 @@ def kappa_p_estimate(G, p):
     d = G.require_regular()
     if p == 2:
         return float(np.sqrt(d * lambda2(G))), "exact", None
-    BT = _gradient_matrix(G).T
+    BT = G.incidence_matrix().T
     heads, tails = G.heads, G.tails
     n = G.n
     rng = np.random.default_rng(ESTIMATE_SEED)

@@ -14,8 +14,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .errors import InvalidInput, NumericalFailure
-from .graphs import (Distribution, EdgeField, VertexField, adjacency_slots,
-                     divergence, lp_norm)
+from .graphs import (Distribution, EdgeField, VertexField, divergence, lp_norm)
 from .walk import _interior_solve, direct_solve
 
 RESIDUAL_TOL = 1e-9
@@ -61,9 +60,8 @@ def wasserstein1(G, source, target):
         if pat.residual > RESIDUAL_TOL:
             raise InvalidInput("no feasible flow between the supports")
         return 0.0, pat
-    div = sp.csr_matrix((np.repeat([1.0, -1.0, -1.0, 1.0], m),
-                         (np.concatenate([G.heads, G.heads, G.tails, G.tails]),
-                          np.tile(np.arange(2 * m), 2))), shape=(G.n, 2 * m))
+    BT = G.incidence_matrix().T
+    div = sp.hstack([BT, -BT], format="csr")
     # the rows sum to zero, so vertex 0's is implied; leaving it out puts the
     # mass gap that the check above allows on vertex 0, not in infeasibility
     res = linprog(np.ones(2 * m), A_eq=div[1:], b_eq=(target.a - source.a)[1:],
@@ -92,14 +90,13 @@ def random_step_transport(G, mu, A):
         raise InvalidInput(f"vertex {active[bad[0]]} has degree "
                            f"{deg[bad[0]]} != {deg[0]}")
     d = int(deg[0]) if len(active) else G.d_max
-    slots, _ = adjacency_slots(G, active)
-    w = np.repeat(mu.a[active] / d, d)
-    tau = EdgeField(G, np.bincount(G._adj_edge[slots],
-                                   weights=G._adj_sign[slots] * w,
-                                   minlength=G.m))
+    w = np.zeros(G.n)
+    w[active] = mu.a[active] / d
+    # B @ -w, not -(B @ w), which would put -0.0 on edges carrying nothing
+    tau = EdgeField(G, G.incidence_matrix() @ -w)
     out = mu.a.copy()
     out[active] = 0.0
-    out += np.bincount(G._adj_nbr[slots], weights=w, minlength=G.n)
+    out += G.adjacency_matrix() @ w
     return TransportPattern(tau, mu, VertexField(G, out))
 
 

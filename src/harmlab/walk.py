@@ -163,6 +163,7 @@ def _walk(ball, x, steps, laziness):
     InvalidInput before a step from a law that touches the
     truncation sphere."""
     check_laziness(laziness)
+    check_vertices(ball.graph, x)
     sphere = ball.word_length == ball.radius
     a = np.zeros(ball.n)
     a[x] = 1.0

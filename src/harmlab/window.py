@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import BudgetExceeded, InvalidInput
-from .graphs import SubsetView, adjacency_slots, subset_view
+from .graphs import SubsetView, subset_view
 
 DENSE_EDGE_BUDGET = 4000
 RANK_TOL = 1e-9
@@ -67,15 +67,12 @@ def _spanning_forest(sub):
 
 def build_window(G, F):
     """Assemble cut and cycle bases for the window F."""
-    F = F if isinstance(F, SubsetView) else subset_view(G, F)
+    F = subset_view(G, F)
     edge_ids = np.sort(np.concatenate([F.induced_edges, F.boundary_edges]))
     nE = len(edge_ids)
     # every edge at a vertex of F lies in E_F; grad delta_x = -1 on edges
     # with tail x, +1 on edges with head x
-    slots, deg = adjacency_slots(G, F.members)
-    cut = np.zeros((nE, F.size))
-    cut[np.searchsorted(edge_ids, G._adj_edge[slots]),
-        np.repeat(np.arange(F.size), deg)] = -G._adj_sign[slots]
+    cut = G.incidence_matrix()[edge_ids][:, F.members].toarray()
     # the row of each induced edge
     row = np.searchsorted(edge_ids, F.induced_edges)
     sub = F.induced_graph()
@@ -114,7 +111,7 @@ def window_projection_stats(ball, F, label):
     identity value.
     """
     G = ball.graph
-    F = F if isinstance(F, SubsetView) else subset_view(G, F)
+    F = subset_view(G, F)
     nE = len(F.induced_edges) + len(F.boundary_edges)
     if nE > DENSE_EDGE_BUDGET:
         raise BudgetExceeded(f"window has {nE} edges > {DENSE_EDGE_BUDGET}")

@@ -75,7 +75,7 @@ def test_criterion_01_spectral_identity(corp):
         lam2 = S.lambda2(G)
         # independent route: second eigenvalue of the combinatorial
         # Laplacian B^T B from the incidence matrix
-        B = S._gradient_matrix(G).toarray()
+        B = G.incidence_matrix().toarray()
         sigma = np.sort(np.linalg.eigvalsh(B.T @ B))[1]
         assert abs(sigma - d * lam2) <= 1e-8, name
         k2, direction, _ = S.kappa_p_estimate(G, 2)

@@ -247,6 +247,15 @@ class TestPlumbing:
                     "--steps", "2"]) == 2
         assert "HARMLAB_BUDGET" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_ball_cap_env_below_one(self, monkeypatch, capsys, cap):
+        # like --ball-cap 0: invalid input, not an exceeded budget
+        monkeypatch.setenv("HARMLAB_BUDGET", cap)
+        assert run(["walk", "profile", "--group", "zd:2", "--radius", "3",
+                    "--steps", "2"]) == 2
+        assert "HARMLAB_BUDGET must be an integer >= 1" in (
+            capsys.readouterr().err)
+
     def test_console_script(self):
         proc = subprocess.run([sys.executable, "-m", "harmlab.cli",
                                "spectral", "--graph", "cycle:4", "--p", "3"],

@@ -202,10 +202,27 @@ class TestVertexIndexGate:
         lambda G, v: VertexField.from_dict(G, {v: 2.0}),
         lambda G, v: bfs_distances(G, v),
         lambda G, v: bfs_distances(G, [0, v]),
-    ], ids=["dirac", "from_dict", "bfs", "bfs_array"])
+        lambda G, v: Distribution.uniform(G, [v]),
+        lambda G, v: subset_view(G, [v]),
+    ], ids=["dirac", "from_dict", "bfs", "bfs_array", "uniform",
+            "subset_view"])
     def test_out_of_range_vertex_raises(self, call, v):
         with pytest.raises(ValueError, match="vertex of the graph"):
             call(path_graph(5), v)
+
+    def test_uniform_on_distinct_vertices(self):
+        G = path_graph(5)
+        mu = Distribution.uniform(G, [0, 0, 1])
+        assert mu.a.tolist() == [0.5, 0.5, 0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="no vertices"):
+            Distribution.uniform(G, [])
+
+    def test_subset_view_of_a_view(self):
+        G = path_graph(5)
+        F = subset_view(G, [1, 2])
+        assert subset_view(G, F) is F
+        with pytest.raises(ValueError, match="another graph"):
+            subset_view(path_graph(5), F)
 
 
 class TestConstruction:
@@ -457,8 +474,9 @@ class TestFamiliesAgainstLoops:
 
 
 def reference_adjacency(n, tails, heads):
-    """Degrees by np.add.at and the CSR arrays by one stable argsort of the
-    edge ends."""
+    """Degrees by np.add.at and the CSR arrays of (neighbour, edge, sign)
+    by one stable argsort of the edge ends, sign +1 where the vertex is the
+    tail."""
     deg = np.zeros(n, dtype=np.int64)
     np.add.at(deg, tails, 1)
     np.add.at(deg, heads, 1)
@@ -482,16 +500,32 @@ class TestAdjacencyArrays:
         assert H.degrees.dtype == np.int64 and H.d_max == deg.max()
         assert np.array_equal(H.degrees, deg)
         assert np.array_equal(H._adj_ptr, np.concatenate([[0], np.cumsum(deg)]))
-        for got, want in ((H._adj_nbr, nbr), (H._adj_edge, edge),
-                          (H._adj_sign, sign)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert H._adj_nbr.dtype == nbr.dtype
+        assert np.array_equal(H._adj_nbr, nbr)
+        # the incidence matrix holds -1 at each edge's tail, +1 at its head
+        want = np.zeros((H.m, H.n))
+        want[edge, np.repeat(np.arange(H.n), deg)] = -sign
+        B = H.incidence_matrix()
+        assert B.format == "csr" and B.shape == (H.m, H.n)
+        assert np.array_equal(B.toarray(), want)
+        assert B.has_canonical_format and B.nnz == 2 * H.m
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_incidence_is_the_gradient(self, seed):
+        G = rand_graph(seed)
+        f = VertexField(G, np.random.default_rng(seed).normal(size=G.n))
+        B = G.incidence_matrix()
+        assert (B @ f.a).tobytes() == gradient(f).a.tobytes()
+        assert G.incidence_matrix() is B  # built once
 
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_edgeless(self, n):
         G = OrientedGraph(n, [])
         assert G.degrees.tolist() == [0] * n and G.d_max == 0
         assert G._adj_ptr.tolist() == [0] * (n + 1)
-        assert len(G._adj_nbr) == len(G._adj_edge) == len(G._adj_sign) == 0
+        assert len(G._adj_nbr) == 0
+        assert G.incidence_matrix().shape == (0, n)
 
 
 def induced_neighbour_masks(G, verts):

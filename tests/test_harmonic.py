@@ -73,6 +73,14 @@ class TestDirichlet:
         with pytest.raises(ValueError):
             H.dirichlet_extend(G, A, {2: 1.0})
 
+    @pytest.mark.parametrize("v", [-1, 8])
+    def test_out_of_range_boundary_vertex_raises(self, v):
+        # -1 put its value on vertex 7, outside A and its boundary
+        G = cycle_graph(8)
+        A = subset_view(G, [1, 2, 3])
+        with pytest.raises(ValueError, match="vertex of the graph"):
+            H.dirichlet_extend(G, A, {0: 1.0, 4: 0.0, v: 7.0})
+
 
 class TestTruncate:
     def test_clamp(self):

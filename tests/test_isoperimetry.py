@@ -7,8 +7,8 @@ import harmlab.spectral as S
 from harmlab.cayley import build_group, cayley_ball
 from harmlab.errors import BudgetExceeded, InvalidInput
 from harmlab.graphs import (OrientedGraph, bfs_distances, complete_graph,
-                            cycle_graph, hypercube_graph, random_regular_graph,
-                            subset_view, torus_grid)
+                            cycle_graph, hypercube_graph, path_graph,
+                            random_regular_graph, subset_view, torus_grid)
 
 
 def square_in_z2(ball_obj, n):
@@ -218,6 +218,14 @@ class TestGeometry:
         assert out["holds"] and out["diameter_holds"]
         assert abs(out["lhs"] - 20 * 3) < 1e-12
         assert abs(out["diameter_lhs"] - 20 * 9) < 1e-12
+
+    def test_radial_check_rejects_a_view_of_another_graph(self):
+        # the path's view has boundary 1 where the cycle's has 2
+        F = subset_view(path_graph(10), [0, 1, 2])
+        with pytest.raises(ValueError, match="another graph"):
+            I.radial_iso_check(cycle_graph(10), F)
+        out = I.radial_iso_check(cycle_graph(10), [0, 1, 2])
+        assert out["lhs"] == 4.0
 
     def test_radial_check_needs_connected_complement(self):
         G = cycle_graph(10)

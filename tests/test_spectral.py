@@ -176,7 +176,7 @@ def per_start_lambda_p(G, p):
 def per_call_kappa_p(G, p):
     """Reference kappa_p estimate: an objective that multiplies by the
     sparse incidence matrix and its transpose on every call."""
-    B = S._gradient_matrix(G)
+    B = G.incidence_matrix()
     rng = np.random.default_rng(S.ESTIMATE_SEED)
 
     def ratio_and_grad(x):

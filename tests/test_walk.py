@@ -283,6 +283,13 @@ class TestBallWalks:
                 want = comb(6, (6 + k) // 2) / 2 ** 6
                 assert abs(mu[B.vertex_of[(k,)]] - want) < 1e-14
 
+    def test_green_start_out_of_range_raises(self):
+        # -1 started the walk at the last vertex of the ball
+        b = cayley_ball(build_group("zd:2"), 4)
+        for x in (-1, b.n):
+            with pytest.raises(ValueError, match="vertex of the graph"):
+                W.green_partial(b, x, 1)
+
     def test_green_residual_decay(self):
         B = cayley_ball(build_group("zd:2"), 22)
         prev = np.inf
