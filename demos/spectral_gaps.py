@@ -28,8 +28,9 @@ def chain_table(name, G):
     rep = verify_gap_chain(G, p_list=(1.5, 3, 4))
     print(f"{name}: p-dependent constants")
     for e in rep.entries:
-        print(f"  p = {e.p}: kappa_p = {e.kappa:.6f} ({e.kappa_direction}),"
-              f" lambda_p = {e.lam:.6f} ({e.lam_direction})")
+        print(f"  p = {e.p}: kappa_p = {e.kappa.hi:.6f}"
+              f" ({e.kappa.direction}), lambda_p = {e.lam.hi:.6f}"
+              f" ({e.lam.direction})")
     bad = rep.violations()
     print(f"  inequalities checked: {len(rep.inequalities)},"
           f" violations: {len(bad)}")

@@ -174,11 +174,13 @@ def cmd_spectral(args):
     return {
         "graph": args.graph,
         "d": rep.d,
-        "kappa1": rep.kappa1,
-        "kappa1_direction": rep.kappa1_direction,
-        "kappa1_witness": [int(v) for v in rep.kappa1_witness],
-        "lambda2": rep.lambda2,
-        "entries": [vars(e) for e in rep.entries],
+        "kappa1": rep.kappa1.hi,
+        "kappa1_direction": rep.kappa1.direction,
+        "kappa1_witness": [int(v) for v in rep.kappa1.witness],
+        "lambda2": rep.lambda2.hi,
+        "entries": [{"p": e.p, "kappa": e.kappa.hi,
+                     "kappa_direction": e.kappa.direction, "lam": e.lam.hi,
+                     "lam_direction": e.lam.direction} for e in rep.entries],
         "inequalities": [vars(q) for q in rep.inequalities],
     }
 

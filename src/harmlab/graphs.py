@@ -283,9 +283,9 @@ class Distribution(VertexField):
     def __init__(self, graph, values=None, check=True):
         super().__init__(graph, values)
         if check and self.graph.n:
-            if self.a.min() < -MASS_TOL:
-                raise ValueError("distribution has negative mass")
-            if abs(self.a.sum() - 1.0) > 1e-9:
+            if not self.a.min() >= -MASS_TOL:
+                raise ValueError("distribution has negative or NaN mass")
+            if not abs(self.a.sum() - 1.0) <= 1e-9:
                 raise ValueError("distribution mass differs from 1")
 
     @classmethod

@@ -42,10 +42,6 @@ class IsoProfile:
             out[s] = best
         return out
 
-    def kappa1(self, n_vertices):
-        sizes = [s for s in self.table if s <= n_vertices // 2]
-        return min(self.ratio(s) for s in sizes)
-
 
 # Candidates for the next level are built and deduplicated this many words
 # at a time: the 9 * 10^6 candidates of size 12 in profile(torus_grid(5, 5),

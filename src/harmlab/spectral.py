@@ -4,7 +4,8 @@ kappa_p is the best constant in ||grad f||_p >= kappa_p ||f||_p over
 zero-sum f; lambda_p the best constant bounding the inverse Laplacian on
 zero-mean functions in l^p.  Exact values are available for kappa_1
 (enumeration or integer programming), kappa_2 and lambda_2 (eigensolve);
-other exponents get certified-direction estimates.
+other exponents get certified-direction estimates.  Every estimate is a
+Bracket whose direction follows from which of its ends are known.
 """
 
 from __future__ import annotations
@@ -41,6 +42,25 @@ LAMBDA_TOL = 1e-9  # relative change of the norm estimate that ends a start
 # dropped: its ratio would read 0 (from p = 30 on cycle:50, 50 on cycle:30
 # and 80 on hypercube:6), which bounds no kappa_p from above
 P_MAX = 100.0
+
+
+@dataclass(frozen=True)
+class Bracket:
+    """A constant in [lo, hi], an unknown end None; the witness attains hi
+    and takes no part in equality."""
+    lo: float | None
+    hi: float | None
+    witness: object = field(default=None, compare=False)
+
+    @property
+    def direction(self):
+        return ("exact" if self.lo == self.hi else
+                "lower_bound" if self.hi is None else "upper_bound")
+
+    def map(self, f):
+        """The bracket of f(x) for an increasing f."""
+        lo, hi = (None if e is None else f(e) for e in (self.lo, self.hi))
+        return Bracket(lo, hi, self.witness)
 
 
 def _cheeger_bitmask(G):
@@ -143,10 +163,11 @@ def _fiedler(G):
 
 
 def kappa_p_estimate(G, p):
-    """Estimate kappa_p.  Returns (value, direction, witness or None).
+    """Bracket of kappa_p.
 
-    p=1 and p=2 are exact; other p use multi-start projected descent on
-    the Rayleigh-type ratio, whose witnesses bound kappa_p from above.
+    p=1 comes from cheeger_kappa1 with its witness set, p=2 is exact from
+    lambda_2; other p use multi-start projected descent on the
+    Rayleigh-type ratio, whose witness functions bound kappa_p from above.
     The KAPPA_STARTS starts run one after another through scipy's
     L-BFGS-B.  The objective builds B^T once per call, takes the gradient
     as f[heads] - f[tails] and the mean as x.sum() / n, and raises |f| and
@@ -158,10 +179,11 @@ def kappa_p_estimate(G, p):
         raise ValueError(f"kappa_p needs p in [1, {P_MAX:g}], not {p}")
     if p == 1:
         val, w, direction = cheeger_kappa1(G)
-        return val, direction, w
+        exact = direction == Bracket(val, val).direction
+        return Bracket(val if exact else None, val, w)
     d = G.require_regular()
     if p == 2:
-        return float(np.sqrt(d * lambda2(G))), "exact", None
+        return lambda_p_estimate(G, 2).map(lambda x: float(np.sqrt(d * x)))
     BT = G.incidence_matrix().T
     heads, tails = G.heads, G.tails
     n = G.n
@@ -196,7 +218,7 @@ def kappa_p_estimate(G, p):
                 best = (ng / nf, res.x - res.x.mean())
     if not np.isfinite(best[0]):
         raise NumericalFailure("descent produced no finite ratio")
-    return float(best[0]), "upper_bound", best[1]
+    return Bracket(None, float(best[0]), best[1])
 
 
 def _row_norms(X, p):
@@ -208,9 +230,9 @@ def _row_norms(X, p):
 
 
 def lambda_p_estimate(G, p):
-    """Estimate lambda_p = 1 / ||inverse Laplacian||_{p->p} on zero-mean
-    functions.  Power iteration under-estimates the operator norm, so the
-    returned value is an upper bound on lambda_p; p=2 is exact.
+    """Bracket of lambda_p = 1 / ||inverse Laplacian||_{p->p} on zero-mean
+    functions.  Power iteration under-estimates the operator norm, so only
+    the upper end is known; p=2 is exact.
 
     The LAMBDA_STARTS starts iterate together, one row each of a K x n
     array drawn in start order.  A row retires when its norm estimate
@@ -226,7 +248,8 @@ def lambda_p_estimate(G, p):
     if not 1 < p <= P_MAX:
         raise ValueError(f"lambda_p needs p in (1, {P_MAX:g}], not {p}")
     if p == 2:
-        return lambda2(G), "exact"
+        l2 = lambda2(G)
+        return Bracket(l2, l2)
     L = _dense_laplacian(G)
     M = scipy.linalg.pinvh(L)  # inverse on the zero-mean subspace
     n = G.n
@@ -253,7 +276,7 @@ def lambda_p_estimate(G, p):
     best = max([0.0] + est.tolist())
     if best <= 0:
         raise NumericalFailure("norm iteration collapsed")
-    return float(1.0 / best), "upper_bound"
+    return Bracket(None, float(1.0 / best))
 
 
 @dataclass
@@ -269,19 +292,15 @@ class Inequality:
 @dataclass
 class PEntry:
     p: float
-    kappa: float
-    kappa_direction: str
-    lam: float
-    lam_direction: str
+    kappa: Bracket
+    lam: Bracket
 
 
 @dataclass
 class GapReport:
     d: int
-    kappa1: float
-    kappa1_direction: str
-    kappa1_witness: list
-    lambda2: float
+    kappa1: Bracket
+    lambda2: Bracket
     entries: list = field(default_factory=list)
     inequalities: list = field(default_factory=list)
 
@@ -289,60 +308,48 @@ class GapReport:
         return [q for q in self.inequalities if not q.holds]
 
 
-def _judge(item, p, lhs, rhs, lhs_dir, rhs_dir):
-    """LHS >= RHS is asserted outright when the LHS value can only
-    over-shoot (upper_bound/exact) and the RHS can only under-shoot;
-    any other direction pairing is checked with multiplicative slack."""
-    sound = lhs_dir in ("upper_bound", "exact") and rhs_dir in (
-        "lower_bound", "exact")
-    if sound:
-        return Inequality(item, p, lhs, rhs, "asserted",
-                          lhs >= rhs - ASSERT_EPS)
-    return Inequality(item, p, lhs, rhs, "checked-with-slack",
-                      lhs * SLACK_FACTOR >= rhs - ASSERT_EPS)
+def _judge(item, p, lhs, rhs):
+    """lhs >= rhs is asserted on lhs.hi >= rhs.lo when rhs.lo is known;
+    otherwise the upper ends are checked with multiplicative slack."""
+    if rhs.lo is not None:
+        return Inequality(item, p, lhs.hi, rhs.lo, "asserted",
+                          lhs.hi >= rhs.lo - ASSERT_EPS)
+    return Inequality(item, p, lhs.hi, rhs.hi, "checked-with-slack",
+                      lhs.hi * SLACK_FACTOR >= rhs.hi - ASSERT_EPS)
 
 
 def verify_gap_chain(G, p_list=(1.5, 3, 4)):
-    """Evaluate the inequality chain relating kappa_p and lambda_p."""
+    """Evaluate the inequality chain relating kappa_p and lambda_p at every
+    p > 1 of p_list."""
     d = G.require_regular()
-    k1, w1, k1dir = cheeger_kappa1(G)
-    l2 = lambda2(G)
-    rep = GapReport(d=d, kappa1=k1, kappa1_direction=k1dir,
-                    kappa1_witness=w1, lambda2=l2)
-    k2 = float(np.sqrt(d * l2))
-
+    k1, L2 = kappa_p_estimate(G, 1), lambda_p_estimate(G, 2)
+    k2 = float(np.sqrt(d * L2.hi))
     # exact identities and the kappa_1 / lambda_2 chain
-    rep.inequalities.append(Inequality(
-        "kappa2_identity", 2, k2 ** 2, d * l2, "asserted",
-        abs(k2 ** 2 - d * l2) <= 1e-8))
-    rep.inequalities.append(_judge("cheeger_lower", None, l2,
-                                   k1 ** 2 / (2 * d ** 2), "exact", k1dir))
-    rep.inequalities.append(_judge("cheeger_upper", None, 2 * k1 / d, l2,
-                                   k1dir, "exact"))
-    rep.inequalities.append(_judge("item6_left", None, 4 * d * k1,
-                                   2 * d ** 2 * l2, k1dir, "exact"))
-    rep.inequalities.append(_judge("item6_right", None, 2 * d ** 2 * l2,
-                                   k1 ** 2, "exact", k1dir))
-
+    rep = GapReport(d, k1, L2, inequalities=[
+        Inequality("kappa2_identity", 2, k2 ** 2, d * L2.hi, "asserted",
+                   abs(k2 ** 2 - d * L2.hi) <= 1e-8),
+        _judge("cheeger_lower", None, L2,
+               k1.map(lambda x: x ** 2 / (2 * d ** 2))),
+        _judge("cheeger_upper", None, k1.map(lambda x: 2 * x / d), L2),
+        _judge("item6_left", None, k1.map(lambda x: 4 * d * x),
+               L2.map(lambda x: 2 * d ** 2 * x)),
+        _judge("item6_right", None, L2.map(lambda x: 2 * d ** 2 * x),
+               k1.map(lambda x: x ** 2))])
     for p in p_list:
-        kp, kdir, _ = kappa_p_estimate(G, p)
-        if p > 1:
-            lp, ldir = lambda_p_estimate(G, p)
-        else:
-            lp, ldir = np.nan, "none"
-        rep.entries.append(PEntry(p, kp, kdir, lp, ldir))
-        # item 1: 2^{p-1} kappa_1 >= kappa_p^p
-        rep.inequalities.append(_judge(
-            "item1", p, 2.0 ** (p - 1) * k1, kp ** p, k1dir, kdir))
-        # item 3: max{2,p} d^{(p-1)/p} kappa_p >= 2^{(p-1)/p} kappa_1
-        rep.inequalities.append(_judge(
-            "item3", p, max(2.0, p) * d ** ((p - 1) / p) * kp,
-            2.0 ** ((p - 1) / p) * k1, kdir, k1dir))
-        if p > 1:
+        lp, kp = lambda_p_estimate(G, p), kappa_p_estimate(G, p)
+        rep.entries.append(PEntry(p, kp, lp))
+        rep.inequalities += [
+            # item 1: 2^{p-1} kappa_1 >= kappa_p^p
+            _judge("item1", p, k1.map(lambda x: 2.0 ** (p - 1) * x),
+                   kp.map(lambda x: x ** p)),
+            # item 3: max{2,p} d^{(p-1)/p} kappa_p >= 2^{(p-1)/p} kappa_1
+            _judge("item3", p,
+                   kp.map(lambda x: max(2.0, p) * d ** ((p - 1) / p) * x),
+                   k1.map(lambda x: 2.0 ** ((p - 1) / p) * x)),
             # item 4 in its lemma form: kappa_p >= (d^{1/p}/2) lambda_p
-            rep.inequalities.append(_judge(
-                "item4_lemma", p, kp, d ** (1 / p) / 2 * lp, kdir, ldir))
+            _judge("item4_lemma", p, kp,
+                   lp.map(lambda x: d ** (1 / p) / 2 * x)),
             # item 5: max{p, p'} lambda_p >= 2 lambda_2
-            rep.inequalities.append(_judge(
-                "item5", p, max(p, p / (p - 1)) * lp, 2 * l2, ldir, "exact"))
+            _judge("item5", p, lp.map(lambda x: max(p, p / (p - 1)) * x),
+                   L2.map(lambda x: 2 * x))]
     return rep

@@ -89,14 +89,14 @@ def exit_distribution(G, A, v):
     return exit_distributions(G, A, [v])[0]
 
 
-def fire(nu, v, r, signed=False):
+def fire(nu, v, r):
     """Replace r units of mass at v by one walk step from v:
     result = nu - r delta_v + r P delta_v.  Preserves pairings with
     functions harmonic at v."""
-    if r < 0:
+    if not r >= 0:
         raise ValueError("firing rate must be >= 0")
     check_vertices(nu.graph, v)
-    if not signed and r > nu.a[v] + 1e-12:
+    if r > nu.a[v] + 1e-12:
         raise InvalidInput(f"firing {r} exceeds mass {nu.a[v]} at vertex {v}")
     G = nu.graph
     a = nu.a.copy()
@@ -118,7 +118,7 @@ def entropy(mu):
 def renyi(mu, q):
     """Renyi entropy H_q; H_0 counts the support, H_1 is Shannon,
     H_inf is minus the log of the largest atom."""
-    if q < 0:
+    if not q >= 0:
         raise ValueError("q must be >= 0")
     if q == 0:
         return float(np.log(np.count_nonzero(mu.a)))

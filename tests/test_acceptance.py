@@ -78,9 +78,9 @@ def test_criterion_01_spectral_identity(corp):
         B = G.incidence_matrix().toarray()
         sigma = np.sort(np.linalg.eigvalsh(B.T @ B))[1]
         assert abs(sigma - d * lam2) <= 1e-8, name
-        k2, direction, _ = S.kappa_p_estimate(G, 2)
-        assert direction == "exact"
-        assert abs(k2 ** 2 - d * lam2) <= 1e-8, name
+        k2 = S.kappa_p_estimate(G, 2)
+        assert k2.direction == "exact"
+        assert abs(k2.hi ** 2 - d * lam2) <= 1e-8, name
     assert time.time() - t0 < 10.0
 
 

@@ -147,6 +147,23 @@ class TestWalkStep:
             assert nu.a.min() >= 0
 
 
+class TestDistribution:
+    @pytest.mark.parametrize("values, match", [
+        ([0.5, 0.5, 0.0, 0.0, -0.0], None),
+        ([np.nan] * 5, "negative or NaN mass"),
+        ([1.0, np.nan, 0.0, 0.0, 0.0], "negative or NaN mass"),
+        ([0.5, 0.6, 0.0, 0.0, 0.0], "differs from 1"),
+        ([0.5, 0.5, 0.0, 0.0, np.inf], "differs from 1")])
+    def test_mass_checks(self, values, match):
+        # NaN masses failed neither comparison and passed the check
+        G = cycle_graph(5)
+        if match is None:
+            Distribution(G, values)
+        else:
+            with pytest.raises(ValueError, match=match):
+                Distribution(G, values)
+
+
 class TestNorms:
     def test_uniform(self):
         G = cycle_graph(10)

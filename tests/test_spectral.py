@@ -1,7 +1,9 @@
+import ast
 import itertools
 import json
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from harmlab.errors import InvalidInput, NumericalFailure
 from harmlab.graphs import (OrientedGraph, complete_graph, cycle_graph,
                             hypercube_graph, lp_norm, random_regular_graph,
                             subset_view, torus_grid)
+from test_acceptance import corpus
 
 
 class TestCheeger:
@@ -91,10 +94,69 @@ class TestEigen:
     def test_kappa2_identity(self):
         for G in (cycle_graph(7), hypercube_graph(3),
                   random_regular_graph(3, 10, seed=1)):
-            k2, direction, _ = S.kappa_p_estimate(G, 2)
-            assert direction == "exact"
+            k2 = S.kappa_p_estimate(G, 2)
+            assert k2.direction == "exact"
             d = G.regular_degree
-            assert abs(k2 ** 2 - d * S.lambda2(G)) < 1e-8
+            assert abs(k2.hi ** 2 - d * S.lambda2(G)) < 1e-8
+
+
+class TestBracket:
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, 4])
+    def test_estimates_on_the_corpus(self, p):
+        # the directions the estimators returned as strings before they
+        # returned brackets: p = 1 and 2 exact, other p upper bounds
+        want = "exact" if p in (1, 2) else "upper_bound"
+        for name, G in corpus():
+            brackets = [S.kappa_p_estimate(G, p)]
+            if p > 1:
+                brackets.append(S.lambda_p_estimate(G, p))
+            else:
+                with pytest.raises(ValueError):
+                    S.lambda_p_estimate(G, p)
+            for b in brackets:
+                assert b.hi is not None, name
+                assert b.lo is None or b.lo <= b.hi, name
+                assert b.direction == want, name
+
+    def test_directions_from_the_ends(self):
+        assert S.Bracket(2.0, 2.0).direction == "exact"
+        assert S.Bracket(None, 2.0).direction == "upper_bound"
+        assert S.Bracket(2.0, None).direction == "lower_bound"
+
+    def test_map_leaves_unknown_ends(self):
+        b = S.Bracket(None, 3.0, [0, 1]).map(lambda x: 2 * x)
+        assert (b.lo, b.hi, b.witness) == (None, 6.0, [0, 1])
+        assert S.Bracket(3.0, None).map(lambda x: x + 1) == \
+            S.Bracket(4.0, None)
+
+    def test_equality_ignores_array_witnesses(self):
+        # comparing the witnesses would ask for the truth of an array
+        G = random_regular_graph(3, 10, seed=1)
+        a, b = S.kappa_p_estimate(G, 3), S.kappa_p_estimate(G, 3)
+        assert isinstance(a.witness, np.ndarray)
+        assert a == b
+        assert S.Bracket(None, 1.0, np.zeros(3)) != \
+            S.Bracket(None, 2.0, np.zeros(3))
+
+    def test_direction_literals_only_where_derived(self):
+        # directions are derived from a bracket's ends: only
+        # Bracket.direction and the Cheeger primitive spell them out, and
+        # the chain's old "none" is gone
+        tree = ast.parse(Path(S.__file__).read_text())
+        words = {"exact", "upper_bound", "lower_bound", "none"}
+
+        def literals(node):
+            return sorted(n.value for n in ast.walk(node)
+                          if isinstance(n, ast.Constant) and n.value in words)
+
+        def named(body, name):
+            return next(n for n in body if getattr(n, "name", None) == name)
+
+        direction = named(named(tree.body, "Bracket").body, "direction")
+        cheeger = named(tree.body, "cheeger_kappa1")
+        assert set(literals(direction)) == words - {"none"}
+        assert literals(tree) == sorted(literals(direction)
+                                        + literals(cheeger))
 
 
 class TestEstimates:
@@ -102,23 +164,23 @@ class TestEstimates:
         G = hypercube_graph(3)
         exact = np.sqrt(3 * S.lambda2(G))
         # force the generic descent path at p = 2.001, close to exact
-        val, direction, wit = S.kappa_p_estimate(G, 2.001)
-        assert direction == "upper_bound"
-        assert val >= exact * (1 - 5e-3)
+        b = S.kappa_p_estimate(G, 2.001)
+        assert b.direction == "upper_bound"
+        assert b.hi >= exact * (1 - 5e-3)
 
     def test_kappa_p_witness_ratio(self):
         from harmlab.graphs import VertexField, gradient, lp_norm
         G = random_regular_graph(3, 12, seed=3)
         for p in (1.5, 3.0):
-            val, _, wit = S.kappa_p_estimate(G, p)
-            f = VertexField(G, wit)
+            b = S.kappa_p_estimate(G, p)
+            f = VertexField(G, b.witness)
             r = lp_norm(gradient(f), p) / lp_norm(f, p)
-            assert abs(r - val) < 1e-9
+            assert abs(r - b.hi) < 1e-9
 
     def test_lambda_p_exact_at_two(self):
         G = cycle_graph(8)
-        val, d = S.lambda_p_estimate(G, 2)
-        assert d == "exact" and abs(val - S.lambda2(G)) < 1e-12
+        b = S.lambda_p_estimate(G, 2)
+        assert b.direction == "exact" and abs(b.hi - S.lambda2(G)) < 1e-12
 
     @pytest.mark.parametrize("p", [0.5, S.P_MAX * 1.01, 1e5, np.inf])
     def test_exponents_outside_the_range_raise(self, p):
@@ -134,8 +196,8 @@ class TestEstimates:
         # bound, hence the reported lambda_p over-shoots
         G = random_regular_graph(3, 10, seed=5)
         for p in (1.5, 3.0):
-            val, d = S.lambda_p_estimate(G, p)
-            assert d == "upper_bound"
+            b = S.lambda_p_estimate(G, p)
+            assert b.direction == "upper_bound"
             rng = np.random.default_rng(0)
             M = np.linalg.pinv(np.eye(G.n)
                                - G.adjacency_matrix().toarray() / 3)
@@ -144,7 +206,7 @@ class TestEstimates:
                 x = rng.normal(size=G.n)
                 x -= x.mean()
                 est = lp_norm(M.dot(x), p) / lp_norm(x, p)
-                assert val <= 1.0 / est + 1e-9
+                assert b.hi <= 1.0 / est + 1e-9
 
 
 def per_start_lambda_p(G, p):
@@ -170,7 +232,7 @@ def per_start_lambda_p(G, p):
                 break
             prev = est
         best = max(best, est)
-    return float(1.0 / best), "upper_bound"
+    return S.Bracket(None, float(1.0 / best))
 
 
 def per_call_kappa_p(G, p):
@@ -200,7 +262,7 @@ def per_call_kappa_p(G, p):
         r = ratio_and_grad(res.x)[0]
         if r < best[0]:
             best = (r, res.x - res.x.mean())
-    return float(best[0]), "upper_bound", best[1]
+    return S.Bracket(None, float(best[0]), best[1])
 
 
 REFERENCE_GRAPHS = [random_regular_graph(3, 10, seed=1),
@@ -216,10 +278,9 @@ class TestEstimatesMatchPerStartLoops:
                              ids=["rr3_10", "rr4_13", "rr3_16", "Q3"])
     def test_equal_to_reference(self, G, p):
         assert S.lambda_p_estimate(G, p) == per_start_lambda_p(G, p)
-        val, direction, wit = S.kappa_p_estimate(G, p)
-        ref_val, ref_direction, ref_wit = per_call_kappa_p(G, p)
-        assert (val, direction) == (ref_val, ref_direction)
-        assert np.array_equal(wit, ref_wit)
+        b, ref = S.kappa_p_estimate(G, p), per_call_kappa_p(G, p)
+        assert b == ref
+        assert np.array_equal(b.witness, ref.witness)
 
     @pytest.mark.parametrize("max_iter", [1, 3, 40])
     @pytest.mark.parametrize("G", REFERENCE_GRAPHS,
@@ -275,8 +336,8 @@ class TestEstimateFailures:
         # renormalises its rows every step, so |x|^p stays in range
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            val, direction = S.lambda_p_estimate(G, S.P_MAX)
-        assert np.isfinite(val) and val > 0 and direction == "upper_bound"
+            b = S.lambda_p_estimate(G, S.P_MAX)
+        assert np.isfinite(b.hi) and b.hi > 0 and b.direction == "upper_bound"
 
     def test_kappa_p_with_every_start_overflowing_raises(self, monkeypatch):
         monkeypatch.setattr(scipy.optimize, "minimize",
@@ -295,6 +356,11 @@ class TestChain:
     def test_no_violations(self, G):
         rep = S.verify_gap_chain(G)
         assert rep.violations() == []
+
+    def test_p_one_is_rejected(self):
+        # lambda_1 is not estimated; the chain gave it NaN and "none"
+        with pytest.raises(ValueError):
+            S.verify_gap_chain(cycle_graph(6), p_list=(1,))
 
     def test_report_shape(self):
         rep = S.verify_gap_chain(cycle_graph(5), p_list=(1.5,))

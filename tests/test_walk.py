@@ -155,17 +155,20 @@ class TestFire:
         G = cycle_graph(5)
         with pytest.raises(InvalidInput, match="exceeds mass"):
             W.fire(Distribution.dirac(G, 0), 0, 1.5)
-        out = W.fire(Distribution.dirac(G, 0), 0, 1.5, signed=True)
-        assert abs(out.a.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("r", [-0.5, np.nan])
+    def test_rate_out_of_range_raises(self, r):
+        # a NaN rate passed both range checks and spread NaN masses
+        with pytest.raises(ValueError, match="firing rate"):
+            W.fire(Distribution.dirac(cycle_graph(5), 0), 0, r)
 
     @pytest.mark.parametrize("v", [-1, 5])
     def test_out_of_range_vertex_raises(self, v):
         # -1 read vertex 4's mass and then split r over neighbors(-1), an
-        # empty slice (ZeroDivisionError when signed); 5 was an IndexError
+        # empty slice; 5 was an IndexError
         nu = Distribution.dirac(path_graph(5), 0)
-        for signed in (False, True):
-            with pytest.raises(ValueError, match="vertex of the graph"):
-                W.fire(nu, v, 0.5, signed=signed)
+        with pytest.raises(ValueError, match="vertex of the graph"):
+            W.fire(nu, v, 0.5)
 
     def test_preserves_harmonic_pairing(self):
         G = torus_grid(5, 5)
@@ -219,6 +222,13 @@ class TestEntropy:
             lhs = W.renyi(mu, p)
             rhs = (p * (q - 1)) / ((p - 1) * q) * W.renyi(mu, q)
             assert lhs <= rhs + 1e-10
+
+    @pytest.mark.parametrize("q", [-1.0, np.nan])
+    def test_order_out_of_range_raises(self, q):
+        # a NaN order passed the range check and returned NaN
+        mu = Distribution.uniform(cycle_graph(16), range(8))
+        with pytest.raises(ValueError, match="q must be"):
+            W.renyi(mu, q)
 
     def test_uniform_values(self):
         G = cycle_graph(16)
