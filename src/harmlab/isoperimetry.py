@@ -152,6 +152,8 @@ def _levels(G, max_size, budget):
 def profile(G, max_size, budget=ENUM_BUDGET):
     """Exact isoperimetric table size -> (min boundary, witness set); the
     witness is the least bitmask among the minimisers."""
+    if max_size < 1:
+        raise ValueError(f"max_size must be at least 1, not {max_size}")
     prof = IsoProfile(max_size=max_size)
     try:
         levels = _levels(G, max_size, budget)
@@ -208,6 +210,8 @@ def min_boundary_exact(G, size):
     enumeration table's entry; on profiles it agrees (best-component
     argument).  Returns (boundary, witness).
     """
+    if size not in range(1, G.n + 1):
+        raise ValueError(f"set size must be in 1..{G.n}, not {size}")
     F, boundary = cut_program(G, 1, 0, (size, size))
     return boundary, [int(v) for v in F.members]
 

@@ -183,6 +183,16 @@ class TestProfile:
         assert subset_view(G, wit).boundary_size == b
         assert b == 8  # a facet of Q4
 
+    @pytest.mark.parametrize("max_size", [0, -1])
+    def test_profile_needs_a_positive_size(self, max_size):
+        with pytest.raises(ValueError, match="max_size"):
+            I.profile(cycle_graph(8), max_size)
+
+    @pytest.mark.parametrize("size", [0, 9, 2.5])
+    def test_min_boundary_exact_needs_a_size_in_range(self, size):
+        with pytest.raises(ValueError, match="1..8"):
+            I.min_boundary_exact(cycle_graph(8), size)
+
 
 class TestGeometry:
     def test_square_quantities(self, z2ball):

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import json
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -15,8 +16,9 @@ import harmlab.cli as cli
 import harmlab.isoperimetry as I
 import harmlab.spectral as S
 from harmlab.errors import InvalidInput, NumericalFailure
-from harmlab.graphs import (OrientedGraph, complete_graph, cycle_graph,
-                            hypercube_graph, lp_norm, random_regular_graph,
+from harmlab.graphs import (OrientedGraph, boundary_gain, complete_graph,
+                            cycle_graph, hypercube_graph, lp_norm,
+                            neighbour_masks, random_regular_graph,
                             subset_view, torus_grid)
 from test_acceptance import corpus
 
@@ -64,6 +66,15 @@ class TestCheeger:
         assert d == "upper_bound"
         F = subset_view(G, w)
         assert abs(F.boundary_size / F.size - val) < 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_vertices_raise(self, n):
+        # no non-empty F has |F| <= n/2
+        G = OrientedGraph(n, [])
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            S.cheeger_kappa1(G)
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            S.kappa_p_estimate(G, 1)
 
     def test_isolated_vertex_is_exact_zero(self):
         # above the bitmask limit, before any eigensolve or integer program
@@ -405,9 +416,13 @@ def small_graphs(draw):
         pairs = list(itertools.combinations(range(n), 2))
         edges = sorted(draw(st.sets(st.sampled_from(pairs))))
         return n, edges
-    lengths = draw(st.lists(st.integers(3, 6), min_size=1, max_size=3))
-    n = 0
-    edges = []
+    return cycle_union(draw(st.lists(st.integers(3, 6), min_size=1,
+                                     max_size=3)))
+
+
+def cycle_union(lengths):
+    """(n, edges) of the disjoint union of cycles of the given lengths."""
+    n, edges = 0, []
     for k in lengths:
         edges += [tuple(sorted((n + i, n + (i + 1) % k))) for i in range(k)]
         n += k
@@ -428,6 +443,64 @@ class TestExactCheegerAgainstBruteForce:
             assert 1 <= F.size <= n // 2
             assert Fraction(F.boundary_size, F.size) == value
         assert bitmask[1] == first
+
+
+def whole_array_bitmask(G):
+    """The Cheeger kernel with every per-subset array 2^n long: sizes,
+    ratios and masks are built whole and the first minimiser is one
+    argmin."""
+    n = G.n
+    nbr = neighbour_masks(G, np.arange(n))[:, :1].astype(np.uint32)
+    boundary = np.zeros(1 << n, dtype=np.int16)
+    size = np.zeros(1 << n, dtype=np.uint8)
+    for b in range(n):
+        low, high = slice(0, 1 << b), slice(1 << b, 2 << b)
+        lower = np.arange(1 << b, dtype=np.uint32)[:, None]
+        boundary[high] = boundary[low] + boundary_gain(G.degrees, nbr, b, lower)
+        size[high] = size[low] + 1
+    ratio = np.full(1 << n, np.inf)
+    np.divide(boundary, size, out=ratio, where=(size >= 1) & (size <= n // 2))
+    best = int(np.argmin(ratio))
+    return float(ratio[best]), [v for v in range(n) if (best >> v) & 1]
+
+
+class TestBlockedBitmask:
+    # 17..22 vertices: 2 to 64 blocks of BITMASK_BLOCK subsets
+    @pytest.mark.parametrize("G", [
+        torus_grid(4, 5), cycle_graph(20), complete_graph(18),
+        OrientedGraph(*cycle_union([5, 6, 8])),
+        OrientedGraph(*cycle_union([3, 4, 5, 5])),
+        random_regular_graph(3, 18, seed=3),
+        random_regular_graph(3, 20, seed=4),
+        random_regular_graph(3, 22, seed=5)],
+        ids=["T4x5", "C20", "K18", "C5+C6+C8", "C3+C4+C5+C5",
+             "rr3_18", "rr3_20", "rr3_22"])
+    def test_equal_to_whole_array_kernel(self, G):
+        assert S.BITMASK_BLOCK < 1 << G.n
+        assert S._cheeger_bitmask(G) == whole_array_bitmask(G)
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_graphs())
+    def test_blocks_of_four_against_brute_force(self, case):
+        # first minimisers tie across block edges
+        n, edges = case
+        value, first = brute_force_cheeger(n, edges)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(S, "BITMASK_BLOCK", 4)
+            assert S._cheeger_bitmask(OrientedGraph(n, edges)) == (
+                float(value), first)
+
+    def test_peak_memory(self):
+        # the int16 table (2 MiB) plus one block's temporaries; a kernel
+        # with 2^n float, size and mask arrays traces 15 MiB here
+        G = random_regular_graph(3, 20, seed=1)
+        tracemalloc.start()
+        try:
+            S._cheeger_bitmask(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2 ** 20
 
 
 def fake_milp(status, dual_bound, incumbent):
