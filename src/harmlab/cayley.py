@@ -19,18 +19,16 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded, InvalidInput
-from .graphs import DEFAULT_BALL_CAP, OrientedGraph
+from .graphs import DEFAULT_BALL_CAP, OrientedGraph, check_count
 
 
 class Generator:
-    """A named generator: `name` is direction specific, `label` is shared
-    with the inverse (edges are labelled by the unordered pair)."""
+    """A named generator; the inverse of "s" is named "s'"."""
 
-    __slots__ = ("name", "label", "element")
+    __slots__ = ("name", "element")
 
-    def __init__(self, name, label, element):
+    def __init__(self, name, element):
         self.name = name
-        self.label = label
         self.element = element
 
     def __repr__(self):
@@ -49,11 +47,11 @@ class GroupHandle:
         self.generators = []
         self._by_name = {}
 
-    def _add_gen_pair(self, label, element, involution=False):
-        self.generators.append(Generator(label, label, element))
-        self._by_name[label] = self.generators[-1]
+    def _add_gen_pair(self, name, element, involution=False):
+        self.generators.append(Generator(name, element))
+        self._by_name[name] = self.generators[-1]
         if not involution:
-            inv = Generator(label + "'", label, self.inverse(element))
+            inv = Generator(name + "'", self.inverse(element))
             self.generators.append(inv)
             self._by_name[inv.name] = inv
 
@@ -346,19 +344,17 @@ class CayleyBall:
 
     graph: OrientedGraph, edges sorted by tail * n + head; elements[i] is
     the canonical form of vertex i; word_length[i] its distance to the
-    identity; edge_labels[j] the shared generator label of edge j; interior
-    marks word_length < R.  nbr is the read-only n x |S| right-multiplication
-    table: nbr[i, k] is the vertex of elements[i] * group.generators[k], or
-    -1 if that product lies outside the ball.  `elements` and the dict
-    `vertex_of` are built on first use.
+    identity; interior marks word_length < R.  nbr is the read-only n x |S|
+    right-multiplication table: nbr[i, k] is the vertex of elements[i] *
+    group.generators[k], or -1 if that product lies outside the ball.
+    `elements` and the dict `vertex_of` are built on first use.
     """
 
-    def __init__(self, group, graph, word_length, radius, edge_labels, nbr):
+    def __init__(self, group, graph, word_length, radius, nbr):
         self.group = group
         self.graph = graph
         self.word_length = word_length
         self.radius = radius
-        self.edge_labels = edge_labels
         self.interior = word_length < radius
         nbr.flags.writeable = False
         self.nbr = nbr
@@ -387,9 +383,6 @@ class CayleyBall:
     @property
     def identity_vertex(self):
         return 0
-
-    def sphere(self, r):
-        return np.flatnonzero(self.word_length == r)
 
     def translation_table(self, gen):
         """Array t with t[i] = vertex of elements[i] * gen, or -1 if that
@@ -468,14 +461,13 @@ def _search(group, R, cap):
 def cayley_ball(group, R, cap=DEFAULT_BALL_CAP):
     """BFS ball of radius R around the identity, one search (`_search`) on
     the int rows of every group."""
-    if R < 1:
-        raise ValueError("radius must be >= 1")
+    check_count(R, "radius", 1)
     if not group.generators:
         raise InvalidInput(f"{group.kind} has no generators")
     wl, nbr = _search(group, R, cap)
     # the edges are the pairs (i, nbr[i, k]) with i < nbr[i, k]; a stable
     # sort by the key i * n + j keeps, of the products that collapse to one
-    # edge, the first in row-major order and with it its label
+    # edge, the first in row-major order
     n, k = nbr.shape
     tail = np.repeat(np.arange(n), k)
     head = nbr.ravel()
@@ -488,8 +480,7 @@ def cayley_ball(group, R, cap=DEFAULT_BALL_CAP):
     keep = sel[order[first]]
     graph = OrientedGraph(n, np.column_stack([tail[keep], head[keep]]),
                           validate=False)
-    labels = np.asarray([s.label for s in group.generators])
-    return CayleyBall(group, graph, wl, R, labels[keep - tail[keep] * k], nbr)
+    return CayleyBall(group, graph, wl, R, nbr)
 
 
 def path_of_element(ball, word):

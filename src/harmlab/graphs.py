@@ -14,8 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BudgetExceeded, InvalidInput
+from .tolerances import ATOM_TOL, MASS_TOL
 
-MASS_TOL = 1e-12
 DEFAULT_BALL_CAP = 2_000_000  # vertices of a Cayley ball or builtin graph
 
 
@@ -137,10 +137,22 @@ class OrientedGraph:
         return f"OrientedGraph(n={self.n}, m={self.m})"
 
 
+def check_count(value, name, low):
+    """ValueError unless value is an integer >= low, bools excluded."""
+    if isinstance(value, bool) or not (
+            isinstance(value, (int, np.integer)) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
+
+
 def check_vertices(G, verts):
-    """verts as int64; ValueError unless each lies in 0..n-1 (numpy
-    indexing would let -1 stand for vertex n - 1)."""
-    verts = np.asarray(verts, dtype=np.int64)
+    """verts as int64; ValueError unless each is an integer in 0..n-1
+    (numpy indexing would let -1 stand for vertex n - 1, and a cast would
+    truncate 1.5 and read True as 1, also among ints)."""
+    a = np.asarray(verts)
+    if a.size and (a.dtype.kind not in "iu" or isinstance(verts, (list, tuple))
+                   and any(isinstance(v, (bool, np.bool_)) for v in verts)):
+        raise ValueError(f"vertices must be integers, not {verts!r:.40}")
+    verts = a.astype(np.int64, copy=False)
     bad = verts[(verts < 0) | (verts >= G.n)]
     if bad.size:
         raise ValueError(f"{bad.flat[0]} is not a vertex of the graph "
@@ -283,9 +295,9 @@ class Distribution(VertexField):
     def __init__(self, graph, values=None, check=True):
         super().__init__(graph, values)
         if check and self.graph.n:
-            if not self.a.min() >= -MASS_TOL:
+            if not self.a.min() >= -ATOM_TOL:
                 raise ValueError("distribution has negative or NaN mass")
-            if not abs(self.a.sum() - 1.0) <= 1e-9:
+            if not abs(self.a.sum() - 1.0) <= MASS_TOL:
                 raise ValueError("distribution mass differs from 1")
 
     @classmethod
@@ -304,10 +316,6 @@ class Distribution(VertexField):
         d = cls(graph, check=False)
         d.a[vertices] = 1.0 / len(vertices)
         return d
-
-    @property
-    def mass(self):
-        return float(self.a.sum())
 
 
 # -- operations ------------------------------------------------------------

@@ -11,8 +11,7 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import InvalidInput
 from .graphs import (EdgeField, VertexField, ball_from_distances,
-                     bfs_distances, divergence, gradient, lp_norm,
-                     subset_view)
+                     bfs_distances, divergence, gradient, lp_norm)
 from .walk import direct_solve, exit_distributions, green_partial
 
 
@@ -46,11 +45,11 @@ def truncate(f, t):
 
 
 def _live_components(G, outside, shell):
-    """Component label of each vertex of the set `outside` (-1 elsewhere)
-    and the labels of the components that meet `shell` (stand-in for the
-    infinite components of a ball complement)."""
-    sub = subset_view(G, outside).induced_graph()
-    _, labels = connected_components(sub.adjacency_matrix(), directed=False)
+    """Component label of each vertex of the sorted set `outside` (-1
+    elsewhere) and the labels of the components that meet `shell`
+    (stand-in for the infinite components of a ball complement)."""
+    A = G.adjacency_matrix()[outside][:, outside]
+    _, labels = connected_components(A, directed=False)
     comp = np.full(G.n, -1, dtype=np.int64)
     comp[outside] = labels
     live = comp[shell]
@@ -112,11 +111,10 @@ def divergence_profile(G, root, K, n_max):
         s_out = S[near[S]]
         D = 0.0
         if len(s_out) > 1:
-            sub = subset_view(G, S).induced_graph()
-            # S is sorted, so searchsorted maps vertices to sub's labels
+            # S is sorted, so searchsorted maps vertices to rows of A
+            A = G.adjacency_matrix()[S][:, S]
             idx = np.searchsorted(S, s_out)
-            d = shortest_path(sub.adjacency_matrix(), unweighted=True,
-                              indices=idx)
+            d = shortest_path(A, unweighted=True, indices=idx)
             D = float(d[:, idx].max())  # inf if a pair is unreachable
         rows.append(dict(n=n, S_size=len(S), S_out_size=len(s_out), D=D))
     return rows
@@ -177,8 +175,7 @@ def tree_flow(G, root_edge):
 def tree_flow_level_sums(G, root_edge, tau, p):
     """l^p power sums of the flow per edge level (distance from the root
     edge)."""
-    x0, y0 = int(root_edge[0]), int(root_edge[1])
-    dist = np.minimum(bfs_distances(G, x0), bfs_distances(G, y0))
+    dist = bfs_distances(G, [int(root_edge[0]), int(root_edge[1])])
     # the root edge sits at level 0; an edge whose nearer endpoint is at
     # distance k - 1 from the root edge is at level k
     level = np.maximum(dist[G.tails], dist[G.heads])

@@ -17,7 +17,8 @@ import scipy.sparse as sp
 
 from .errors import BudgetExceeded, InvalidInput, NumericalFailure
 from .graphs import (_sorted_unique, adjacency_slots, bfs_distances,
-                     bitmask_rows, boundary_gain, neighbour_masks, subset_view)
+                     bitmask_rows, boundary_gain, check_count,
+                     neighbour_masks, subset_view)
 
 ENUM_BUDGET = 10 ** 7
 
@@ -152,8 +153,7 @@ def _levels(G, max_size, budget):
 def profile(G, max_size, budget=ENUM_BUDGET):
     """Exact isoperimetric table size -> (min boundary, witness set); the
     witness is the least bitmask among the minimisers."""
-    if max_size < 1:
-        raise ValueError(f"max_size must be at least 1, not {max_size}")
+    check_count(max_size, "max_size", 1)
     prof = IsoProfile(max_size=max_size)
     try:
         levels = _levels(G, max_size, budget)

@@ -20,6 +20,8 @@ import scipy.sparse as sp
 from . import isoperimetry
 from .errors import BudgetExceeded, InvalidInput, NumericalFailure
 from .graphs import boundary_gain, neighbour_masks, subset_view
+from .tolerances import (ASSERT_EPS, IDENTITY_TOL, LAMBDA_TOL, LBFGS_FTOL,
+                         LBFGS_GTOL, NORM_FLOOR, SLACK_FACTOR)
 
 BITMASK_LIMIT = 24
 # bitmasks per Cheeger block: at n = 22, 2^12 and 2^14 ran 1.7x and 1.15x as
@@ -27,8 +29,6 @@ BITMASK_LIMIT = 24
 BITMASK_BLOCK = 1 << 16
 MILP_LIMIT = 64
 DENSE_LIMIT = 5000
-SLACK_FACTOR = 1.10
-ASSERT_EPS = 1e-9
 # the p-estimates are multi-start searches from a fixed seed, so identical
 # inputs give identical output
 ESTIMATE_SEED = 0
@@ -37,7 +37,6 @@ LAMBDA_STARTS = 64  # power iterations; each can only raise the norm estimate
 # steps per start: any iterate's ||L+ x||_p is a lower bound on the norm, so
 # a start cut short still leaves lambda_p an upper bound
 LAMBDA_MAX_ITER = 500
-LAMBDA_TOL = 1e-9  # relative change of the norm estimate that ends a start
 # largest exponent of the p-estimates.  |f|^p leaves the float64 range as p
 # grows: on cycle:5, 12, 30 and 50, hypercube:3, 4 and 6, grid:4,4, 6,6 and
 # 8,8 and complete:6 and 20 every estimate returns up to p = 200, and
@@ -222,7 +221,8 @@ def kappa_p_estimate(G, p):
             res = scipy.optimize.minimize(
                 lambda x: norms_and_grad(x)[2:], x0, jac=True,
                 method="L-BFGS-B",
-                options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12})
+                options={"maxiter": 500, "ftol": LBFGS_FTOL,
+                         "gtol": LBFGS_GTOL})
             nf, ng = norms_and_grad(res.x)[:2]
             if 0 < nf < np.inf and 0 < ng < np.inf and ng / nf < best[0]:
                 best = (ng / nf, res.x - res.x.mean())
@@ -274,7 +274,8 @@ def lambda_p_estimate(G, p):
     for _ in range(LAMBDA_MAX_ITER):
         Y = (M @ X[:, :, None])[:, :, 0]
         est[active] = now = _row_norms(Y, p)
-        going = ~(np.abs(now - prev) <= LAMBDA_TOL * np.maximum(now, 1e-300))
+        going = ~(np.abs(now - prev)
+                  <= LAMBDA_TOL * np.maximum(now, NORM_FLOOR))
         if not going.any():
             break
         Y, active, prev = Y[going], active[going], now[going]
@@ -337,7 +338,7 @@ def verify_gap_chain(G, p_list=(1.5, 3, 4)):
     # exact identities and the kappa_1 / lambda_2 chain
     rep = GapReport(d, k1, L2, inequalities=[
         Inequality("kappa2_identity", 2, k2 ** 2, d * L2.hi, "asserted",
-                   abs(k2 ** 2 - d * L2.hi) <= 1e-8),
+                   abs(k2 ** 2 - d * L2.hi) <= IDENTITY_TOL),
         _judge("cheeger_lower", None, L2,
                k1.map(lambda x: x ** 2 / (2 * d ** 2))),
         _judge("cheeger_upper", None, k1.map(lambda x: 2 * x / d), L2),

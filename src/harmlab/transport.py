@@ -15,15 +15,13 @@ from scipy.optimize import linprog
 
 from .errors import InvalidInput, NumericalFailure
 from .graphs import (Distribution, EdgeField, VertexField, divergence, lp_norm)
+from .tolerances import LP_TOL, MASS_TOL, ROUNDING
 from .walk import _interior_solve, direct_solve
 
-RESIDUAL_TOL = 1e-9
-# HiGHS settings of the W1 program.  At the default tolerances (1e-7) a dense
-# pair on the free:2 ball of radius 5 came out 1.9e-7 above the optimum; at
-# 1e-10 costs match an exact network simplex to 2e-14.  Presolve is off so
-# that the tolerances bind the program as built.
-LP_OPTIONS = {"presolve": False, "primal_feasibility_tolerance": 1e-10,
-              "dual_feasibility_tolerance": 1e-10}
+# HiGHS settings of the W1 program.  Presolve is off so that the tolerances
+# bind the program as built.
+LP_OPTIONS = {"presolve": False, "primal_feasibility_tolerance": LP_TOL,
+              "dual_feasibility_tolerance": LP_TOL}
 
 
 class TransportPattern:
@@ -48,16 +46,16 @@ def wasserstein1(G, source, target):
     tau- >= 0, one linear program on the edges (HiGHS dual simplex).
     Raises InvalidInput if the masses differ or no flow joins the
     supports, NumericalFailure if HiGHS finds no optimum or the residual
-    exceeds RESIDUAL_TOL.
+    exceeds MASS_TOL.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gap = abs(source.a.sum() - target.a.sum())
-    if not gap <= RESIDUAL_TOL:  # also when a total overflows: inf - inf
+    if not gap <= MASS_TOL:  # also when a total overflows: inf - inf
         raise InvalidInput("source and target masses differ")
     m = G.m
     if m == 0:  # nothing to solve: tau = 0 is the only pattern
         pat = TransportPattern(EdgeField(G), source, target)
-        if pat.residual > RESIDUAL_TOL:
+        if pat.residual > MASS_TOL:
             raise InvalidInput("no feasible flow between the supports")
         return 0.0, pat
     BT = G.incidence_matrix().T
@@ -71,7 +69,7 @@ def wasserstein1(G, source, target):
     if res.status != 0:
         raise NumericalFailure(f"transport program not solved: {res.message}")
     pat = TransportPattern(EdgeField(G, res.x[:m] - res.x[m:]), source, target)
-    if pat.residual > RESIDUAL_TOL:
+    if pat.residual > MASS_TOL:
         raise NumericalFailure(
             f"W1 residual {pat.residual:.3g} above tolerance")
     return float(res.fun), pat
@@ -108,7 +106,7 @@ def laplacian_transport(G, F, g):
     if np.any(g.a[~F.mask] != 0):
         raise InvalidInput("g must be supported on the region")
     b = g.a[F.members]
-    if abs(b.sum()) > RESIDUAL_TOL * max(1.0, np.abs(b).sum()):
+    if abs(b.sum()) > MASS_TOL * max(1.0, np.abs(b).sum()):
         raise InvalidInput("g must sum to zero on the region")
     sub = F.induced_graph()
     if not sub.is_connected:
@@ -189,7 +187,7 @@ def cycle_cancel(pattern):
                 c = min(flow[a][0] for a in arcs)
                 for a in arcs:
                     v, e, s = flow[a]
-                    if v - c <= 1e-15 * max(1.0, c):
+                    if v - c <= ROUNDING * max(1.0, c):
                         del flow[a]
                     else:
                         flow[a] = (v - c, e, s)

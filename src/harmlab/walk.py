@@ -16,8 +16,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InvalidInput, NumericalFailure
-from .graphs import (Distribution, check_laziness, check_vertices, gradient,
-                     lp_norm)
+from .graphs import (Distribution, check_count, check_laziness,
+                     check_vertices, gradient, lp_norm)
+from .tolerances import ATOM_TOL, MASS_TOL, ROUNDING
 
 
 class StoppedWalk:
@@ -73,7 +74,7 @@ def _interior_solve(G, A, sources):
     exits = [E.T @ col for col in h.T]
     for ex in exits:
         total = ex.sum()
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > MASS_TOL:
             raise NumericalFailure(f"exit mass {total} differs from 1")
     return h, [Distribution(G, ex, check=False) for ex in exits]
 
@@ -96,7 +97,7 @@ def fire(nu, v, r):
     if not r >= 0:
         raise ValueError("firing rate must be >= 0")
     check_vertices(nu.graph, v)
-    if r > nu.a[v] + 1e-12:
+    if r > nu.a[v] + ATOM_TOL:
         raise InvalidInput(f"firing {r} exceeds mass {nu.a[v]} at vertex {v}")
     G = nu.graph
     a = nu.a.copy()
@@ -139,7 +140,7 @@ def entropy_isoperimetry_check(f, nu, K):
     """Both sides of the gradient-entropy inequality
     ||grad f||_1 >= (K nu/(nu+1)) H(f)^{-1/nu} for a distribution with
     all atoms <= 1/e."""
-    if f.a.max() > np.exp(-1.0) + 1e-15:
+    if f.a.max() > np.exp(-1.0) + ROUNDING:
         raise InvalidInput("inequality requires ||f||_inf <= 1/e")
     lhs = lp_norm(gradient(f), 1)
     H = entropy(f)
@@ -179,6 +180,7 @@ def _walk(ball, x, steps, laziness):
 
 def distribution(ball, n, laziness=0.0):
     """P^n applied to the Dirac at the identity of a Cayley ball."""
+    check_count(n, "n", 0)
     for a in _walk(ball, ball.identity_vertex, n, laziness):
         pass
     return Distribution(ball.graph, a, check=False)
@@ -187,8 +189,7 @@ def distribution(ball, n, laziness=0.0):
 def green_partial(ball, x, n, laziness=0.0):
     """Partial Green sum g_n = (1/n) sum_{i<n} P^i delta_x and the l^1 norm
     of its Laplacian (which contracts like 2/n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_count(n, "n", 1)
     acc = np.zeros(ball.n)
     for a in _walk(ball, x, n - 1, laziness):
         acc += a
@@ -200,6 +201,7 @@ def green_partial(ball, x, n, laziness=0.0):
 def entropy_profile(ball, N, laziness=0.5):
     """Per-step table of entropies, speed, gradient norm and return
     probability for the walk started at the identity."""
+    check_count(N, "N", 0)
     rows = []
     for n, a in enumerate(_walk(ball, ball.identity_vertex, N, laziness)):
         mu = Distribution(ball.graph, a, check=False)
@@ -225,6 +227,8 @@ class RadialTreeWalk:
     """
 
     def __init__(self, d, horizon):
+        check_count(d, "d", 2)
+        check_count(horizon, "horizon", 0)
         self.d = d
         self.horizon = horizon
         self.m = np.zeros(horizon + 2)

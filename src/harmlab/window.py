@@ -19,9 +19,9 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import BudgetExceeded, InvalidInput
 from .graphs import SubsetView, subset_view
+from .tolerances import RANK_TOL
 
 DENSE_EDGE_BUDGET = 4000
-RANK_TOL = 1e-9
 
 
 @dataclass

@@ -143,7 +143,7 @@ class TestWalkStep:
         nu = Distribution(G, a / a.sum())
         for _ in range(5):
             nu = walk_step(nu, laziness=0.25)
-            assert abs(nu.mass - 1.0) < 1e-12
+            assert abs(nu.a.sum() - 1.0) < 1e-12
             assert nu.a.min() >= 0
 
 
@@ -226,6 +226,29 @@ class TestVertexIndexGate:
     def test_out_of_range_vertex_raises(self, call, v):
         with pytest.raises(ValueError, match="vertex of the graph"):
             call(path_graph(5), v)
+
+    # a cast to int64 searched from vertex 1 for 1.5 and True, and made
+    # [0.5, 2.7] the set {0, 2} and [True, 2] the set {1, 2}; dirac and
+    # from_dict ended in IndexError
+    @pytest.mark.parametrize("call", [
+        lambda G: bfs_distances(G, 1.5),
+        lambda G: bfs_distances(G, True),
+        lambda G: bfs_distances(G, (0, True)),
+        lambda G: subset_view(G, [0.5, 2.7]),
+        lambda G: subset_view(G, [True, 2]),
+        lambda G: Distribution.uniform(G, [1.9]),
+        lambda G: Distribution.dirac(G, 1.5),
+        lambda G: VertexField.from_dict(G, {1.5: 2.0}),
+    ], ids=["bfs", "bfs_bool", "bfs_tuple_bool", "subset_view",
+            "subset_view_bool", "uniform", "dirac", "from_dict"])
+    def test_non_integer_vertex_raises(self, call):
+        with pytest.raises(ValueError, match="vertices must be integers"):
+            call(cycle_graph(8))
+
+    def test_no_vertices_is_valid(self):
+        G = cycle_graph(8)
+        assert subset_view(G, []).size == 0
+        assert np.all(bfs_distances(G, []) == -1)
 
     def test_uniform_on_distinct_vertices(self):
         G = path_graph(5)

@@ -183,7 +183,8 @@ class TestProfile:
         assert subset_view(G, wit).boundary_size == b
         assert b == 8  # a facet of Q4
 
-    @pytest.mark.parametrize("max_size", [0, -1])
+    # 2.5 was a bare TypeError from inside the level enumeration
+    @pytest.mark.parametrize("max_size", [0, -1, 2.5])
     def test_profile_needs_a_positive_size(self, max_size):
         with pytest.raises(ValueError, match="max_size"):
             I.profile(cycle_graph(8), max_size)

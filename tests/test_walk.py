@@ -37,7 +37,7 @@ class TestExit:
         G = torus_grid(6, 6)
         A = ball(G, 0, 2)
         ex = W.exit_distribution(G, A, 0)
-        assert abs(ex.mass - 1.0) < 1e-9
+        assert abs(ex.a.sum() - 1.0) < 1e-9
         supp = set(np.flatnonzero(ex.a))
         assert supp <= set(map(int, A.outer_boundary))
 
@@ -123,7 +123,7 @@ class TestExit:
         assert np.array_equal(np.flatnonzero(first.a), np.sort(G.neighbors(0)))
         for _ in range(400):
             mu = walk.step(mu)
-        assert abs(mu.mass - 1.0) < 1e-12
+        assert abs(mu.a.sum() - 1.0) < 1e-12
         assert np.abs(mu.a - W.exit_distribution(G, A, 0).a).max() < 1e-12
 
     def test_whole_component_inside_raises(self):
@@ -148,7 +148,7 @@ class TestFire:
         G = torus_grid(4, 4)
         nu = Distribution.dirac(G, 0)
         out = W.fire(nu, 0, 0.5)
-        assert abs(out.mass - 1.0) < 1e-12
+        assert abs(out.a.sum() - 1.0) < 1e-12
         assert abs(out[0] - 0.5) < 1e-12
 
     def test_negative_mass_guard(self):
@@ -169,6 +169,12 @@ class TestFire:
         nu = Distribution.dirac(path_graph(5), 0)
         with pytest.raises(ValueError, match="vertex of the graph"):
             W.fire(nu, v, 0.5)
+
+    def test_non_integer_vertex_raises(self):
+        # 1.5 passed the gate as vertex 1 and then indexed the masses
+        nu = Distribution.dirac(cycle_graph(8), 1)
+        with pytest.raises(ValueError, match="vertices must be integers"):
+            W.fire(nu, 1.5, 0.5)
 
     def test_preserves_harmonic_pairing(self):
         G = torus_grid(5, 5)
@@ -272,10 +278,10 @@ class TestBallWalks:
         B = cayley_ball(build_group(spec), R)
         for laziness in (0.0, 0.5):
             mu = W.distribution(B, R, laziness)
-            assert abs(mu.mass - 1.0) < 1e-12
-            assert mu.a[B.sphere(R)].sum() > 0
+            assert abs(mu.a.sum() - 1.0) < 1e-12
+            assert mu.a[B.word_length == R].sum() > 0
             g, _ = W.green_partial(B, B.identity_vertex, R + 1, laziness)
-            assert abs(g.mass - 1.0) < 1e-12
+            assert abs(g.a.sum() - 1.0) < 1e-12
             assert len(W.entropy_profile(B, R, laziness)) == R + 1
             with pytest.raises(InvalidInput, match="truncation sphere"):
                 W.distribution(B, R + 1, laziness)
@@ -328,6 +334,27 @@ class TestBallWalks:
         res = rt.green_residuals(50)
         n = np.arange(1, 51)
         assert np.all(res <= 2.0 / n + 1e-12)
+
+    # a float count was a bare TypeError, and -1 steps gave the step-0 law
+    @pytest.mark.parametrize("call, name", [
+        (lambda B: W.green_partial(B, 0, 1.5), "n"),
+        (lambda B: W.green_partial(B, 0, True), "n"),
+        (lambda B: W.distribution(B, -1), "n"),
+        (lambda B: W.distribution(B, 1.0), "n"),
+        (lambda B: W.entropy_profile(B, -1), "N"),
+    ], ids=["green_float", "green_bool", "distribution_negative",
+            "distribution_float", "entropy_negative"])
+    def test_step_count_must_be_an_integer(self, call, name):
+        B = cayley_ball(build_group("zd:1"), 6)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call(B)
+
+    @pytest.mark.parametrize("d, horizon, name", [
+        (1, 5, "d"), (0, 5, "d"), (3, -1, "horizon"), (3, 2.5, "horizon")])
+    def test_radial_tree_arguments(self, d, horizon, name):
+        # d = 1 divided by d - 1 = 0; a negative horizon was accepted
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            W.RadialTreeWalk(d, horizon)
 
     @pytest.mark.parametrize("laziness", [-0.5, 1.0, 1.5, np.nan])
     def test_laziness_outside_unit_interval(self, laziness):
