@@ -56,7 +56,13 @@ class GroupHandle:
             self._by_name[inv.name] = inv
 
     def gen(self, name):
-        return self._by_name[name]
+        """The generator called `name`; InvalidInput if there is none."""
+        try:
+            return self._by_name[name]
+        except KeyError:
+            names = ", ".join(s.name for s in self.generators)
+            raise InvalidInput(f"{self.kind} has no generator {name!r} "
+                               f"(one of {names})") from None
 
     @property
     def degree(self):
@@ -74,7 +80,7 @@ class GroupHandle:
 
     def word(self, names):
         """Generator list for a word given by direction-specific names."""
-        return [self._by_name[n] for n in names]
+        return [self.gen(n) for n in names]
 
     def evaluate(self, gens):
         g = self.identity

@@ -86,15 +86,6 @@ def _ball_cap(args):
     return getattr(args, "ball_cap", None) or cayley.DEFAULT_BALL_CAP
 
 
-def _generator(group, name):
-    try:
-        return group.gen(name)
-    except KeyError:
-        names = ", ".join(s.name for s in group.generators)
-        raise InvalidInput(f"{group.kind} has no generator {name!r} "
-                           f"(one of {names})") from None
-
-
 GRAPH_FAMILIES = {"cycle": graphs.cycle_graph, "tree": graphs.regular_tree,
                   "complete": graphs.complete_graph, "grid": graphs.torus_grid,
                   "hypercube": graphs.hypercube_graph}
@@ -196,9 +187,9 @@ def cmd_walk_profile(args):
 def cmd_walk_exit(args):
     group = cayley.build_group(args.group)
     r = args.region
-    gen = _generator(group, args.to) if args.to else None
+    gen = group.gen(args.to) if args.to else None
     b = cayley.cayley_ball(group, r + 1, cap=_ball_cap(args))
-    A = graphs.ball(b.graph, b.identity_vertex, r)
+    A = graphs.ball_from_distances(b.graph, b.word_length, r)
     v = b.identity_vertex
     w = int(b.translation_table(gen)[v]) if gen is not None else v
     exv, exw = walkmod.exit_distributions(b.graph, A, [v, w])
@@ -291,7 +282,7 @@ def cmd_iso_radial(args):
 
 def cmd_window_stats(args):
     group = cayley.build_group("zd:2")
-    _generator(group, args.label)  # rejects an unknown label
+    group.gen(args.label)  # rejects an unknown label
     n = args.square
     b = cayley.cayley_ball(group, 2 * n + 2, cap=_ball_cap(args))
     lo = -(n // 2)

@@ -10,10 +10,7 @@ class InvalidInput(HarmlabError):
 
 
 class BudgetExceeded(HarmlabError):
-    """A size or count exceeded its cap (CLI exit 3).  A connected-set
-    enumeration sets `partial` to the sizes it completed."""
-
-    partial = None
+    """A size or count exceeded its cap (CLI exit 3)."""
 
 
 class NumericalFailure(HarmlabError):

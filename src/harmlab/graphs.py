@@ -537,6 +537,8 @@ def regular_tree(d, depth, *, cap=DEFAULT_BALL_CAP):
 
 
 def random_regular_graph(d, n, seed):
+    if n * d % 2 or not 0 <= d < n:
+        raise ValueError(f"no {d}-regular graph on {n} vertices")
     import networkx as nx
     g = nx.random_regular_graph(d, n, seed=seed)
     if not nx.is_connected(g):

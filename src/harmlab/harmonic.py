@@ -11,7 +11,8 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import InvalidInput
 from .graphs import (EdgeField, VertexField, ball_from_distances,
-                     bfs_distances, divergence, gradient, lp_norm)
+                     bfs_distances, check_count, divergence, gradient,
+                     lp_norm)
 from .walk import direct_solve, exit_distributions, green_partial
 
 
@@ -60,6 +61,8 @@ def gradient_decay(f, root, n_max=None):
     """gd_f(n): sup of |grad f| over edges outside the ball B(root, n),
     restricted to components of the complement that reach the outermost
     shell (finite stand-in for infinite components).  Nonincreasing."""
+    if n_max is not None:
+        check_count(n_max, "n_max", 0)
     G = f.graph
     dist = bfs_distances(G, root)
     R = int(dist.max())
@@ -88,8 +91,8 @@ def divergence_profile(G, root, K, n_max):
     distance between members of S_out, per reachable pairs; unreachable
     pairs are reported as inf.
     """
-    if K < 2 or int(K) != K:
-        raise ValueError("K must be an integer >= 2")
+    check_count(K, "K", 2)
+    check_count(n_max, "n_max", 0)
     dist = bfs_distances(G, root)
     R = int(dist.max())
     shell = np.flatnonzero(dist == R)
@@ -193,13 +196,12 @@ def laplacian_witness(ball, kind, n):
     kind="l1": f = Green partial sum over n+1 steps, ||Delta f||_1
     <= 2/(n+1).  Returns (field, ratio).
     """
+    check_count(n, "n", 0)
     if kind == "c0":
         G = ball.graph
         if n + 1 > ball.radius:
             raise InvalidInput("ball too small for this n")
-        dist = bfs_distances(G, ball.identity_vertex)
-        # a ball is connected, so every distance is >= 0
-        vals = np.clip((n + 1 - dist) / (n + 1.0), 0.0, None)
+        vals = np.clip((n + 1 - ball.word_length) / (n + 1.0), 0.0, None)
         f = VertexField(G, vals)
         return f, lp_norm(gradient(f), np.inf)
     if kind == "l1":

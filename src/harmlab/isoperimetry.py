@@ -27,7 +27,6 @@ ENUM_BUDGET = 10 ** 7
 class IsoProfile:
     max_size: int
     table: dict = field(default_factory=dict)  # size -> (boundary, witness)
-    complete: bool = True
 
     def ratio(self, size):
         b, _ = self.table[size]
@@ -155,20 +154,14 @@ def profile(G, max_size, budget=ENUM_BUDGET):
     witness is the least bitmask among the minimisers."""
     check_count(max_size, "max_size", 1)
     prof = IsoProfile(max_size=max_size)
-    try:
-        levels = _levels(G, max_size, budget)
-        for size, level in enumerate(levels, 1):
-            # per block the first minimiser is the least; across blocks
-            # the least bitmask is the least list of members, top first
-            bnd, top_first = min(
-                (int(b.bnd.min()), b.window[_members(
-                    b.sets[np.argmin(b.bnd)])[0]][::-1].tolist())
-                for b in level)
-            prof.table[size] = (bnd, top_first[::-1])
-    except BudgetExceeded as exc:
-        prof.complete = False
-        exc.partial = prof
-        raise
+    for size, level in enumerate(_levels(G, max_size, budget), 1):
+        # per block the first minimiser is the least; across blocks the
+        # least bitmask is the least list of members, top first
+        bnd, top_first = min(
+            (int(b.bnd.min()), b.window[_members(
+                b.sets[np.argmin(b.bnd)])[0]][::-1].tolist())
+            for b in level)
+        prof.table[size] = (bnd, top_first[::-1])
     return prof
 
 
@@ -210,8 +203,9 @@ def min_boundary_exact(G, size):
     enumeration table's entry; on profiles it agrees (best-component
     argument).  Returns (boundary, witness).
     """
-    if size not in range(1, G.n + 1):
-        raise ValueError(f"set size must be in 1..{G.n}, not {size}")
+    check_count(size, "size", 1)
+    if size > G.n:
+        raise ValueError(f"size must be in 1..{G.n}, not {size}")
     F, boundary = cut_program(G, 1, 0, (size, size))
     return boundary, [int(v) for v in F.members]
 

@@ -261,6 +261,7 @@ class RadialTreeWalk:
 
     def green_residuals(self, n_max):
         """||Delta g_n||_1 for n = 1..n_max (needs horizon >= n_max + 1)."""
+        check_count(n_max, "n_max", 0)
         if self.horizon < n_max + 1:
             raise InvalidInput("horizon too small for this n")
         acc = self.m.copy()

@@ -73,6 +73,16 @@ class TestBallStructure:
         with pytest.raises(ValueError, match="radius must be an integer"):
             cayley_ball(build_group("zd:2"), R)
 
+    # an unknown name was a bare KeyError
+    @pytest.mark.parametrize("lookup", [lambda g: g.gen("q"),
+                                        lambda g: g.word(["s1", "q"])],
+                             ids=["gen", "word"])
+    def test_unknown_generator_name(self, lookup):
+        with pytest.raises(InvalidInput) as info:
+            lookup(build_group("zd:2"))
+        assert str(info.value) == ("zd:2 has no generator 'q' "
+                                   "(one of s1, s1', s2, s2')")
+
 
 def reference_multiply(group, g, h):
     """The group laws written out letter by letter and lamp by lamp."""

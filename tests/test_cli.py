@@ -64,7 +64,7 @@ class TestSpectral:
 
     def test_ball_outputs_match_frozen_fixture(self, capsys):
         # window stats, transport chain, walk profile and harmonic witness
-        # on Cayley balls, byte for byte
+        # and divergence on Cayley balls, byte for byte
         cases = json.loads((FIXTURES / "cli_outputs.json").read_text())
         for case in cases:
             assert run(case["argv"]) == 0

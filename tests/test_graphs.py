@@ -274,6 +274,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             OrientedGraph(3, [(1, 1)])
 
+    # an odd degree sum or d >= n was networkx's NetworkXError, which is
+    # not a ValueError
+    @pytest.mark.parametrize("d, n", [(3, 5), (4, 4), (-1, 4)])
+    def test_random_regular_needs_a_possible_size(self, d, n):
+        with pytest.raises(ValueError, match=f"no {d}-regular graph on {n}"):
+            random_regular_graph(d, n, 1)
+
     def test_json_round_trip(self, tmp_path):
         G = random_regular_graph(3, 10, seed=4)
         path = tmp_path / "g.json"

@@ -133,6 +133,19 @@ class TestDecayProfiles:
             assert r["S_out_size"] == 8 * n
             assert r["D"] == (np.inf if n == 1 else 6 * n + 2)
 
+    # a float n_max was a bare TypeError from range, and K = 2.0 passed a
+    # check whose message asked for an integer
+    @pytest.mark.parametrize("call, name", [
+        (lambda f: H.gradient_decay(f, 0, 1.5), "n_max"),
+        (lambda f: H.divergence_profile(f.graph, 0, 2, 1.5), "n_max"),
+        (lambda f: H.divergence_profile(f.graph, 0, 2.0, 3), "K"),
+        (lambda f: H.divergence_profile(f.graph, 0, 1, 3), "K"),
+    ], ids=["decay_float", "divergence_float", "K_float", "K_one"])
+    def test_counts_must_be_integers(self, call, name):
+        f = VertexField(cycle_graph(8), np.arange(8.0))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call(f)
+
     def test_gradient_decay_ignores_finite_components(self):
         # rooted at 2, the path 0..10 leaves the branch {0, 1} short of
         # the outermost shell {10}, so its steep edge does not count
@@ -268,6 +281,16 @@ class TestWitnesses:
         B = cayley_ball(build_group("zd:1"), 4)
         with pytest.raises(InvalidInput, match="too small"):
             H.laplacian_witness(B, "c0", 5)
+
+    # -1 gave NaN after two RuntimeWarnings and 1.5 a ratio of 0.4; the l1
+    # branch named n + 1 in its message
+    @pytest.mark.parametrize("kind, n", [("c0", -1), ("c0", 1.5),
+                                         ("l1", 1.5), ("l1", True)])
+    def test_n_must_be_a_count(self, kind, n):
+        B = cayley_ball(build_group("zd:2"), 6)
+        with pytest.raises(ValueError, match=rf"^n must be an integer >= 0, "
+                                             rf"not {n}$"):
+            H.laplacian_witness(B, kind, n)
 
     def test_l1_ratio(self):
         B = cayley_ball(build_group("zd:2"), 30)

@@ -342,8 +342,9 @@ class TestBallWalks:
         (lambda B: W.distribution(B, -1), "n"),
         (lambda B: W.distribution(B, 1.0), "n"),
         (lambda B: W.entropy_profile(B, -1), "N"),
+        (lambda B: W.RadialTreeWalk(3, 5).green_residuals(1.5), "n_max"),
     ], ids=["green_float", "green_bool", "distribution_negative",
-            "distribution_float", "entropy_negative"])
+            "distribution_float", "entropy_negative", "radial_green_float"])
     def test_step_count_must_be_an_integer(self, call, name):
         B = cayley_ball(build_group("zd:1"), 6)
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
