@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -37,9 +38,10 @@ class Generator:
 
 class GroupHandle:
     """Multiplication, inversion, a symmetric generating set and int rows of
-    the elements, the identity being the zero row: coordinate_bounds(L)[j]
-    bounds |row[j]| at word length <= L, and multiply_rows(rows, h, L) maps
-    rows of g (word length < L) to rows of g * h in the same int dtype."""
+    the elements, the identity being the zero row: row(g, L) is the row of g
+    (KeyError for a non-canonical g), coordinate_bounds(L)[j] bounds |row[j]|
+    at word length <= L, and multiply_rows(rows, h, L) maps rows of g (word
+    length < L) to rows of g * h in the same int dtype."""
 
     kind = "abstract"
 
@@ -81,6 +83,9 @@ class GroupHandle:
     def word(self, names):
         """Generator list for a word given by direction-specific names."""
         return [self.gen(n) for n in names]
+
+    def row(self, g, L):
+        return tuple(g)
 
     def evaluate(self, gens):
         g = self.identity
@@ -147,6 +152,12 @@ class FreeGroup(GroupHandle):
         # digit is the last letter; letter a is digit a mod 2k + 1
         return ((2 * self.k + 1) ** L - 1,)
 
+    def row(self, g, L):
+        word, base = [operator.index(a) for a in g], 2 * self.k + 1
+        if not all(0 < abs(a) <= self.k for a in word):
+            raise KeyError(g)
+        return (functools.reduce(lambda x, a: x * base + a % base, word, 0),)
+
     def multiply_rows(self, rows, h, L):
         base = 2 * self.k + 1
         for a in h:
@@ -199,6 +210,17 @@ class Lamplighter(GroupHandle):
         # the cursor, then the lamps of the window [-L, L]^d as one base-q
         # number: lamp x is digit sum_j (x_j + L) (2L + 1)^(d - 1 - j)
         return (L,) * self.d + (self.q ** (2 * L + 1) ** self.d - 1,)
+
+    def row(self, g, L):
+        lamps, cur = g
+        lamps = [(tuple(map(operator.index, p)), operator.index(v))
+                 for p, v in lamps]
+        if sorted({p for p, _ in lamps}) != [p for p, _ in lamps] or any(
+                len(p) != self.d or max(map(abs, p), default=0) > L
+                or not 0 < v < self.q for p, v in lamps):
+            raise KeyError(g)
+        return tuple(cur) + (sum(v * self.q ** functools.reduce(
+            lambda a, x: a * (2 * L + 1) + x + L, p, 0) for p, v in lamps),)
 
     def multiply_rows(self, rows, h, L):
         (lamps_h, cur_h), d, q = h, self.d, self.q
@@ -282,6 +304,10 @@ class BaumslagSolitar(GroupHandle):
         # <= L letters adds a multiple of n^e with |e| < L to it
         return (L, L * self.n ** (2 * L - 1))
 
+    def row(self, g, L):
+        r = g[0] * Fraction(self.n) ** L  # a float or str has no denominator
+        return (g[1], r.numerator if r.denominator == 1 else r)
+
     def multiply_rows(self, rows, h, L):
         if h[0].denominator != 1:
             raise InvalidInput(f"{self.kind}: fractional generator")
@@ -353,10 +379,11 @@ class CayleyBall:
     identity; interior marks word_length < R.  nbr is the read-only n x |S|
     right-multiplication table: nbr[i, k] is the vertex of elements[i] *
     group.generators[k], or -1 if that product lies outside the ball.
-    `elements` and the dict `vertex_of` are built on first use.
+    vertex_of[g] is the vertex of g, by packed key (KeyError if g is no
+    canonical element of the ball); it and `elements` are built on first use.
     """
 
-    def __init__(self, group, graph, word_length, radius, nbr):
+    def __init__(self, group, graph, word_length, radius, nbr, keys):
         self.group = group
         self.graph = graph
         self.word_length = word_length
@@ -364,6 +391,7 @@ class CayleyBall:
         self.interior = word_length < radius
         nbr.flags.writeable = False
         self.nbr = nbr
+        self._keys = keys
         self._column = {s.name: k for k, s in enumerate(group.generators)}
 
     @functools.cached_property
@@ -380,7 +408,7 @@ class CayleyBall:
 
     @functools.cached_property
     def vertex_of(self):
-        return {g: i for i, g in enumerate(self.elements)}
+        return _VertexLookup(self.group, self.radius + 1, self._keys)
 
     @property
     def n(self):
@@ -396,35 +424,64 @@ class CayleyBall:
         return self.nbr[:, self._column[gen.name]]
 
 
+class _VertexLookup:
+    """ball.vertex_of: packs group.row(g, L) as `_search` does, and bisects."""
+
+    def __init__(self, group, L, keys):
+        self._row = functools.partial(group.row, L=L)
+        self._bounds, self._weights, _ = _packing(group, L)
+        self._keys, self._order = keys, np.argsort(keys)
+
+    def __getitem__(self, g):
+        try:  # digits of a row of the wrong length or type raise here
+            digits = [operator.index(x) + b for x, b in
+                      zip(self._row(g), self._bounds, strict=True)]
+        except (AttributeError, TypeError, ValueError):
+            raise KeyError(g) from None
+        if not all(0 <= d <= 2 * b for d, b in zip(digits, self._bounds)):
+            raise KeyError(g)
+        key = sum(d * w for d, w in zip(digits, self._weights))
+        i = np.searchsorted(self._keys, key, sorter=self._order)
+        if i == len(self._keys) or self._keys[self._order[i]] != key:
+            raise KeyError(g)
+        return int(self._order[i])
+
+
+def _packing(group, L):
+    """(bounds, weights, dtype): a row's key is sum_j (row[j] + bounds[j]) *
+    weights[j], int64 if the radix product prod(2b + 1) fits, else object."""
+    bounds = group.coordinate_bounds(L)
+    radix = [2 * b + 1 for b in bounds]
+    dtype = np.int64 if math.prod(radix) <= 2 ** 63 else object
+    return bounds, [math.prod(radix[j + 1:]) for j in range(len(radix))], dtype
+
+
 def _search(group, R, cap):
     """Breadth-first search on the int rows: each sphere is multiplied by
     all generators at once, and its products, packed into keys and sorted,
     are looked up in the two spheres they can reach (a product of the
     sphere d - 1 has word length d - 2, d - 1 or d).  New vertices are
     numbered by first occurrence in row-major (vertex, generator) order.
-    Rows and keys are int64 if the radix product prod(2b + 1) at L = R + 1
-    fits, Python ints in object arrays if not.  Returns (word lengths, nbr).
+    Rows and keys are packed as `_packing(group, R + 1)` says.  Returns
+    (word lengths, nbr, the key of every vertex).
     """
     L, k = R + 1, group.degree
-    bounds = group.coordinate_bounds(L)
-    radix = [2 * b + 1 for b in bounds]
-    dtype = np.int64 if math.prod(radix) <= 2 ** 63 else object
-    weights = np.array([math.prod(radix[j + 1:]) for j in range(len(radix))],
-                       dtype=dtype)
-    bounds = np.array(bounds, dtype=dtype)
+    bounds, weights, dtype = _packing(group, L)
+    bounds, weights = (np.array(a, dtype=dtype) for a in (bounds, weights))
     gens = [s.element for s in group.generators]
 
-    frontier = np.zeros((1, len(radix)), dtype=dtype)
+    frontier = np.zeros((1, len(bounds)), dtype=dtype)
     nbr, sizes = [], [1]
     n = 1
     # (sorted keys, vertex ids) of the spheres d - 2 and d - 1
     spheres = [(np.empty(0, dtype=dtype),) * 2,
                ((frontier + bounds) @ weights, np.zeros(1, dtype=np.int64))]
+    vkeys = [spheres[1][0]]
     for depth in range(1, R + 2):
         if len(frontier) == 0:
             break
         prod = np.stack([group.multiply_rows(frontier, h, L) for h in gens],
-                        axis=1).reshape(len(frontier) * k, len(radix))
+                        axis=1).reshape(len(frontier) * k, len(bounds))
         if np.any(np.abs(prod) > bounds):
             raise InvalidInput(f"{group.kind}: a product leaves the "
                                f"coordinate bounds of radius {L}")
@@ -445,13 +502,15 @@ def _search(group, R, cap):
             first[1:] = mkeys[1:] != mkeys[:-1]
             # rank the runs of equal new keys by their first occurrence
             at = np.minimum.reduceat(order[miss], np.flatnonzero(first))
+            by_first = np.argsort(at)
             rank = np.empty(len(at), dtype=np.int64)
-            rank[np.argsort(at)] = np.arange(len(at))
+            rank[by_first] = np.arange(len(at))
             if n + len(at) > cap:
                 raise BudgetExceeded(f"ball of radius {R} exceeds cap {cap}")
             found[miss] = n + rank[np.cumsum(first) - 1]
             new = (mkeys[first], n + rank)
-            frontier = prod[np.sort(at)]
+            vkeys.append(new[0][by_first])
+            frontier = prod[at[by_first]]
             sizes.append(len(frontier))
             n += len(frontier)
         else:
@@ -461,7 +520,8 @@ def _search(group, R, cap):
         nbr.append(ids)
         spheres = [spheres[1], new]
     word_length = np.repeat(np.arange(len(sizes)), sizes)
-    return word_length, np.concatenate(nbr).reshape(n, k)
+    return (word_length, np.concatenate(nbr).reshape(n, k),
+            np.concatenate(vkeys))
 
 
 def cayley_ball(group, R, cap=DEFAULT_BALL_CAP):
@@ -470,23 +530,22 @@ def cayley_ball(group, R, cap=DEFAULT_BALL_CAP):
     check_count(R, "radius", 1)
     if not group.generators:
         raise InvalidInput(f"{group.kind} has no generators")
-    wl, nbr = _search(group, R, cap)
+    wl, nbr, keys = _search(group, R, cap)
     # the edges are the pairs (i, nbr[i, k]) with i < nbr[i, k]; a stable
     # sort by the key i * n + j keeps, of the products that collapse to one
     # edge, the first in row-major order
     n, k = nbr.shape
-    tail = np.repeat(np.arange(n), k)
     head = nbr.ravel()
-    sel = np.flatnonzero(head > tail)
-    key = tail[sel] * n + head[sel]
+    sel = np.flatnonzero(nbr > np.arange(n)[:, None])
+    key = sel // k * n + head[sel]
     order = np.argsort(key, kind="stable")
     key = key[order]
     first = np.ones(len(key), dtype=bool)
     first[1:] = key[1:] != key[:-1]
     keep = sel[order[first]]
-    graph = OrientedGraph(n, np.column_stack([tail[keep], head[keep]]),
+    graph = OrientedGraph(n, np.column_stack([keep // k, head[keep]]),
                           validate=False)
-    return CayleyBall(group, graph, wl, R, nbr)
+    return CayleyBall(group, graph, wl, R, nbr, keys)
 
 
 def path_of_element(ball, word):

@@ -365,7 +365,7 @@ def lp_norm(field, p):
         return float(np.count_nonzero(a))
     if p == np.inf:
         return float(np.max(np.abs(a))) if len(a) else 0.0
-    if p < 1:
+    if not p >= 1:
         raise InvalidInput(f"p={p} not in {{0}} | [1, inf]")
     if p == 1:
         return float(np.abs(a).sum())
@@ -464,8 +464,7 @@ def ball(G, center, r):
 def ball_from_distances(G, dist, r):
     """Ball of radius r around the sources of a bfs_distances array; lets
     one BFS serve every radius."""
-    if r < 0:
-        raise ValueError("radius must be >= 0")
+    check_count(r, "radius", 0)
     return SubsetView(G, np.flatnonzero((0 <= dist) & (dist <= r)))
 
 

@@ -40,8 +40,8 @@ def dirichlet_extend(G, A, boundary_values):
 
 def truncate(f, t):
     """Clamp f at height t: unchanged where |f| < t, +-t elsewhere."""
-    if t <= 0:
-        raise ValueError("threshold must be positive")
+    if not t > 0:
+        raise ValueError(f"threshold must be positive, not {t!r}")
     return VertexField(f.graph, np.clip(f.a, -t, t))
 
 

@@ -260,6 +260,8 @@ def radial_iso_check(G, A, K=1.0, k=1.0):
     """Evaluate K |boundary A| (1 + inrad A)^k >= |A| and the diameter
     variant (which holds with K = k = 1 whenever the complement of A is
     connected)."""
+    if not np.isfinite([K, k]).all():
+        raise ValueError(f"K and k must be finite, not {K!r} and {k!r}")
     A = subset_view(G, A)
     comp = np.flatnonzero(~A.mask)
     if len(comp):

@@ -237,6 +237,12 @@ def keys_fit_int64(spec, R):
     return math.prod(2 * b + 1 for b in bounds) <= 2 ** 63
 
 
+def numpy_ints(x):
+    if isinstance(x, tuple):
+        return tuple(numpy_ints(y) for y in x)
+    return np.int64(x) if type(x) is int else x
+
+
 class TestMultiplicationTable:
     @pytest.mark.parametrize("spec,R,fits", [
         ("free:1", 38, True), ("free:1", 39, False), ("bs:1,10", 7, True),
@@ -245,13 +251,16 @@ class TestMultiplicationTable:
         ("heisenberg", 44, True)])
     def test_keys_on_both_sides_of_int64(self, spec, R, fits):
         # the int64 keys end where the radix product passes 2^63; both
-        # sides of that line give the reference ball
+        # sides of that line give the reference ball and find its elements
+        # (zd:30 is a TABLE_CASES ball, the lamplighter balls there pass the
+        # vertex cap, and heisenberg R=44 is criterion 7's)
         assert keys_fit_int64(spec, R) is fits
         if spec in ("free:1", "bs:1,10"):
             g = build_group(spec)
             B = cayley_ball(g, R)
             elements, wl, table, edges = reference_ball(g, R)
             assert B.elements == elements and B.nbr.tolist() == table
+            assert all(B.vertex_of[x] == i for i, x in enumerate(elements))
 
     @pytest.mark.parametrize("spec,h", [("zd:2", (2, 0)),
                                         ("lamplighter:2,2", ((((0, 3), 1),),
@@ -292,6 +301,72 @@ class TestMultiplicationTable:
         assert list(zip(B.graph.tails.tolist(),
                         B.graph.heads.tolist())) == edges
         assert all(B.vertex_of[x] == i for i, x in enumerate(elements))
+
+    @pytest.mark.parametrize("spec,R", [
+        ("zd:2", 3), ("zd:30", 1), ("heisenberg", 4), ("free:2", 3),
+        ("free:1", 40), ("lamplighter:2,1", 4), ("lamplighter:3,2", 2),
+        ("lamplighter:2,0", 2), ("bs:1,2", 4), ("bs:1,10", 8), ("dinf", 5)])
+    def test_lookup_agrees_with_the_table(self, spec, R):
+        # a product is found where nbr has it and raises KeyError where nbr
+        # is -1; a letter further out, a lookup that succeeds finds the
+        # element itself (no two elements share a key)
+        g = build_group(spec)
+        B = cayley_ball(g, R)
+        assert keys_fit_int64(spec, R) is (B._keys.dtype == np.int64)
+        # numpy ints are read as ints, also where packing overflows int64
+        assert all(B.vertex_of[numpy_ints(x)] == i
+                   for i, x in enumerate(B.elements))
+        gens = [s.element for s in g.generators]
+        outside = []
+        for i, x in enumerate(B.elements):
+            for k, h in enumerate(gens):
+                y = g.multiply(x, h)
+                if B.nbr[i, k] >= 0:
+                    assert B.vertex_of[y] == B.nbr[i, k]
+                else:
+                    with pytest.raises(KeyError):
+                        B.vertex_of[y]
+                    outside.append(y)
+        missed = 0
+        for y in outside[:300]:
+            for h in gens:
+                z = g.multiply(y, h)
+                try:
+                    assert B.elements[B.vertex_of[z]] == z
+                except KeyError:
+                    missed += 1
+        assert missed or not outside
+
+    @pytest.mark.parametrize("spec,x", [
+        ("free:2", (0,)), ("free:2", (3,)), ("free:2", (-3,)),
+        ("free:2", (1, 0, 2)), ("free:2", (1, -1)), ("free:2", (1.0,)),
+        # unsorted, repeated, value q (digit of the next lamp), value 0,
+        # value -1, outside the window, position of the wrong dimension
+        ("lamplighter:2,1", ((((1,), 1), ((0,), 1)), (0,))),
+        ("lamplighter:2,1", ((((0,), 1), ((0,), 1)), (0,))),
+        ("lamplighter:2,1", ((((0,), 2),), (0,))),
+        ("lamplighter:2,1", ((((0,), 0),), (0,))),
+        ("lamplighter:3,1", ((((0,), -1),), (0,))),
+        ("lamplighter:2,1", ((((9,), 1),), (0,))),
+        ("lamplighter:2,1", ((((0, 0), 1),), (0,))),
+        ("zd:2", (1,)), ("zd:2", (1, 0, 0)), ("zd:2", (0.5, 0)),
+        ("zd:2", (9, 0)), ("zd:2", 1), ("zd:2", ["s1"]),
+        ("heisenberg", (0, 0, 99)), ("dinf", (0, 2)), ("dinf", (0, -1)),
+        ("bs:1,2", (Fraction(1, 3), 0)), ("bs:1,2", (Fraction(1, 2 ** 9), 0)),
+        ("bs:1,2", (0.5, 0)), ("bs:1,2", ("1/2", 0)),
+        ("bs:1,2", (Fraction(0), Fraction(1, 2)))])
+    def test_non_canonical_forms_raise(self, spec, x):
+        # none is an element of the ball, and none may stand for another
+        # (free:2's (3,) packs like (-2,), lamplighter:2,1's value 2 at 0
+        # like the lamp 1 at 1)
+        B = cayley_ball(build_group(spec), 3)
+        with pytest.raises(KeyError):
+            B.vertex_of[x]
+
+    def test_lookup_does_not_replay_the_elements(self):
+        B = cayley_ball(build_group("free:2"), 9)
+        assert B.vertex_of[(1, 2, -1)] == B.nbr[B.nbr[B.nbr[0, 0], 2], 1]
+        assert "elements" not in B.__dict__
 
     @pytest.mark.parametrize("spec", ["zd:2", "free:2"])
     def test_multi_edges_collapse_to_one_edge(self, spec):

@@ -179,6 +179,12 @@ class TestNorms:
         with pytest.raises(InvalidInput, match="not in"):
             lp_norm(np.ones(3), 0.5)
 
+    def test_nan_exponent(self):
+        # p < 1 is False for NaN, which fell through to a NaN power sum
+        g = gradient(VertexField(cycle_graph(8), np.arange(8.0)))
+        with pytest.raises(InvalidInput, match="not in"):
+            lp_norm(g, np.nan)
+
 
 class TestSubsetsAndBalls:
     def test_single_vertex_c4(self):
@@ -203,6 +209,12 @@ class TestSubsetsAndBalls:
         assert ball(T, 0, 2).size == 10
         sizes = [ball(T, 0, r).size for r in range(4)]
         assert sizes == sorted(sizes)
+
+    @pytest.mark.parametrize("r", [np.nan, 1.5, -1, True])
+    def test_ball_radius_must_be_a_count(self, r):
+        # NaN gave an empty view and 1.5 acted as 1
+        with pytest.raises(ValueError, match="radius must be an integer"):
+            ball(cycle_graph(8), 0, r)
 
     def test_boundary_disjoint_from_induced(self):
         G = torus_grid(4, 4)

@@ -103,6 +103,12 @@ class TestTruncate:
         with pytest.raises(ValueError):
             H.truncate(VertexField(G, np.zeros(3)), 0.0)
 
+    def test_rejects_nan(self):
+        # t <= 0 is False for NaN, and clipping at NaN gives an all-NaN field
+        G = cycle_graph(8)
+        with pytest.raises(ValueError, match="positive"):
+            H.truncate(VertexField(G, np.arange(8.0)), np.nan)
+
 
 class TestDecayProfiles:
     def test_coordinate_function_z2(self):

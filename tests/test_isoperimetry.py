@@ -237,6 +237,13 @@ class TestGeometry:
         out = I.radial_iso_check(cycle_graph(10), [0, 1, 2])
         assert out["lhs"] == 4.0
 
+    @pytest.mark.parametrize("K,k", [(np.nan, 1.0), (1.0, np.inf),
+                                     (-np.inf, 1.0)])
+    def test_radial_check_rejects_non_finite_constants(self, K, k):
+        # a NaN K reported an input error as a violated inequality
+        with pytest.raises(ValueError, match="finite"):
+            I.radial_iso_check(cycle_graph(8), [0, 1], K=K, k=k)
+
     def test_radial_check_needs_connected_complement(self):
         G = cycle_graph(10)
         with pytest.raises(InvalidInput, match="complement"):
