@@ -7,7 +7,9 @@ vertex ids are assigned in discovery order, so word length is nondecreasing
 in the id and the canonical x < y edge orientation points away from the
 identity or within a sphere.  The search keeps every product g*s as the
 ball's right-multiplication table, from which the edges, the translation
-tables and the elements are all read.
+tables and the elements are all read; it packs, sorts and looks up only the
+products that do not step back to the sphere before, which the table of
+that sphere already holds.
 """
 
 from __future__ import annotations
@@ -457,71 +459,94 @@ def _packing(group, L):
 
 
 def _search(group, R, cap):
-    """Breadth-first search on the int rows: each sphere is multiplied by
-    all generators at once, and its products, packed into keys and sorted,
-    are looked up in the two spheres they can reach (a product of the
-    sphere d - 1 has word length d - 2, d - 1 or d).  New vertices are
-    numbered by first occurrence in row-major (vertex, generator) order.
-    Rows and keys are packed as `_packing(group, R + 1)` says.  Returns
-    (word lengths, nbr, the key of every vertex).
+    """Breadth-first search on the int rows, one sphere at a time.
+
+    A product v * s of the sphere d - 1 has word length d - 2, d - 1 or d.
+    Those of word length d - 2 reverse a product of the level before (u * s'
+    = v gives v * s = u), so they are read off that level's table with no
+    search.  The others are packed into keys, sorted and looked up in the
+    sphere d - 1 alone; the misses are the sphere d (outside the ball when
+    d = R + 1), numbered by first occurrence in row-major (vertex,
+    generator) order.  Rows and keys are packed as `_packing(group, R + 1)`
+    says; each sphere's sorted keys end in a sentinel, the largest key
+    prod(radix) - 1 (prod(radix) itself overflows int64 at 2^63), with id
+    -1, so that every search lands on a key.  Returns (word lengths, nbr,
+    the key of every vertex).
     """
     L, k = R + 1, group.degree
     bounds, weights, dtype = _packing(group, L)
-    bounds, weights = (np.array(a, dtype=dtype) for a in (bounds, weights))
     gens = [s.element for s in group.generators]
+    try:  # inverse[c]: the first column whose generator is s_c's inverse
+        inverse = [gens.index(group.inverse(h)) for h in gens]
+    except ValueError:
+        raise InvalidInput(f"{group.kind}: the generators are not closed "
+                           f"under inversion") from None
+    top = np.array(bounds, dtype=dtype)
+    origin = sum(b * w for b, w in zip(bounds, weights))  # the zero row's key
+    sentinel = math.prod(2 * b + 1 for b in bounds) - 1
 
     frontier = np.zeros((1, len(bounds)), dtype=dtype)
-    nbr, sizes = [], [1]
+    # the table of the sphere d - 2, the first id of the sphere d - 1, and
+    # its sorted keys and their ids, ending in the sentinel and -1
+    last, start = np.empty((0, k), dtype=np.int64), 0
+    end = (np.array([sentinel], dtype=dtype), np.array([-1]))
+    sphere = (np.array([origin, sentinel], dtype=dtype), np.array([0, -1]))
+    nbr, sizes, vkeys = [], [1], [sphere[0][:1]]
     n = 1
-    # (sorted keys, vertex ids) of the spheres d - 2 and d - 1
-    spheres = [(np.empty(0, dtype=dtype),) * 2,
-               ((frontier + bounds) @ weights, np.zeros(1, dtype=np.int64))]
-    vkeys = [spheres[1][0]]
     for depth in range(1, R + 2):
         if len(frontier) == 0:
             break
-        prod = np.stack([group.multiply_rows(frontier, h, L) for h in gens],
-                        axis=1).reshape(len(frontier) * k, len(bounds))
-        if np.any(np.abs(prod) > bounds):
+        ids = np.full(len(frontier) * k, -1, dtype=np.int64)
+        # last[u, inverse[c]] = v in the sphere d - 1 gives v * s_c = u
+        before = last[:, inverse].ravel()
+        back = (before >= start).nonzero()[0]
+        ids[(before[back] - start) * k + back % k] = (back // k + start
+                                                      - len(last))
+        rest = (ids < 0).nonzero()[0]  # the other slots v * k + c
+        prod = np.concatenate(
+            [group.multiply_rows(frontier, h, L) for h in gens],
+            axis=1).reshape(len(ids), len(bounds))[rest]
+        if (abs(prod) > top).any():
             raise InvalidInput(f"{group.kind}: a product leaves the "
                                f"coordinate bounds of radius {L}")
-        keys = (prod + bounds) @ weights
-        order = np.argsort(keys)
-        keys = keys[order]
-        found = np.full(len(keys), -1, dtype=np.int64)
-        for skeys, sids in spheres:
-            if len(skeys):
-                pos = np.minimum(np.searchsorted(skeys, keys), len(skeys) - 1)
-                hit = skeys[pos] == keys
-                found[hit] = sids[pos[hit]]
-        miss = np.flatnonzero(found < 0)
-        new = (np.empty(0, dtype=dtype),) * 2
+        # a column at a time: an int matmul of 2 or 3 columns is slower
+        packed = prod[:, -1] + origin  # the last weight is 1
+        for j, w in enumerate(weights[:-1]):
+            packed += prod[:, j] * w
+        order = packed.argsort()
+        keys = packed[order]
+        skeys, sids = sphere
+        pos = skeys.searchsorted(keys)
+        found = sids[pos]
+        found[skeys[pos] != keys] = -1
+        miss = (found < 0).nonzero()[0]
         if depth <= R and len(miss):
             mkeys = keys[miss]
-            first = np.ones(len(mkeys), dtype=bool)
-            first[1:] = mkeys[1:] != mkeys[:-1]
-            # rank the runs of equal new keys by their first occurrence
-            at = np.minimum.reduceat(order[miss], np.flatnonzero(first))
-            by_first = np.argsort(at)
-            rank = np.empty(len(at), dtype=np.int64)
-            rank[by_first] = np.arange(len(at))
+            first = np.concatenate(([True], mkeys[1:] != mkeys[:-1]))
+            runs = first.nonzero()[0]
+            # each run of equal new keys is one new vertex, numbered by the
+            # run's first occurrence in slot order
+            at = np.minimum.reduceat(order[miss], runs)
             if n + len(at) > cap:
                 raise BudgetExceeded(f"ball of radius {R} exceeds cap {cap}")
-            found[miss] = n + rank[np.cumsum(first) - 1]
-            new = (mkeys[first], n + rank)
-            vkeys.append(new[0][by_first])
-            frontier = prod[at[by_first]]
+            is_new = np.zeros(len(keys), dtype=bool)
+            is_new[at] = True
+            new = is_new.cumsum()[at] + (n - 1)
+            found[miss] = new[first.cumsum() - 1]
+            sphere = (np.concatenate((mkeys[runs], end[0])),
+                      np.concatenate((new, end[1])))
+            fresh = is_new.nonzero()[0]
+            vkeys.append(packed[fresh])
+            frontier = prod[fresh]
             sizes.append(len(frontier))
-            n += len(frontier)
+            start, n = n, n + len(frontier)
         else:
             frontier = frontier[:0]
-        ids = np.empty_like(found)
-        ids[order] = found
-        nbr.append(ids)
-        spheres = [spheres[1], new]
+        ids[rest[order]] = found
+        last = ids.reshape(-1, k)
+        nbr.append(last)
     word_length = np.repeat(np.arange(len(sizes)), sizes)
-    return (word_length, np.concatenate(nbr).reshape(n, k),
-            np.concatenate(vkeys))
+    return (word_length, np.concatenate(nbr), np.concatenate(vkeys))
 
 
 def cayley_ball(group, R, cap=DEFAULT_BALL_CAP):

@@ -8,6 +8,7 @@ inner product, div g (x) = -sum_{(x,y)} g(x,y) + sum_{(y,x)} g(y,x).
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -32,7 +33,10 @@ class OrientedGraph:
     """Immutable finite graph with one canonical orientation per edge.
 
     Vertices are dense integers 0..n-1.  Edges are stored as parallel arrays
-    (tails, heads) with tails < heads.
+    (tails, heads) with tails < heads.  Construction computes the degrees
+    only; the CSR adjacency (`neighbors`, BFS, region operators), the edge
+    keys (`edge_ids`), the adjacency matrix and the incidence matrix are
+    each built on first use.
     """
 
     def __init__(self, n, edges, validate=True):
@@ -52,22 +56,32 @@ class OrientedGraph:
         self.heads = np.ascontiguousarray(edges[:, 1])
         self.m = len(self.tails)
 
-        ends = np.concatenate([self.tails, self.heads])
-        deg = np.bincount(ends, minlength=self.n)
+        deg = np.bincount(np.concatenate([self.tails, self.heads]),
+                          minlength=self.n)
         self.degrees = deg
         self.d_max = int(deg.max()) if self.n else 0
-
-        # CSR adjacency: the neighbours of v are nbr[ptr[v]:ptr[v+1]]
-        order = np.argsort(ends, kind="stable")
-        self._adj_nbr = np.concatenate([self.heads, self.tails])[order]
-        self._adj_ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(deg, out=self._adj_ptr[1:])
 
         self._A = self._B = None
         self._keys = None
         self._connected = None
 
     # -- structure ---------------------------------------------------------
+
+    # CSR adjacency, built on first use: the neighbours of v are
+    # _adj_nbr[_adj_ptr[v]:_adj_ptr[v + 1]], first the heads of the edges
+    # with tail v, then the tails of those with head v, each in edge order
+
+    @functools.cached_property
+    def _adj_nbr(self):
+        order = np.argsort(np.concatenate([self.tails, self.heads]),
+                           kind="stable")
+        return np.concatenate([self.heads, self.tails])[order]
+
+    @functools.cached_property
+    def _adj_ptr(self):
+        ptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(self.degrees, out=ptr[1:])
+        return ptr
 
     def neighbors(self, v):
         return self._adj_nbr[self._adj_ptr[v]:self._adj_ptr[v + 1]]
@@ -95,11 +109,13 @@ class OrientedGraph:
         return np.where(hit, e if order is None else order[e], -1)
 
     def adjacency_matrix(self):
+        """n x n CSR matrix with 1 at (x, y) and (y, x) for each edge, its
+        indices sorted: the sorted keys x * n + y of both orientations."""
         if self._A is None:
-            data = np.ones(2 * self.m)
-            rows = np.concatenate([self.tails, self.heads])
-            cols = np.concatenate([self.heads, self.tails])
-            self._A = sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+            keys = np.sort(np.concatenate([self.tails * self.n + self.heads,
+                                           self.heads * self.n + self.tails]))
+            self._A = sp.csr_matrix((np.ones(2 * self.m), keys % self.n,
+                                     self._adj_ptr), shape=(self.n, self.n))
         return self._A
 
     def incidence_matrix(self):
@@ -358,15 +374,20 @@ def walk_step(nu, laziness=0.0):
     return Distribution(G, a, check=False)
 
 
+def check_exponent(p):
+    """InvalidInput unless p is 0, inf or >= 1 (NaN is none of them)."""
+    if not (p == 0 or p >= 1):
+        raise InvalidInput(f"p={p} not in {{0}} | [1, inf]")
+
+
 def lp_norm(field, p):
     """l^p norm; p=0 counts the support, p=inf is the max absolute value."""
+    check_exponent(p)
     a = field.a if hasattr(field, "a") else np.asarray(field, dtype=float)
     if p == 0:
         return float(np.count_nonzero(a))
     if p == np.inf:
         return float(np.max(np.abs(a))) if len(a) else 0.0
-    if not p >= 1:
-        raise InvalidInput(f"p={p} not in {{0}} | [1, inf]")
     if p == 1:
         return float(np.abs(a).sum())
     if p == 2:

@@ -14,7 +14,8 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .errors import InvalidInput, NumericalFailure
-from .graphs import (Distribution, EdgeField, VertexField, divergence, lp_norm)
+from .graphs import (Distribution, EdgeField, VertexField, check_exponent,
+                     divergence, lp_norm)
 from .tolerances import LP_TOL, MASS_TOL, ROUNDING
 from .walk import _interior_solve, direct_solve
 
@@ -239,12 +240,14 @@ def exit_transport_chain(G, v, w, regions, p=2.0):
     on A, and the edge v -> w; reports p- and sup-norms after cycle
     cancellation.
 
-    Returns a list of dicts with norms, residual and the pattern.  Raises
-    ValueError, before any solve, if v and w are not adjacent.
+    Returns a list of dicts with norms, residual and the pattern.  Raises,
+    before any solve, ValueError if v and w are not adjacent and
+    InvalidInput if p is no exponent of lp_norm.
     """
     e = G.edge_ids(v, w)
     if e < 0:
         raise ValueError(f"vertices {v} and {w} are not adjacent")
+    check_exponent(p)
     out = []
     for A in regions:
         h, (exv, exw) = _interior_solve(G, A, [v, w])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from harmlab.cayley import (BaumslagSolitar, FreeAbelian, FreeGroup,
-                            Heisenberg, Lamplighter, build_group,
+                            Generator, Heisenberg, Lamplighter, build_group,
                             cayley_ball, path_of_element)
 from harmlab.errors import BudgetExceeded, InvalidInput
 
@@ -379,6 +379,26 @@ class TestMultiplicationTable:
         assert B.nbr.tolist() == table
         assert list(zip(B.graph.tails.tolist(),
                         B.graph.heads.tolist())) == edges
+
+    @pytest.mark.parametrize("name", ["t", "s"])
+    def test_involution_and_a_duplicate_generator(self, name):
+        # dinf's s is its own inverse; u repeats t (u' repeats t') or s (u
+        # and u' both repeat s), so a generator's inverse has several columns
+        g = build_group("dinf")
+        g._add_gen_pair("u", g.gen(name).element)
+        B = cayley_ball(g, 6)
+        elements, wl, table, edges = reference_ball(g, 6)
+        assert B.elements == elements and B.word_length.tolist() == wl
+        assert B.nbr.tolist() == table
+        assert list(zip(B.graph.tails.tolist(),
+                        B.graph.heads.tolist())) == edges
+        assert all(B.vertex_of[x] == i for i, x in enumerate(elements))
+
+    def test_generators_must_be_symmetric(self):
+        g = build_group("zd:2")
+        g.generators.append(Generator("u", (1, 1)))  # no inverse listed
+        with pytest.raises(InvalidInput, match="closed under inversion"):
+            cayley_ball(g, 3)
 
     def test_products_within_a_sphere(self):
         # Z^2 with a third generator (1, 1) is the triangular lattice: some

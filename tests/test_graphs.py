@@ -3,8 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from test_cayley import TABLE_CASES
 
+from harmlab.cayley import build_group, cayley_ball
 from harmlab.errors import BudgetExceeded, InvalidInput
 from harmlab.graphs import (Distribution, EdgeField, OrientedGraph,
                             VertexField, ball, bfs_distances, bitmask_rows,
@@ -585,6 +588,70 @@ class TestAdjacencyArrays:
         assert G._adj_ptr.tolist() == [0] * (n + 1)
         assert len(G._adj_nbr) == 0
         assert G.incidence_matrix().shape == (0, n)
+
+
+def coo_adjacency(G):
+    """The adjacency matrix by scipy's COO -> CSR conversion."""
+    return sp.csr_matrix((np.ones(2 * G.m),
+                          (np.concatenate([G.tails, G.heads]),
+                           np.concatenate([G.heads, G.tails]))),
+                         shape=(G.n, G.n))
+
+
+def assert_same_csr(A, B):
+    assert A.format == B.format == "csr" and A.shape == B.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert A.has_canonical_format and B.has_canonical_format
+
+
+BUILTIN_GRAPHS = [(cycle_graph, (7,)), (path_graph, (6,)),
+                  (complete_graph, (5,)), (hypercube_graph, (4,)),
+                  (torus_grid, (6, 6)), (regular_tree, (4, 5)),
+                  (random_regular_graph, (3, 20, 1))]
+
+
+class TestAdjacencyMatrix:
+    @pytest.mark.parametrize("spec,R", TABLE_CASES)
+    def test_cayley_balls(self, spec, R):
+        G = cayley_ball(build_group(spec), R).graph
+        assert_same_csr(G.adjacency_matrix(), coo_adjacency(G))
+
+    @pytest.mark.parametrize("family,args", BUILTIN_GRAPHS)
+    def test_builtin_graphs(self, family, args):
+        G = family(*args)
+        assert_same_csr(G.adjacency_matrix(), coo_adjacency(G))
+
+    def test_edges_out_of_key_order(self):
+        G = OrientedGraph(5, [(2, 3), (0, 4), (1, 3), (0, 2), (3, 4)])
+        assert np.any(np.diff(G.tails * G.n + G.heads) < 0)
+        assert_same_csr(G.adjacency_matrix(), coo_adjacency(G))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_random_graphs_in_any_edge_order(self, seed):
+        G = rand_graph(seed)
+        order = np.random.default_rng(seed).permutation(G.m)
+        H = OrientedGraph(G.n + seed % 3, np.column_stack(
+            [G.tails[order], G.heads[order]]))
+        assert_same_csr(H.adjacency_matrix(), coo_adjacency(H))
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_edgeless(self, n):
+        G = OrientedGraph(n, [])
+        assert_same_csr(G.adjacency_matrix(), coo_adjacency(G))
+
+    def test_neighbour_array_is_built_on_first_use(self):
+        B = cayley_ball(build_group("heisenberg"), 6)
+        G = B.graph
+        G.adjacency_matrix()
+        assert "_adj_nbr" not in G.__dict__
+        deg, nbr, _, _ = reference_adjacency(G.n, G.tails, G.heads)
+        ptr = np.concatenate([[0], np.cumsum(deg)])
+        assert all(np.array_equal(G.neighbors(v), nbr[ptr[v]:ptr[v + 1]])
+                   for v in range(G.n))
+        assert np.array_equal(bfs_distances(G, 0), B.word_length)
 
 
 def induced_neighbour_masks(G, verts):

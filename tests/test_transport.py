@@ -503,6 +503,19 @@ class TestExitChain:
         with pytest.raises(ValueError, match="not adjacent"):
             T.exit_transport_chain(G, 0, 2, regions)
 
+    @pytest.mark.parametrize("p", [np.nan, 0.5, -1])
+    def test_bad_exponent_raises_before_any_solve(self, monkeypatch, p):
+        G = torus_grid(9, 9)
+        regions = [ball(G, 0, r) for r in (1, 2)]
+
+        def no_solve(*args):
+            raise AssertionError("solved for a bad exponent")
+
+        monkeypatch.setattr("harmlab.walk.direct_solve", no_solve)
+        with pytest.raises(InvalidInput, match=f"p={p} not in"):
+            T.exit_transport_chain(G, 0, int(G.neighbors(0)[0]), regions,
+                                   p=p)
+
     def test_stopped_exit_matches_exit_law(self):
         from harmlab.walk import exit_distribution
         G = cycle_graph(20)
