@@ -238,8 +238,7 @@ def _load_measure(G, path):
 
 
 def cmd_transport_chain(args):
-    if not (args.p == 0 or args.p >= 1):
-        raise InvalidInput(f"--p must be 0 or at least 1, not {args.p}")
+    graphs.check_exponent(args.p)
     group = cayley.build_group(args.group)
     levels = _parse_radii(args.levels)
     R = max(levels) + 2

@@ -63,7 +63,6 @@ class OrientedGraph:
 
         self._A = self._B = None
         self._keys = None
-        self._connected = None
 
     # -- structure ---------------------------------------------------------
 
@@ -128,6 +127,12 @@ class OrientedGraph:
                  np.arange(0, 2 * self.m + 1, 2)), shape=(self.m, self.n))
         return self._B
 
+    @functools.cached_property
+    def transport_rows(self):
+        """The W1 program's equality rows: [B^T, -B^T] less vertex 0's."""
+        BT = self.incidence_matrix().T
+        return sp.hstack([BT, -BT], format="csr")[1:]
+
     @property
     def regular_degree(self):
         """Common degree if the graph is regular, else None."""
@@ -142,12 +147,10 @@ class OrientedGraph:
             raise InvalidInput("operation requires a regular graph")
         return d
 
-    @property
+    @functools.cached_property
     def is_connected(self):
-        if self._connected is None:
-            dist = bfs_distances(self, 0) if self.n else np.empty(0)
-            self._connected = bool(self.n == 0 or np.all(dist >= 0))
-        return self._connected
+        dist = bfs_distances(self, 0) if self.n else np.empty(0)
+        return bool(self.n == 0 or np.all(dist >= 0))
 
     def __repr__(self):
         return f"OrientedGraph(n={self.n}, m={self.m})"
@@ -430,30 +433,28 @@ class SubsetView:
     def boundary_size(self):
         return len(self.boundary_edges)
 
-    def interior_operator(self):
-        """Transition blocks (P, E) of the simple walk on the graph, killed
-        on leaving F.  P[i, j] and E[i, y] are the probabilities of a step
-        from members[i] to members[j] and to the outside vertex y; P is
-        |F| x |F|, E is |F| x n, both CSR.  Built on first use."""
+    def killed_walk(self):
+        """The simple walk on the graph killed on leaving F, built on first
+        use: M = I - P^T as canonical CSC, P[i, j] being the probability of
+        a step from members[i] to members[j], and the exit slots (rows, to,
+        prob), one per step from members[rows[s]] to the outside vertex
+        to[s], in adjacency order."""
         if self._operator is None:
             G, k = self.graph, len(self.members)
             slots, deg = adjacency_slots(G, self.members)
             nbr = G._adj_nbr[slots]
-            remap = np.full(G.n, -1, dtype=np.int64)
-            remap[self.members] = np.arange(k)
-            col = remap[nbr]
-            inside = col >= 0
+            inside = self.mask[nbr]
             row = np.repeat(np.arange(k), deg)
             prob = np.repeat(1.0 / np.maximum(deg, 1), deg)
-
-            def block(keep, cols, width):
-                ptr = np.zeros(k + 1, dtype=np.int64)
-                np.cumsum(np.bincount(row[keep], minlength=k), out=ptr[1:])
-                return sp.csr_matrix((prob[keep], cols[keep], ptr),
-                                     shape=(k, width))
-
-            self._operator = (block(inside, col, k),
-                              block(~inside, nbr, G.n))
+            # column j of M: -P[j, i] at row i and 1 at row j, sorted by i
+            j = np.concatenate([row[inside], np.arange(k)])
+            i = np.concatenate([(np.cumsum(self.mask) - 1)[nbr[inside]],
+                                np.arange(k)])
+            order = np.argsort(j * k + i, kind="stable")  # runs: j is sorted
+            data = np.concatenate([-prob[inside], np.ones(k)])[order]
+            ptr = np.append(0, np.cumsum(np.bincount(j, minlength=k)))
+            M = sp.csc_matrix((data, i[order], ptr), shape=(k, k))
+            self._operator = M, (row[~inside], nbr[~inside], prob[~inside])
         return self._operator
 
     def induced_graph(self):

@@ -6,7 +6,6 @@ witnesses.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import InvalidInput
@@ -31,8 +30,10 @@ def dirichlet_extend(G, A, boundary_values):
                if int(v) not in boundary_values]
     if missing:
         raise ValueError(f"boundary values missing on {missing[:5]}...")
-    P, E = A.interior_operator()
-    sol = direct_solve(sp.identity(A.size) - P, E @ bv)
+    # M^T is I - P as CSR; b is E bv, each row summed in slot order
+    M, (rows, to, prob) = A.killed_walk()
+    sol = direct_solve(M.T, np.bincount(rows, weights=prob * bv[to],
+                                        minlength=A.size))
     out = bv.copy()
     out[A.members] = sol
     return VertexField(G, out)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.optimize
-import scipy.sparse as sp
 
 from . import isoperimetry
 from .errors import BudgetExceeded, InvalidInput, NumericalFailure

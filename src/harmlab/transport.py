@@ -59,11 +59,10 @@ def wasserstein1(G, source, target):
         if pat.residual > MASS_TOL:
             raise InvalidInput("no feasible flow between the supports")
         return 0.0, pat
-    BT = G.incidence_matrix().T
-    div = sp.hstack([BT, -BT], format="csr")
     # the rows sum to zero, so vertex 0's is implied; leaving it out puts the
     # mass gap that the check above allows on vertex 0, not in infeasibility
-    res = linprog(np.ones(2 * m), A_eq=div[1:], b_eq=(target.a - source.a)[1:],
+    res = linprog(np.ones(2 * m), A_eq=G.transport_rows,
+                  b_eq=(target.a - source.a)[1:],
                   method="highs-ds", options=LP_OPTIONS)
     if res.status == 2:
         raise InvalidInput("no feasible flow between the supports")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InvalidInput, NumericalFailure
@@ -29,12 +28,13 @@ class StoppedWalk:
     def __init__(self, G, A):
         self.graph = G
         self.region = A
-        self.P, self.E = A.interior_operator()
 
     def step(self, nu):
+        M, (rows, to, prob) = self.region.killed_walk()
         inside = nu.a[self.region.members]
-        a = nu.a + self.E.T @ inside
-        a[self.region.members] = self.P.T @ inside
+        a = nu.a + np.bincount(to, weights=prob * inside[rows],
+                               minlength=len(nu.a))
+        a[self.region.members] -= M @ inside  # leaves P^T inside
         return Distribution(self.graph, a, check=False)
 
 
@@ -56,22 +56,23 @@ def direct_solve(M, b):
 
 def _interior_solve(G, A, sources):
     """Expected visit counts inside A of the walk killed on leaving A: column
-    j of h solves (I - P^T) h = delta_{sources[j]}, P the interior block of
-    A.interior_operator(), all columns by one sparse LU solve.  Returns (h,
-    exit laws), the exit law of column j being the flux E^T h[:, j] out of
-    A.  Raises InvalidInput if A has no outer boundary, NumericalFailure if
-    the walk from a source cannot leave A."""
+    j of h solves M h = delta_{sources[j]}, M = I - P^T the operator of
+    A.killed_walk(), all columns by one sparse LU solve.  Returns (h, exit
+    laws), the exit law of column j being the flux of h[:, j] out of A.
+    Raises InvalidInput if A has no outer boundary, NumericalFailure if the
+    walk from a source cannot leave A."""
     sources = [int(v) for v in check_vertices(G, sources)]
     if not np.all(A.mask[sources]):
         raise ValueError("origin must lie inside the region")
     if len(A.outer_boundary) == 0:
         raise InvalidInput("region has no outer boundary")
-    P, E = A.interior_operator()
-    k = A.size
-    b = np.zeros((k, len(sources)))
+    M, (rows, to, prob) = A.killed_walk()
+    b = np.zeros((A.size, len(sources)))
     b[np.searchsorted(A.members, sources), np.arange(len(sources))] = 1.0
-    h = direct_solve(sp.identity(k, format="csc") - P.T, b)
-    exits = [E.T @ col for col in h.T]
+    h = direct_solve(M, b)
+    # the flux of each column of h out of A, summed in slot order
+    exits = [np.bincount(to, weights=prob * col[rows], minlength=A.graph.n)
+             for col in h.T]
     for ex in exits:
         total = ex.sum()
         if abs(total - 1.0) > MASS_TOL:

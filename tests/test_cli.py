@@ -425,8 +425,10 @@ class TestArgumentValues:
 
     @pytest.mark.parametrize("p", ["0.5", "nan"])
     def test_bad_chain_p(self, p, capsys):
-        one_line_exit_2(["transport", "chain", "--group", "zd:1", "--levels",
-                         "2..3", "--p", p], capsys)
+        # the library's exponent gate, before any ball is built
+        err = one_line_exit_2(["transport", "chain", "--group", "zd:2",
+                               "--levels", "2..3", "--p", p], capsys)
+        assert f"p={float(p)} not in {{0}} | [1, inf]" in err
 
     @pytest.mark.parametrize("config", [{"radius": "x"}, {"radius": 2.5},
                                         {"radius": True},

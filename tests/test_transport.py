@@ -3,6 +3,7 @@ import warnings
 import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import harmlab.transport as T
@@ -25,6 +26,29 @@ class TestWasserstein:
             assert abs(cost - dist[v]) < 1e-9
             assert pat.residual < 1e-9
             assert abs(pat.norm(1) - cost) < 1e-9
+
+    def test_program_built_once_per_graph(self, monkeypatch):
+        G = torus_grid(6, 6)
+        mu = Distribution.dirac(G, 0)
+        nu = Distribution.uniform(G, [7, 20, 33])
+        # the program as each call built it before the graph kept it
+        BT = G.incidence_matrix().T
+        fresh = T.linprog(np.ones(2 * G.m),
+                          A_eq=sp.hstack([BT, -BT], format="csr")[1:],
+                          b_eq=(nu.a - mu.a)[1:], method="highs-ds",
+                          options=T.LP_OPTIONS)
+
+        def spy(fn, log):
+            return lambda *a, **k: log.append(fn(*a, **k)) or log[-1]
+
+        runs, stacks = [], []
+        monkeypatch.setattr(T, "linprog", spy(T.linprog, runs))
+        monkeypatch.setattr(sp, "hstack", spy(sp.hstack, stacks))
+        costs = [T.wasserstein1(G, mu, nu)[0] for _ in range(2)]
+        assert len(stacks) == 1 and len(runs) == 2
+        for res in runs:
+            assert np.array_equal(res.x, fresh.x)
+        assert costs[0] == costs[1] == fresh.fun
 
     def test_identical_measures_cost_zero(self):
         G = cycle_graph(12)

@@ -2,8 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import harmlab.graphs as graphs
+import harmlab.harmonic as H
 import harmlab.walk as W
 from harmlab.cayley import build_group, cayley_ball
 from harmlab.errors import InvalidInput, NumericalFailure
@@ -141,6 +144,84 @@ class TestExit:
                 W.exit_distribution(G, A, 0)
             with pytest.raises(NumericalFailure, match="singular"):
                 W.exit_distributions(G, A, [4, 0])
+
+
+def old_blocks(A):
+    """The transition blocks (P, E) that region solves were assembled from
+    before the killed-walk operator: CSR, each row holding the member's
+    interior and exit steps in adjacency order."""
+    G, k = A.graph, A.size
+    pos = {int(v): i for i, v in enumerate(A.members)}
+    blocks = {True: ([], [], [0]), False: ([], [], [0])}
+    for v in A.members:
+        nbrs = G.neighbors(v)
+        for u in map(int, nbrs):
+            data, idx, _ = blocks[u in pos]
+            data.append(1.0 / len(nbrs))
+            idx.append(pos.get(u, u))
+        for data, idx, ptr in blocks.values():
+            ptr.append(len(idx))
+    return (sp.csr_matrix(blocks[True], shape=(k, k)),
+            sp.csr_matrix(blocks[False], shape=(k, G.n)))
+
+
+def killed_walk_regions():
+    for spec, R in (("zd:2", 6), ("free:2", 4), ("heisenberg", 5),
+                    ("lamplighter:2,1", 5), ("dinf", 8)):
+        b = cayley_ball(build_group(spec), R)
+        yield pytest.param(ball(b.graph, b.identity_vertex, R - 1), id=spec)
+    T = regular_tree(3, 4)
+    for centre, r in ((4, 3), (20, 2), (0, 3)):  # the first two reach leaves
+        yield pytest.param(ball(T, centre, r), id=f"tree-{centre}-{r}")
+    for n in (1, 2, 5, 30):
+        P = path_graph(n + 3)
+        yield pytest.param(subset_view(P, range(1, n + 2)), id=f"ruin-{n}")
+    # irregular degrees, edges out of key order, so adjacency order is not
+    # sorted order
+    rng = np.random.default_rng(7)
+    pairs = {(i, (i + 1) % 40) for i in range(40)}
+    pairs |= {tuple(p) for p in rng.integers(0, 40, (30, 2)) if p[0] != p[1]}
+    edges = sorted({(min(p), max(p)) for p in pairs})
+    rng.shuffle(edges)
+    G = OrientedGraph(40, edges)
+    yield pytest.param(ball(G, 0, 2), id="irregular")
+
+
+class TestKilledWalk:
+    @pytest.mark.parametrize("A", list(killed_walk_regions()))
+    def test_bitwise_equal_to_block_assembly(self, A):
+        G = A.graph
+        assert len(A.outer_boundary) > 0
+        M = A.killed_walk()[0]
+        assert M.format == "csc" and M.has_canonical_format
+        P, E = old_blocks(A)
+        sources = [int(v) for v in A.members[::max(1, A.size // 4)]]
+        b = np.zeros((A.size, len(sources)))
+        b[np.searchsorted(A.members, sources), np.arange(len(sources))] = 1.0
+        h_ref = W.direct_solve(sp.identity(A.size, format="csc") - P.T, b)
+        h, exits = W._interior_solve(G, A, sources)
+        assert np.array_equal(h, h_ref)
+        for col, ex in zip(h_ref.T, exits):
+            assert np.array_equal(ex.a, E.T @ col)
+        bv = np.zeros(G.n)
+        bv[A.outer_boundary] = np.sin(A.outer_boundary + 0.5)
+        f = H.dirichlet_extend(G, A, {int(v): bv[v] for v in A.outer_boundary})
+        ref = W.direct_solve(sp.identity(A.size) - P, E @ bv)
+        assert np.array_equal(f.a[A.members], ref)
+
+    def test_operator_built_once_per_region(self, monkeypatch):
+        G = torus_grid(7, 7)
+        A = ball(G, 0, 2)
+        calls = []
+        slots = graphs.adjacency_slots
+        monkeypatch.setattr(graphs, "adjacency_slots",
+                            lambda *a: calls.append(1) or slots(*a))
+        first = W.exit_distributions(G, A, [0, 1])
+        H.dirichlet_extend(G, A, {int(v): 1.0 for v in A.outer_boundary})
+        again = W.exit_distributions(G, A, [0, 1])
+        assert len(calls) == 1
+        for x, y in zip(first, again):
+            assert np.array_equal(x.a, y.a)
 
 
 class TestFire:
