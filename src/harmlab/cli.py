@@ -289,7 +289,7 @@ def cmd_window_stats(args):
           for j in range(lo, lo + n)]
     st = windowmod.window_projection_stats(b, sq, args.label)
     return {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-            for k, v in st.items() if k != "window"}
+            for k, v in st.items()}
 
 
 def cmd_harmonic_probe(args):

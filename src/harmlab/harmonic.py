@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import connected_components, shortest_path
 from .errors import InvalidInput
 from .graphs import (EdgeField, VertexField, ball_from_distances,
                      bfs_distances, check_count, divergence, gradient,
-                     lp_norm)
+                     lp_norm, subset_view)
 from .walk import direct_solve, exit_distributions, green_partial
 
 
@@ -25,6 +25,7 @@ def dirichlet_extend(G, A, boundary_values):
     """Unique function harmonic inside A with the given values on the
     outer boundary.  Raises NumericalFailure if some vertex of A cannot
     reach the boundary."""
+    A = subset_view(G, A)
     bv = VertexField.from_dict(G, boundary_values).a
     missing = [int(v) for v in A.outer_boundary
                if int(v) not in boundary_values]

@@ -20,8 +20,8 @@ SLACK_FACTOR = 1.10
 # a power-iteration start ends once its norm estimate moves by at most this
 # relative; a start cut short still leaves lambda_p an upper bound
 LAMBDA_TOL = 1e-9
-# the window block's singular values lie in [0, 1]; measured, its zero ones
-# come out below 1e-15 and the others above 0.16
+# the label rows of the orthonormal window complement have singular values in
+# [0, 1]; measured, the zero ones come out below 6e-15, the others above 0.04
 RANK_TOL = 1e-9
 # kappa_2 is sqrt(d lambda_2), so its row is an identity up to rounding; the
 # same 1e-8 as acceptance criterion 1

@@ -15,7 +15,7 @@ from scipy.optimize import linprog
 
 from .errors import InvalidInput, NumericalFailure
 from .graphs import (Distribution, EdgeField, VertexField, check_exponent,
-                     divergence, lp_norm)
+                     divergence, lp_norm, subset_view)
 from .tolerances import LP_TOL, MASS_TOL, ROUNDING
 from .walk import _interior_solve, direct_solve
 
@@ -81,6 +81,7 @@ def random_step_transport(G, mu, A):
     P_A mu - mu restricted to moves out of A-vertices.  Raises
     InvalidInput if the vertices of A carrying mass have mixed
     degrees."""
+    A = subset_view(G, A)
     active = np.flatnonzero((mu.a != 0) & A.mask)
     deg = G.degrees[active]
     bad = np.flatnonzero(deg != deg[:1])
@@ -103,6 +104,7 @@ def laplacian_transport(G, F, g):
     graph induced on F, so div tau = g up to the solver residual.  g is
     centred on F and h grounded to 0 at the first vertex of F: one sparse
     LU solve of the reduced, positive definite Laplacian."""
+    F = subset_view(G, F)
     if np.any(g.a[~F.mask] != 0):
         raise InvalidInput("g must be supported on the region")
     b = g.a[F.members]

@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import InvalidInput, NumericalFailure
 from .graphs import (Distribution, check_count, check_laziness,
-                     check_vertices, gradient, lp_norm)
+                     check_vertices, gradient, lp_norm, subset_view)
 from .tolerances import ATOM_TOL, MASS_TOL, ROUNDING
 
 
@@ -61,6 +61,7 @@ def _interior_solve(G, A, sources):
     laws), the exit law of column j being the flux of h[:, j] out of A.
     Raises InvalidInput if A has no outer boundary, NumericalFailure if the
     walk from a source cannot leave A."""
+    A = subset_view(G, A)
     sources = [int(v) for v in check_vertices(G, sources)]
     if not np.all(A.mask[sources]):
         raise ValueError("origin must lie inside the region")

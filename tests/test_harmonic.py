@@ -19,6 +19,12 @@ class TestDirichlet:
         f = H.dirichlet_extend(G, A, {0: 0.0, 7: 7.0})
         assert np.abs(f.a - np.arange(8.0)).max() < 1e-10
 
+    def test_region_of_another_graph_raises(self):
+        G = cycle_graph(8)
+        with pytest.raises(ValueError, match="another graph"):
+            H.dirichlet_extend(G, ball(path_graph(8), 3, 1),
+                               {2: 0.0, 5: 1.0})
+
     def test_exit_method_cross_check(self):
         G = torus_grid(6, 6)
         A = ball(G, 0, 2)

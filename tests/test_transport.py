@@ -11,7 +11,8 @@ from harmlab.cayley import build_group, cayley_ball
 from harmlab.errors import InvalidInput, NumericalFailure
 from harmlab.graphs import (Distribution, OrientedGraph, VertexField, ball,
                             bfs_distances, cycle_graph, divergence,
-                            regular_tree, subset_view, torus_grid)
+                            path_graph, regular_tree, subset_view,
+                            torus_grid)
 
 
 class TestWasserstein:
@@ -226,6 +227,12 @@ class TestRandomStep:
         assert pat.norm(1) == 0.0
         assert np.array_equal(pat.target.a, mu.a)
 
+    def test_region_of_another_graph_raises(self):
+        G = cycle_graph(8)
+        with pytest.raises(ValueError, match="another graph"):
+            T.random_step_transport(G, Distribution.dirac(G, 3),
+                                    ball(path_graph(8), 3, 1))
+
 
 class TestLaplacian:
     def test_divergence_matches_exactly(self):
@@ -241,6 +248,14 @@ class TestLaplacian:
         # supported on induced edges only
         supp = set(np.flatnonzero(pat.tau.a))
         assert supp <= set(map(int, F.induced_edges))
+
+    def test_region_of_another_graph_raises(self):
+        G = cycle_graph(8)
+        a = np.zeros(G.n)
+        a[[2, 4]] = [1.0, -1.0]
+        with pytest.raises(ValueError, match="another graph"):
+            T.laplacian_transport(G, ball(path_graph(8), 3, 1),
+                                  VertexField(G, a))
 
     def test_norm_bound_via_gap(self):
         import scipy.linalg

@@ -55,6 +55,15 @@ class TestExit:
             assert d <= prev + 1e-12
             prev = d
 
+    def test_region_of_another_graph_raises(self):
+        # the path's region {0, 1} would give the path's law, all mass at 2;
+        # on the cycle the walk exits at 2 w.p. 1/3 and at 7 w.p. 2/3
+        G = cycle_graph(8)
+        with pytest.raises(ValueError, match="another graph"):
+            W.exit_distribution(G, ball(path_graph(8), 0, 1), 0)
+        ex = W.exit_distribution(G, subset_view(G, [0, 1]), 0)
+        assert abs(ex[2] - 1 / 3) < 1e-12 and abs(ex[7] - 2 / 3) < 1e-12
+
     def test_origin_must_be_inside(self):
         G = cycle_graph(8)
         A = subset_view(G, [0, 1])
