@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import BudgetExceeded, InvalidInput
 from .tolerances import ATOM_TOL, MASS_TOL
@@ -456,6 +457,19 @@ class SubsetView:
             M = sp.csc_matrix((data, i[order], ptr), shape=(k, k))
             self._operator = M, (row[~inside], nbr[~inside], prob[~inside])
         return self._operator
+
+    def grounded_laplacian(self):
+        """The Laplacian of the graph induced on F, grounded once per
+        component: (B_I, labels, keep, L), B_I the incidence rows of the
+        induced edges over the members, labels the component of each
+        member, keep False at the first member of each component and L =
+        B_I^T B_I without those rows and columns, as CSC."""
+        B = self.graph.incidence_matrix()[self.induced_edges][:, self.members]
+        L = B.T @ B
+        _, labels = connected_components(L, directed=False)
+        keep = np.ones(self.size, dtype=bool)
+        keep[np.unique(labels, return_index=True)[1]] = False
+        return B, labels, keep, L[keep][:, keep].tocsc()
 
     def induced_graph(self):
         """Graph induced on F, vertex i being members[i]."""

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .errors import InvalidInput
+from .errors import InvalidInput, NumericalFailure
 from .graphs import (EdgeField, VertexField, ball_from_distances,
                      bfs_distances, check_count, divergence, gradient,
                      lp_norm, subset_view)
@@ -31,8 +31,16 @@ def dirichlet_extend(G, A, boundary_values):
                if int(v) not in boundary_values]
     if missing:
         raise ValueError(f"boundary values missing on {missing[:5]}...")
-    # M^T is I - P as CSR; b is E bv, each row summed in slot order
     M, (rows, to, prob) = A.killed_walk()
+    # a component of A that no step leaves makes M singular, which SuperLU
+    # finds or not depending on its pivots
+    _, labels = connected_components(M, directed=False)
+    closed = np.setdiff1d(labels, labels[rows])
+    if len(closed):
+        v = A.members[labels == closed[0]][0]
+        raise NumericalFailure(f"singular system: vertex {v} of the region "
+                               "cannot reach the boundary")
+    # M^T is I - P as CSR; b is E bv, each row summed in slot order
     sol = direct_solve(M.T, np.bincount(rows, weights=prob * bv[to],
                                         minlength=A.size))
     out = bv.copy()

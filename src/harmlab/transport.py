@@ -10,7 +10,6 @@ group element.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .errors import InvalidInput, NumericalFailure
@@ -47,8 +46,11 @@ def wasserstein1(G, source, target):
     tau- >= 0, one linear program on the edges (HiGHS dual simplex).
     Raises InvalidInput if the masses differ or no flow joins the
     supports, NumericalFailure if HiGHS finds no optimum or the residual
-    exceeds MASS_TOL.
+    exceeds MASS_TOL, ValueError if a measure belongs to another graph
+    object.
     """
+    if source.graph is not G or target.graph is not G:
+        raise ValueError("measure of another graph")
     with np.errstate(over="ignore", invalid="ignore"):
         gap = abs(source.a.sum() - target.a.sum())
     if not gap <= MASS_TOL:  # also when a total overflows: inf - inf
@@ -110,18 +112,14 @@ def laplacian_transport(G, F, g):
     b = g.a[F.members]
     if abs(b.sum()) > MASS_TOL * max(1.0, np.abs(b).sum()):
         raise InvalidInput("g must sum to zero on the region")
-    sub = F.induced_graph()
-    if not sub.is_connected:
+    B, labels, keep, L = F.grounded_laplacian()
+    if labels.max(initial=0):
         raise InvalidInput("induced graph on F is not connected")
-    L = (sp.diags(sub.degrees.astype(float))
-         - sub.adjacency_matrix()).tocsr()
-    b = b - b.mean()
-    h = np.zeros(G.n)
-    if sub.n > 1:
-        h[F.members[1:]] = direct_solve(L[1:, 1:], b[1:])
+    h = np.zeros(F.size)
+    if keep.any():
+        h[keep] = direct_solve(L, (b - b.mean())[keep])
     tau = EdgeField(G)
-    tau.a[F.induced_edges] = (h[G.heads[F.induced_edges]]
-                              - h[G.tails[F.induced_edges]])
+    tau.a[F.induced_edges] = B @ h
     return TransportPattern(tau, VertexField(G), g)
 
 

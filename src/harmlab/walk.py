@@ -141,7 +141,12 @@ def speed(mu, word_length):
 def entropy_isoperimetry_check(f, nu, K):
     """Both sides of the gradient-entropy inequality
     ||grad f||_1 >= (K nu/(nu+1)) H(f)^{-1/nu} for a distribution with
-    all atoms <= 1/e."""
+    all atoms <= 1/e.  Raises ValueError unless nu > 0 and K are
+    finite."""
+    if not (np.isfinite(nu) and nu > 0):
+        raise ValueError(f"nu must be finite and > 0, not {nu!r}")
+    if not np.isfinite(K):
+        raise ValueError(f"K must be finite, not {K!r}")
     if f.a.max() > np.exp(-1.0) + ROUNDING:
         raise InvalidInput("inequality requires ||f||_inf <= 1/e")
     lhs = lp_norm(gradient(f), 1)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import null_space
-from scipy.sparse.csgraph import connected_components
 
 from .errors import BudgetExceeded, InvalidInput
 from .graphs import subset_view
@@ -33,23 +32,18 @@ def complement_basis(G, F):
     in ascending id order, and an orthonormal basis Q of V_F^perp in
     l^2(E_F), one row per edge of E_F."""
     F = subset_view(G, F)
-    E = np.concatenate([F.induced_edges, F.boundary_edges])
-    B = G.incidence_matrix()[E][:, F.members]
-    BI, Bd = B[:len(F.induced_edges)], B[len(F.induced_edges):]
-    L = BI.T @ BI
-    c, labels = connected_components(L, directed=False)
+    BI, labels, keep, L = F.grounded_laplacian()
+    Bd = G.incidence_matrix()[F.boundary_edges][:, F.members]
     # the boundary parts x_bd whose B_bd^T x_bd sums to zero on each
     # component of F
     S = sp.csr_matrix((np.ones(F.size), (labels, np.arange(F.size))),
-                      shape=(c, F.size))
+                      shape=(labels.max(initial=-1) + 1, F.size))
     X = null_space((S @ Bd.T).toarray())
-    # phi grounded to 0 at the first vertex of each component
-    keep = np.ones(F.size, dtype=bool)
-    keep[np.unique(labels, return_index=True)[1]] = False
     rhs = -(Bd.T @ X)
     phi = np.zeros_like(rhs)
     if keep.any() and X.shape[1]:
-        phi[keep] = direct_solve(L[keep][:, keep], rhs[keep])
+        phi[keep] = direct_solve(L, rhs[keep])
+    E = np.concatenate([F.induced_edges, F.boundary_edges])
     order = np.argsort(E)
     return E[order], np.linalg.qr(np.vstack([BI @ phi, X])[order])[0]
 
@@ -64,6 +58,8 @@ def window_projection_stats(ball, F, label):
     """
     G = ball.graph
     F = subset_view(G, F)
+    if F.size == 0:
+        raise InvalidInput("empty window")
     nE = len(F.induced_edges) + len(F.boundary_edges)
     if nE > DENSE_EDGE_BUDGET:
         raise BudgetExceeded(f"window has {nE} edges > {DENSE_EDGE_BUDGET}")

@@ -219,6 +219,20 @@ class TestSubsetsAndBalls:
         with pytest.raises(ValueError, match="radius must be an integer"):
             ball(cycle_graph(8), 0, r)
 
+    def test_grounded_laplacian_of_a_disconnected_window(self):
+        # components {0, 1, 2}, {5, 6} and the isolated vertex 8
+        G = cycle_graph(10)
+        F = subset_view(G, [0, 1, 2, 5, 6, 8])
+        B, labels, keep, L = F.grounded_laplacian()
+        assert labels.tolist() == [0, 0, 0, 1, 1, 2]
+        assert np.bincount(labels[~keep]).tolist() == [1, 1, 1]
+        assert keep.tolist() == [False, True, True, False, True, False]
+        full = (B.T @ B).toarray()
+        assert B.shape == (len(F.induced_edges), F.size)
+        assert full.diagonal().tolist() == [1, 2, 1, 1, 1, 0]
+        assert L.format == "csc"
+        assert np.array_equal(L.toarray(), full[keep][:, keep])
+
     def test_boundary_disjoint_from_induced(self):
         G = torus_grid(4, 4)
         F = subset_view(G, range(6))

@@ -73,6 +73,18 @@ class TestDirichlet:
             with pytest.raises(NumericalFailure, match="singular"):
                 H.dirichlet_extend(G, A, bv)
 
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_closed_complete_component_raises(self, k):
+        # K_k on 0..k-1 is a whole component inside A, next to the path
+        # k - (k+1) - (k+2); SuperLU met no zero pivot on K4 or K6 and
+        # returned zeros there
+        G = OrientedGraph(k + 3, [(x, y) for x in range(k)
+                                  for y in range(x + 1, k)]
+                          + [(k, k + 1), (k + 1, k + 2)])
+        A = subset_view(G, list(range(k)) + [k + 1])
+        with pytest.raises(NumericalFailure, match="singular.*vertex 0 "):
+            H.dirichlet_extend(G, A, {k: 1.0, k + 2: 3.0})
+
     def test_missing_boundary_value(self):
         G = cycle_graph(8)
         A = subset_view(G, [0, 1])

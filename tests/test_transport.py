@@ -13,6 +13,7 @@ from harmlab.graphs import (Distribution, OrientedGraph, VertexField, ball,
                             bfs_distances, cycle_graph, divergence,
                             path_graph, regular_tree, subset_view,
                             torus_grid)
+from harmlab.walk import direct_solve
 
 
 class TestWasserstein:
@@ -77,6 +78,16 @@ class TestWasserstein:
         with pytest.raises(InvalidInput, match="masses differ"):
             T.wasserstein1(G, mu, bad)
 
+
+    @pytest.mark.parametrize("other", [path_graph(5), cycle_graph(8)],
+                             ids=["smaller_graph", "equal_graph"])
+    def test_measure_of_another_graph_raises(self, other):
+        # a path's measure failed to broadcast; an equal cycle's was solved
+        G = cycle_graph(8)
+        for pair in ((other, G), (G, other)):
+            with pytest.raises(ValueError, match="another graph"):
+                T.wasserstein1(G, Distribution.dirac(pair[0], 0),
+                               Distribution.dirac(pair[1], 3))
 
     def test_two_components_infeasible(self):
         G = OrientedGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
@@ -290,6 +301,30 @@ class TestLaplacian:
         tau[e] = h[G.heads[e]] - h[G.tails[e]]
         return tau
 
+    @staticmethod
+    def induced_graph_reference(G, F, g):
+        """tau from diag(deg) - A of the graph induced on F, grounded at
+        members[0] and solved by direct_solve."""
+        sub = F.induced_graph()
+        L = (sp.diags(sub.degrees.astype(float))
+             - sub.adjacency_matrix()).tocsr()
+        b = g.a[F.members] - g.a[F.members].mean()
+        h = np.zeros(G.n)
+        if sub.n > 1:
+            h[F.members[1:]] = direct_solve(L[1:, 1:], b[1:])
+        tau = np.zeros(G.m)
+        e = F.induced_edges
+        tau[e] = h[G.heads[e]] - h[G.tails[e]]
+        return tau
+
+    @staticmethod
+    def centred_field(G, F, seed):
+        rng = np.random.default_rng(seed)
+        a = np.zeros(G.n)
+        a[F.members] = rng.normal(size=F.size)
+        a[F.members] -= a[F.members].mean()
+        return VertexField(G, a)
+
     @pytest.mark.parametrize("cells", [
         [(0, 0)],
         [(0, 0), (0, 1)],
@@ -300,16 +335,24 @@ class TestLaplacian:
         B = cayley_ball(build_group("zd:2"), 12)
         G = B.graph
         F = subset_view(G, [B.vertex_of[c] for c in cells])
-        rng = np.random.default_rng(len(cells))
-        a = np.zeros(G.n)
-        a[F.members] = rng.normal(size=F.size)
-        a[F.members] -= a[F.members].mean()
-        g = VertexField(G, a)
+        g = self.centred_field(G, F, len(cells))
         pat = T.laplacian_transport(G, F, g)
         ref = self.dense_reference(G, F, g)
         assert np.abs(pat.tau.a - ref).max() <= 1e-12 * max(
             1.0, np.abs(ref).max())
         assert pat.residual <= 1e-12
+        assert np.array_equal(pat.tau.a, self.induced_graph_reference(G, F, g))
+
+    @pytest.mark.parametrize("spec, R, r", [("heisenberg", 8, 6),
+                                            ("free:2", 5, 4)])
+    def test_matches_induced_graph_assembly_on_balls(self, spec, R, r):
+        B = cayley_ball(build_group(spec), R)
+        G = B.graph
+        F = subset_view(G, np.flatnonzero(B.word_length <= r))
+        g = self.centred_field(G, F, r)
+        pat = T.laplacian_transport(G, F, g)
+        assert np.array_equal(pat.tau.a, self.induced_graph_reference(G, F, g))
+        assert pat.residual <= 1e-10
 
     def test_rejects_nonzero_sum(self):
         G = cycle_graph(8)

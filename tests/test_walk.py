@@ -353,6 +353,16 @@ class TestEntropy:
         with pytest.raises(InvalidInput, match="1/e"):
             W.entropy_isoperimetry_check(f, 1.0, 1.0)
 
+    @pytest.mark.parametrize("nu, K, name", [
+        (0.0, 1.0, "nu"), (-1.0, 1.0, "nu"), (np.nan, 1.0, "nu"),
+        (np.inf, 1.0, "nu"), (1.0, np.nan, "K"), (1.0, np.inf, "K")])
+    def test_entropy_iso_domain(self, nu, K, name):
+        # nu <= 0 divided by zero or gave a bound; NaN reported a failed
+        # inequality
+        f = Distribution.uniform(cycle_graph(8), range(8))
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            W.entropy_isoperimetry_check(f, nu, K)
+
 
 class TestBallWalks:
     def test_boundary_guard(self):

@@ -5,7 +5,7 @@ from scipy.sparse.csgraph import connected_components
 
 import harmlab.window as WD
 from harmlab.cayley import build_group, cayley_ball
-from harmlab.errors import BudgetExceeded
+from harmlab.errors import BudgetExceeded, InvalidInput
 from harmlab.graphs import (OrientedGraph, cycle_graph, regular_tree,
                             subset_view)
 
@@ -226,6 +226,11 @@ class TestProjectionStats:
         out = WD.window_projection_stats(z2ball, F, "s2")
         assert out["diag"].min() >= -1e-12
         assert out["diag"].max() <= 1.0 + 1e-12
+
+    def test_empty_window_raises(self, z2ball):
+        # k / |F| divided by zero
+        with pytest.raises(InvalidInput, match="empty window"):
+            WD.window_projection_stats(z2ball, [], "s1")
 
     def test_budget_guard(self):
         B = cayley_ball(build_group("zd:2"), 92)
