@@ -170,7 +170,7 @@ def check_vertices(G, verts):
     truncate 1.5 and read True as 1, also among ints)."""
     a = np.asarray(verts)
     if a.size and (a.dtype.kind not in "iu" or isinstance(verts, (list, tuple))
-                   and any(isinstance(v, (bool, np.bool_)) for v in verts)):
+                   and not {bool, np.bool_}.isdisjoint(map(type, verts))):
         raise ValueError(f"vertices must be integers, not {verts!r:.40}")
     verts = a.astype(np.int64, copy=False)
     bad = verts[(verts < 0) | (verts >= G.n)]
@@ -276,9 +276,8 @@ class VertexField(_Field):
     @classmethod
     def from_dict(cls, graph, mapping):
         f = cls(graph)
-        check_vertices(graph, list(mapping))
-        for v, x in mapping.items():
-            f.a[v] = x
+        f.a[check_vertices(graph, list(mapping))] = np.fromiter(
+            mapping.values(), float, len(mapping))
         return f
 
     def __getitem__(self, v):

@@ -8,11 +8,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from .errors import InvalidInput, NumericalFailure
+from .errors import InvalidInput
 from .graphs import (EdgeField, VertexField, ball_from_distances,
                      bfs_distances, check_count, divergence, gradient,
                      lp_norm, subset_view)
-from .walk import direct_solve, exit_distributions, green_partial
+from .walk import (closed_members, direct_solve, exit_distributions,
+                   green_partial)
 
 
 def harmonic_residual(f, interior):
@@ -27,19 +28,16 @@ def dirichlet_extend(G, A, boundary_values):
     reach the boundary."""
     A = subset_view(G, A)
     bv = VertexField.from_dict(G, boundary_values).a
-    missing = [int(v) for v in A.outer_boundary
-               if int(v) not in boundary_values]
-    if missing:
-        raise ValueError(f"boundary values missing on {missing[:5]}...")
+    given = np.zeros(G.n, dtype=bool)
+    given[np.fromiter(boundary_values, np.int64, len(boundary_values))] = True
+    missing = A.outer_boundary[~given[A.outer_boundary]]
+    if len(missing):
+        raise ValueError(
+            f"boundary values missing on {missing[:5].tolist()}...")
+    # a component of A that no step leaves makes M singular, and its values
+    # are not determined however the solver's pivots fall
+    closed_members(A)
     M, (rows, to, prob) = A.killed_walk()
-    # a component of A that no step leaves makes M singular, which SuperLU
-    # finds or not depending on its pivots
-    _, labels = connected_components(M, directed=False)
-    closed = np.setdiff1d(labels, labels[rows])
-    if len(closed):
-        v = A.members[labels == closed[0]][0]
-        raise NumericalFailure(f"singular system: vertex {v} of the region "
-                               "cannot reach the boundary")
     # M^T is I - P as CSR; b is E bv, each row summed in slot order
     sol = direct_solve(M.T, np.bincount(rows, weights=prob * bv[to],
                                         minlength=A.size))

@@ -268,11 +268,29 @@ class TestVertexIndexGate:
         lambda G: Distribution.uniform(G, [1.9]),
         lambda G: Distribution.dirac(G, 1.5),
         lambda G: VertexField.from_dict(G, {1.5: 2.0}),
+        lambda G: VertexField.from_dict(G, {2: 1.0, True: 2.0}),
     ], ids=["bfs", "bfs_bool", "bfs_tuple_bool", "subset_view",
-            "subset_view_bool", "uniform", "dirac", "from_dict"])
+            "subset_view_bool", "uniform", "dirac", "from_dict",
+            "from_dict_bool"])
     def test_non_integer_vertex_raises(self, call):
         with pytest.raises(ValueError, match="vertices must be integers"):
             call(cycle_graph(8))
+
+    def test_from_dict_matches_item_loop(self):
+        # from_dict writes the keys and values as two arrays; the reference
+        # assigns item by item, with numpy keys and values among them
+        G = cycle_graph(50)
+        rng = np.random.default_rng(2)
+        keys = rng.permutation(50)[:30]
+        mapping = dict(zip(map(int, keys[:10]), rng.normal(size=10)))
+        mapping.update(zip(keys[10:20],
+                           rng.normal(size=10).astype(np.float32)))
+        mapping.update(zip(map(int, keys[20:]),
+                           map(int, rng.integers(-5, 5, 10))))
+        ref = np.zeros(50)
+        for v, x in mapping.items():
+            ref[v] = x
+        assert np.array_equal(VertexField.from_dict(G, mapping).a, ref)
 
     def test_no_vertices_is_valid(self):
         G = cycle_graph(8)

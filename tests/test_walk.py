@@ -145,14 +145,71 @@ class TestExit:
                               (5, 6)])
         A = subset_view(G, [0, 1, 2, 4])
         assert len(A.outer_boundary) > 0
-        # the solver's singular-matrix warning becomes the error; nothing
-        # is emitted on the way
+        # the closed component becomes the error, whether or not SuperLU
+        # meets a zero pivot; nothing is emitted on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalFailure, match="singular"):
                 W.exit_distribution(G, A, 0)
             with pytest.raises(NumericalFailure, match="singular"):
                 W.exit_distributions(G, A, [4, 0])
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_closed_clique_component(self, k):
+        # K_k on 0..k-1 is a whole component inside A, next to the path
+        # k - (k+1) - (k+2); SuperLU meets a zero pivot on it for k = 3, 5
+        # and 9 only, and the exit law from k + 1 must not depend on that
+        G = OrientedGraph(k + 3, [(x, y) for x in range(k)
+                                  for y in range(x + 1, k)]
+                          + [(k, k + 1), (k + 1, k + 2)])
+        A = subset_view(G, list(range(k)) + [k + 1])
+        ex = W.exit_distribution(G, A, k + 1)
+        assert ex.a.tolist() == [0.0] * k + [0.5, 0.0, 0.5]
+        with pytest.raises(NumericalFailure, match=f"vertex {k - 1} of the "
+                           "region cannot reach the boundary"):
+            W.exit_distribution(G, A, k - 1)
+        with pytest.raises(NumericalFailure, match="vertex 1 of the region"):
+            W.exit_distributions(G, A, [k + 1, 1])
+
+
+class TestDirectSolve:
+    @pytest.mark.parametrize("spec, R", [("zd:2", 6), ("free:2", 4),
+                                         ("lamplighter:2,1", 5),
+                                         ("heisenberg", 8)])
+    def test_matches_dense_solve(self, spec, R):
+        b = cayley_ball(build_group(spec), R)
+        A = ball(b.graph, b.identity_vertex, R - 1)
+        M = A.killed_walk()[0]
+        L = A.grounded_laplacian()[3]
+        rng = np.random.default_rng(5)
+        for op in (M, M.T, L):
+            rhs = rng.normal(size=op.shape[0])
+            ref = np.linalg.solve(op.toarray(), rhs)
+            err = np.linalg.norm(W.direct_solve(op, rhs) - ref)
+            assert err <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("shape", [(7,), (7, 1), (7, 2)])
+    def test_right_hand_side_keeps_its_shape(self, shape):
+        G = path_graph(9)
+        M = subset_view(G, range(1, 8)).killed_walk()[0]
+        rhs = np.arange(np.prod(shape), dtype=float).reshape(shape) + 1.0
+        x = W.direct_solve(M, rhs)
+        assert x.shape == shape
+        cols = rhs.reshape(7, -1).T
+        for col, want in zip(x.reshape(7, -1).T, cols):
+            assert np.allclose(M @ col, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("M", [
+        np.array([[1.0, -1.0], [-1.0, 1.0]]),
+        np.zeros((3, 3)),
+        # the killed walk of the triangle, a region that no step leaves
+        np.eye(3) - (np.ones((3, 3)) - np.eye(3)) / 2,
+    ], ids=["rank_one", "zero", "triangle"])
+    def test_singular_matrix_raises(self, M):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="singular sparse"):
+                W.direct_solve(sp.csc_matrix(M), np.ones(len(M)))
 
 
 def old_blocks(A):
