@@ -192,6 +192,9 @@ def cmd_walk_exit(args):
     A = graphs.ball_from_distances(b.graph, b.word_length, r)
     v = b.identity_vertex
     w = int(b.translation_table(gen)[v]) if gen is not None else v
+    if not A.mask[w]:
+        raise InvalidInput(f"second origin --to {args.to} lies outside "
+                           f"--region {r}")
     exv, exw = walkmod.exit_distributions(b.graph, A, [v, w])
     rows = []
     for x in np.flatnonzero(exv.a + exw.a):

@@ -1,6 +1,5 @@
-"""Harmonicity diagnostics: Dirichlet extension, truncation, decay and
-divergence profiles, Liouville probing, tree flows and approximate-kernel
-witnesses.
+"""Harmonicity diagnostics: Dirichlet extension, truncation, divergence
+profiles, Liouville probing, tree flows and approximate-kernel witnesses.
 """
 
 from __future__ import annotations
@@ -63,33 +62,6 @@ def _live_components(G, outside, shell):
     comp[outside] = labels
     live = comp[shell]
     return comp, np.unique(live[live >= 0])
-
-
-def gradient_decay(f, root, n_max=None):
-    """gd_f(n): sup of |grad f| over edges outside the ball B(root, n),
-    restricted to components of the complement that reach the outermost
-    shell (finite stand-in for infinite components).  Nonincreasing."""
-    if n_max is not None:
-        check_count(n_max, "n_max", 0)
-    G = f.graph
-    dist = bfs_distances(G, root)
-    R = int(dist.max())
-    if n_max is None:
-        n_max = R - 1
-    g = np.abs(gradient(f).a)
-    shell = np.flatnonzero(dist == R)
-    out = []
-    for n in range(n_max + 1):
-        outside = np.flatnonzero(dist > n)
-        if len(outside) == 0:
-            out.append(0.0)
-            continue
-        comp, live = _live_components(G, outside, shell)
-        t, h = G.tails, G.heads
-        sel = ((dist[t] > n) & (dist[h] > n)
-               & np.isin(comp[t], live) & (comp[t] == comp[h]))
-        out.append(float(g[sel].max()) if sel.any() else 0.0)
-    return np.array(out)
 
 
 def divergence_profile(G, root, K, n_max):

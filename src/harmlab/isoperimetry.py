@@ -216,6 +216,8 @@ def min_boundary_exact(G, size):
 def inradius(G, F):
     """Largest r such that some ball B(x, r), x in F, stays inside F."""
     F = subset_view(G, F)
+    if F.size == 0:
+        raise InvalidInput("empty set")
     comp = np.flatnonzero(~F.mask)
     if len(comp) == 0:
         # F = V: every ball fits; report the largest radius that matters
@@ -263,6 +265,8 @@ def radial_iso_check(G, A, K=1.0, k=1.0):
     if not np.isfinite([K, k]).all():
         raise ValueError(f"K and k must be finite, not {K!r} and {k!r}")
     A = subset_view(G, A)
+    if A.size == 0:
+        raise InvalidInput("empty set")
     comp = np.flatnonzero(~A.mask)
     if len(comp):
         if not subset_view(G, comp).induced_graph().is_connected:

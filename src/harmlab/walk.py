@@ -1,5 +1,5 @@
-"""Random walks: stopped walks, exit distributions, firing, entropy and
-Green partial sums.
+"""Random walks: stopped walks, exit distributions, entropy and Green
+partial sums.
 
 Walks on Cayley balls use the ambient group degree, so distributions are
 faithful as long as their support stays in the interior; operations that
@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import InvalidInput, NumericalFailure
 from .graphs import (Distribution, check_count, check_laziness,
                      check_vertices, gradient, lp_norm, subset_view)
-from .tolerances import ATOM_TOL, MASS_TOL, ROUNDING
+from .tolerances import MASS_TOL, ROUNDING
 
 
 class StoppedWalk:
@@ -134,23 +134,6 @@ def exit_distribution(G, A, v):
     return exit_distributions(G, A, [v])[0]
 
 
-def fire(nu, v, r):
-    """Replace r units of mass at v by one walk step from v:
-    result = nu - r delta_v + r P delta_v.  Preserves pairings with
-    functions harmonic at v."""
-    if not r >= 0:
-        raise ValueError("firing rate must be >= 0")
-    check_vertices(nu.graph, v)
-    if r > nu.a[v] + ATOM_TOL:
-        raise InvalidInput(f"firing {r} exceeds mass {nu.a[v]} at vertex {v}")
-    G = nu.graph
-    a = nu.a.copy()
-    a[v] -= r
-    nbrs = G.neighbors(v)
-    a[nbrs] += r / len(nbrs)
-    return Distribution(G, a, check=False)
-
-
 # -- entropy ---------------------------------------------------------------
 
 
@@ -235,15 +218,15 @@ def distribution(ball, n, laziness=0.0):
     return Distribution(ball.graph, a, check=False)
 
 
-def green_partial(ball, x, n, laziness=0.0):
+def green_partial(ball, x, n):
     """Partial Green sum g_n = (1/n) sum_{i<n} P^i delta_x and the l^1 norm
     of its Laplacian (which contracts like 2/n)."""
     check_count(n, "n", 1)
     acc = np.zeros(ball.n)
-    for a in _walk(ball, x, n - 1, laziness):
+    for a in _walk(ball, x, n - 1, 0.0):
         acc += a
     g = acc / n
-    residual = np.abs(g - _ball_step(ball, g, laziness)).sum()
+    residual = np.abs(g - _ball_step(ball, g, 0.0)).sum()
     return Distribution(ball.graph, g, check=False), float(residual)
 
 

@@ -310,6 +310,14 @@ class TestExitCodes:
                                "--radius", "3", "--steps", "5"], capsys)
         assert "increase the ball radius" in err
 
+    def test_second_origin_outside_the_region(self, capsys):
+        # the one-vertex region of --region 0 does not hold the target; the
+        # library's ValueError was a traceback and exit 1
+        err = one_line_exit_2(["walk", "exit", "--group", "zd:2",
+                               "--region", "0", "--to", "s1"], capsys)
+        assert "Traceback" not in err
+        assert "--to s1" in err and "--region 0" in err
+
     def test_dense_eigensolve_limit(self, capsys):
         assert run(["spectral", "--graph", "cycle:5001"]) == 3
         out, err = capsys.readouterr()
@@ -517,6 +525,7 @@ def test_out_of_range_values_exit_2(argv, tmp_path, capsys):
 # the argv fuzz: every subcommand with its options drawn as (valid,
 # invalid) values, the invalid ones out of range, non-numeric or malformed
 INTS = (["1", "2", "3"], ["-1", "0", "x", "2.5", ""])
+COUNTS = (["0", "1", "2", "3"], ["-1", "x", "2.5", ""])  # options that take 0
 FLOATS = (["0", "0.25", "0.5"], ["1", "1.5", "-1", "nan", "inf", "x"])
 GROUPS = (["zd:1", "zd:2", "free:2", "heisenberg", "lamplighter:2,1",
            "bs:1,2", "dinf"],
@@ -533,15 +542,15 @@ SUBCOMMANDS = {
     "spectral": {"--graph": GRAPHS, "--p": (["1.5", "3", "1.5,3"],
                                             ["0.5", "inf", "nan", "x",
                                              "101"])},
-    "walk profile": {"--group": GROUPS, "--radius": INTS, "--steps": INTS,
+    "walk profile": {"--group": GROUPS, "--radius": INTS, "--steps": COUNTS,
                      "--laziness": FLOATS},
-    "walk exit": {"--group": GROUPS, "--region": INTS,
+    "walk exit": {"--group": GROUPS, "--region": COUNTS,
                   "--to": (["s1", "s", "t", "a"], ["nosuch"])},
     "transport wasserstein": {"--graph": GRAPHS, "--src": MEASURES,
                               "--dst": MEASURES},
     "transport chain": {"--group": GROUPS, "--levels": RADII,
                         "--p": (["0", "1", "2", "inf"], ["0.5", "nan", "x"])},
-    "iso profile": {"--graph": GRAPHS, "--max-size": INTS, "--budget": INTS},
+    "iso profile": {"--graph": GRAPHS, "--max-size": INTS, "--budget": COUNTS},
     "iso radial": {"--graph": GRAPHS, "--set": SETS, "--K": FLOATS,
                    "--k": FLOATS},
     "window stats": {"--square": INTS, "--label": (["s1", "s2"], ["q"])},

@@ -134,15 +134,6 @@ class TestDecayProfiles:
         f = VertexField(B.graph,
                         np.array([g[0] for g in B.elements], dtype=float))
         assert H.harmonic_residual(f, np.flatnonzero(B.interior)) < 1e-12
-        gd = H.gradient_decay(f, 0, n_max=6)
-        assert np.all(gd == 1.0)
-
-    def test_gradient_decay_nonincreasing(self):
-        B = cayley_ball(build_group("zd:2"), 10)
-        rng = np.random.default_rng(3)
-        f = VertexField(B.graph, rng.normal(size=B.n))
-        gd = H.gradient_decay(f, 0, n_max=7)
-        assert np.all(np.diff(gd) <= 1e-15)
 
     def test_divergence_profile_rows(self):
         B = cayley_ball(build_group("zd:2"), 16)
@@ -160,24 +151,21 @@ class TestDecayProfiles:
     # a float n_max was a bare TypeError from range, and K = 2.0 passed a
     # check whose message asked for an integer
     @pytest.mark.parametrize("call, name", [
-        (lambda f: H.gradient_decay(f, 0, 1.5), "n_max"),
         (lambda f: H.divergence_profile(f.graph, 0, 2, 1.5), "n_max"),
         (lambda f: H.divergence_profile(f.graph, 0, 2.0, 3), "K"),
         (lambda f: H.divergence_profile(f.graph, 0, 1, 3), "K"),
-    ], ids=["decay_float", "divergence_float", "K_float", "K_one"])
+    ], ids=["divergence_float", "K_float", "K_one"])
     def test_counts_must_be_integers(self, call, name):
         f = VertexField(cycle_graph(8), np.arange(8.0))
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             call(f)
 
-    def test_gradient_decay_ignores_finite_components(self):
-        # rooted at 2, the path 0..10 leaves the branch {0, 1} short of
-        # the outermost shell {10}, so its steep edge does not count
-        G = path_graph(11)
-        f = VertexField(G, np.arange(11.0))
-        f.a[0] = 100.0
-        gd = H.gradient_decay(f, 2, n_max=3)
-        assert gd.tolist() == [1.0, 1.0, 1.0, 1.0]
+    def test_divergence_profile_keeps_finite_components(self):
+        # rooted at 3, the path 0..12 leaves the branch {0} short of the
+        # outermost shell {12}: it is no far component of the complement
+        # of B(3, 2), so vertex 0 stays in S(1) = {0, 1, 5}
+        rows = H.divergence_profile(path_graph(13), 3, K=2, n_max=1)
+        assert rows[0]["S_size"] == 3
 
     def test_probe_decay_on_z(self):
         B = cayley_ball(build_group("zd:1"), 40)

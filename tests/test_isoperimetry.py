@@ -209,6 +209,11 @@ class TestGeometry:
             r = I.inradius(G, F)
             assert np.count_nonzero((0 <= d) & (d <= r)) <= len(F)
 
+    def test_inradius_of_the_empty_set_raises(self):
+        # numpy's "zero-size array to reduction operation maximum" before
+        with pytest.raises(InvalidInput, match="empty set"):
+            I.inradius(cycle_graph(8), [])
+
     def test_diameter_disconnected(self):
         G = cycle_graph(8)
         with pytest.raises(InvalidInput, match="disconnected"):
@@ -248,6 +253,10 @@ class TestGeometry:
         G = cycle_graph(10)
         with pytest.raises(InvalidInput, match="complement"):
             I.radial_iso_check(G, [0, 1, 5, 6])
+
+    def test_radial_check_of_the_empty_set_raises(self):
+        with pytest.raises(InvalidInput, match="empty set"):
+            I.radial_iso_check(cycle_graph(8), [])
 
     def test_doubling_envelope(self):
         # on the torus the optimal ratio at size 2s is no worse than at s

@@ -290,64 +290,6 @@ class TestKilledWalk:
             assert np.array_equal(x.a, y.a)
 
 
-class TestFire:
-    def test_conserves_mass(self):
-        G = torus_grid(4, 4)
-        nu = Distribution.dirac(G, 0)
-        out = W.fire(nu, 0, 0.5)
-        assert abs(out.a.sum() - 1.0) < 1e-12
-        assert abs(out[0] - 0.5) < 1e-12
-
-    def test_negative_mass_guard(self):
-        G = cycle_graph(5)
-        with pytest.raises(InvalidInput, match="exceeds mass"):
-            W.fire(Distribution.dirac(G, 0), 0, 1.5)
-
-    @pytest.mark.parametrize("r", [-0.5, np.nan])
-    def test_rate_out_of_range_raises(self, r):
-        # a NaN rate passed both range checks and spread NaN masses
-        with pytest.raises(ValueError, match="firing rate"):
-            W.fire(Distribution.dirac(cycle_graph(5), 0), 0, r)
-
-    @pytest.mark.parametrize("v", [-1, 5])
-    def test_out_of_range_vertex_raises(self, v):
-        # -1 read vertex 4's mass and then split r over neighbors(-1), an
-        # empty slice; 5 was an IndexError
-        nu = Distribution.dirac(path_graph(5), 0)
-        with pytest.raises(ValueError, match="vertex of the graph"):
-            W.fire(nu, v, 0.5)
-
-    def test_non_integer_vertex_raises(self):
-        # 1.5 passed the gate as vertex 1 and then indexed the masses
-        nu = Distribution.dirac(cycle_graph(8), 1)
-        with pytest.raises(ValueError, match="vertices must be integers"):
-            W.fire(nu, 1.5, 0.5)
-
-    def test_preserves_harmonic_pairing(self):
-        G = torus_grid(5, 5)
-        rng = np.random.default_rng(0)
-        a = rng.random(G.n)
-        nu = Distribution(G, a / a.sum())
-        # build f harmonic at vertex 7 only
-        f = rng.normal(size=G.n)
-        ej = G.edge_ids(7, G.neighbors(7))
-        nb = [int(G.tails[e]) if G.heads[e] == 7 else int(G.heads[e])
-              for e in ej]
-        f[7] = np.mean(f[nb])
-        out = W.fire(nu, 7, float(nu.a[7]))
-        assert abs(np.dot(out.a - nu.a, f)) < 1e-12
-
-    def test_firing_to_exit_law(self):
-        # firing every interior vertex to exhaustion reproduces the exit law
-        G, ex = segment_exit(6, 3)
-        A = subset_view(G, range(1, 8))
-        nu = Distribution.dirac(G, 4)
-        for _ in range(2000):
-            for v in A.members:
-                nu = W.fire(nu, int(v), float(nu.a[v]))
-        assert np.abs(nu.a - ex.a).max() < 1e-12
-
-
 class TestEntropy:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -437,15 +379,15 @@ class TestBallWalks:
             mu = W.distribution(B, R, laziness)
             assert abs(mu.a.sum() - 1.0) < 1e-12
             assert mu.a[B.word_length == R].sum() > 0
-            g, _ = W.green_partial(B, B.identity_vertex, R + 1, laziness)
-            assert abs(g.a.sum() - 1.0) < 1e-12
             assert len(W.entropy_profile(B, R, laziness)) == R + 1
             with pytest.raises(InvalidInput, match="truncation sphere"):
                 W.distribution(B, R + 1, laziness)
             with pytest.raises(InvalidInput, match="truncation sphere"):
-                W.green_partial(B, B.identity_vertex, R + 2, laziness)
-            with pytest.raises(InvalidInput, match="truncation sphere"):
                 W.entropy_profile(B, R + 1, laziness)
+        g, _ = W.green_partial(B, B.identity_vertex, R + 1)
+        assert abs(g.a.sum() - 1.0) < 1e-12
+        with pytest.raises(InvalidInput, match="truncation sphere"):
+            W.green_partial(B, B.identity_vertex, R + 2)
 
     def test_z1_binomial(self):
         B = cayley_ball(build_group("zd:1"), 8)
@@ -519,7 +461,6 @@ class TestBallWalks:
         # as in graphs.walk_step: a holding probability lies in [0, 1)
         B = cayley_ball(build_group("zd:1"), 6)
         for walk in (lambda: W.distribution(B, 2, laziness),
-                     lambda: W.green_partial(B, 0, 2, laziness),
                      lambda: W.entropy_profile(B, 2, laziness)):
             with pytest.raises(ValueError):
                 walk()
