@@ -368,15 +368,6 @@ def check_laziness(laziness):
         raise ValueError("laziness must lie in [0, 1)")
 
 
-def walk_step(nu, laziness=0.0):
-    """One step of the (lazy) simple random walk applied to a distribution."""
-    G = nu.graph
-    check_laziness(laziness)
-    d = G.require_regular()
-    a = laziness * nu.a + (1.0 - laziness) * G.adjacency_matrix().dot(nu.a) / d
-    return Distribution(G, a, check=False)
-
-
 def check_exponent(p):
     """InvalidInput unless p is 0, inf or >= 1 (NaN is none of them)."""
     if not (p == 0 or p >= 1):

@@ -169,19 +169,29 @@ def cut_program(G, edge_cost, vertex_cost, size):
     """Least edge_cost |boundary F| + vertex_cost |F| over vertex sets F
     with size[0] <= |F| <= size[1].
 
-    Solved as the integer program over binary x and y_e >= |x_u - x_v|.
-    The costs must be integers, so the objective is an integer and a
-    HiGHS dual bound above (value - 1) proves the incumbent optimal.
+    Solved as the integer program over binary x, the indicator of F, and
+    z_e <= x_tail, x_head in [0, 1], which counts the edges inside F: as
+    |boundary F| = sum_{v in F} deg v - 2 |E(F)|, x_v costs edge_cost deg v
+    + vertex_cost and z_e costs -2 edge_cost, and with edge_cost >= 1 an
+    optimum sets z_e = x_tail x_head (Fortet's linearisation).  The costs
+    must be integers, so the objective is an integer and a HiGHS dual
+    bound above (value - 1) proves the incumbent optimal.
     Returns (F as a SubsetView, value), with value recomputed exactly
     from F; raises NumericalFailure without that proof.
     """
+    check_count(edge_cost, "edge_cost", 1)
+    if np.asarray(vertex_cost).dtype.kind not in "iu":
+        raise ValueError(
+            f"vertex_cost must be an integer, not {vertex_cost!r}")
     n, m = G.n, G.m
     is_x = np.repeat([1.0, 0.0], [n, m])
-    # rows 2e, 2e + 1: x_u - x_v - y_e <= 0 and x_v - x_u - y_e <= 0
-    A = sp.hstack([sp.kron(G.incidence_matrix(), [[-1.0], [1.0]]),
-                   sp.kron(sp.identity(m), [[-1.0], [-1.0]])], format="csr")
+    # rows e, m + e: z_e - x_tail(e) <= 0 and z_e - x_head(e) <= 0
+    cols = np.column_stack([np.concatenate([G.tails, G.heads]),
+                            n + np.tile(np.arange(m), 2)])
+    A = sp.csr_matrix((np.tile([-1.0, 1.0], 2 * m), cols.ravel(),
+                       np.arange(0, 4 * m + 1, 2)), shape=(2 * m, n + m))
     res = scipy.optimize.milp(
-        np.where(is_x, vertex_cost, edge_cost).astype(float),
+        np.r_[edge_cost * G.degrees + vertex_cost, [-2.0 * edge_cost] * m],
         constraints=[scipy.optimize.LinearConstraint(A, -np.inf, 0),
                      scipy.optimize.LinearConstraint(is_x, *size)],
         integrality=is_x, bounds=scipy.optimize.Bounds(0.0, 1.0))

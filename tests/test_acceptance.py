@@ -24,7 +24,7 @@ from harmlab.graphs import (Distribution, VertexField, ball, bfs_distances,
                             complete_graph, cycle_graph, divergence,
                             gradient, hypercube_graph, lp_norm, path_graph,
                             random_regular_graph, regular_tree, subset_view,
-                            torus_grid, walk_step)
+                            torus_grid)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -14,8 +14,7 @@ from harmlab.graphs import (Distribution, EdgeField, OrientedGraph,
                             cycle_graph, complete_graph, divergence, gradient,
                             hypercube_graph, laplacian, load_graph, lp_norm,
                             neighbour_masks, path_graph, random_regular_graph,
-                            regular_tree, save_graph, subset_view, torus_grid,
-                            walk_step)
+                            regular_tree, save_graph, subset_view, torus_grid)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -126,28 +125,6 @@ class TestLaplacian:
         assert np.all(gradient(f).a == 0)
         g = VertexField(G, np.arange(G.n, dtype=float))
         assert np.abs(gradient(g).a).max() > 0
-
-
-class TestWalkStep:
-    def test_c4_neighbours(self):
-        G = cycle_graph(4)
-        out = walk_step(Distribution.dirac(G, 0))
-        assert out[1] == 0.5 and out[3] == 0.5 and out[0] == 0.0
-
-    def test_lazy_split(self):
-        G = cycle_graph(8)
-        out = walk_step(Distribution.dirac(G, 4), laziness=0.5)
-        assert out[4] == 0.5 and out[3] == 0.25 and out[5] == 0.25
-
-    def test_mass_and_positivity(self):
-        G = hypercube_graph(4)
-        rng = np.random.default_rng(0)
-        a = rng.random(G.n)
-        nu = Distribution(G, a / a.sum())
-        for _ in range(5):
-            nu = walk_step(nu, laziness=0.25)
-            assert abs(nu.a.sum() - 1.0) < 1e-12
-            assert nu.a.min() >= 0
 
 
 class TestDistribution:

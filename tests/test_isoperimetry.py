@@ -8,7 +8,8 @@ from harmlab.cayley import build_group, cayley_ball
 from harmlab.errors import BudgetExceeded, InvalidInput
 from harmlab.graphs import (OrientedGraph, bfs_distances, complete_graph,
                             cycle_graph, hypercube_graph, path_graph,
-                            random_regular_graph, subset_view, torus_grid)
+                            random_regular_graph, regular_tree, subset_view,
+                            torus_grid)
 
 
 def square_in_z2(ball_obj, n):
@@ -190,6 +191,64 @@ class TestProfile:
         with pytest.raises(ValueError, match=r"^size must be (an integer "
                                              r">= 1|in 1\.\.8), not"):
             I.min_boundary_exact(cycle_graph(8), size)
+
+
+def subset_table(G):
+    """|boundary F| and |F| of every vertex set F, indexed by bitmask."""
+    bits = (np.arange(1 << G.n)[:, None] >> np.arange(G.n)) & 1
+    return ((bits[:, G.tails] != bits[:, G.heads]).sum(axis=1),
+            bits.sum(axis=1))
+
+
+# the program's objective reads each vertex's own degree
+IRREGULAR = {
+    "P9": path_graph(9),
+    "tree3_2": regular_tree(3, 2),
+    "star8": OrientedGraph(8, [(0, v) for v in range(1, 8)]),
+    "P6+isolated": OrientedGraph(7, [(v, v + 1) for v in range(5)]),
+    **{f"random{seed}": random_connected_graph(np.random.default_rng(seed),
+                                               8 + seed)
+       for seed in range(5)},
+}
+
+
+@pytest.mark.parametrize("G", IRREGULAR.values(), ids=IRREGULAR.keys())
+class TestCutProgramOnIrregularGraphs:
+    def test_graph_is_irregular(self, G):
+        assert G.regular_degree is None and G.n <= 12
+
+    def test_min_boundary_exact_at_every_size(self, G):
+        bnd, size = subset_table(G)
+        for s in range(1, G.n + 1):
+            b, wit = I.min_boundary_exact(G, s)
+            assert b == bnd[size == s].min()
+            assert len(wit) == s and subset_view(G, wit).boundary_size == b
+
+    def test_dinkelbach_form(self, G):
+        # the steps of spectral._cheeger_milp: edge cost s, vertex cost -b
+        bnd, size = subset_table(G)
+        half = (size >= 1) & (size <= G.n // 2)
+        for s in range(1, G.n // 2 + 1):
+            b = int(bnd[size == s].min())
+            F, value = I.cut_program(G, s, -b, (1, G.n // 2))
+            assert value == (s * bnd - b * size)[half].min() <= 0
+            assert value == s * F.boundary_size - b * F.size
+            assert 1 <= F.size <= G.n // 2
+
+    def test_cheeger_milp_equals_bitmask(self, G):
+        assert S._cheeger_milp(G)[0] == S._cheeger_bitmask(G)[0]
+
+
+class TestCutProgramCosts:
+    # the certificate needs an integer objective, and edge_cost >= 1 to
+    # raise each z_e to x_tail x_head
+    @pytest.mark.parametrize("edge_cost, vertex_cost, name", [
+        (1, 0.5, "vertex_cost"), (1.0, 0, "edge_cost"), (0, 0, "edge_cost"),
+        (-1, 0, "edge_cost")], ids=["float_vertex_cost", "float_edge_cost",
+                                    "edge_cost_0", "edge_cost_-1"])
+    def test_rejected(self, edge_cost, vertex_cost, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            I.cut_program(cycle_graph(6), edge_cost, vertex_cost, (1, 3))
 
 
 class TestGeometry:

@@ -458,7 +458,7 @@ class TestBallWalks:
 
     @pytest.mark.parametrize("laziness", [-0.5, 1.0, 1.5, np.nan])
     def test_laziness_outside_unit_interval(self, laziness):
-        # as in graphs.walk_step: a holding probability lies in [0, 1)
+        # graphs.check_laziness: a holding probability lies in [0, 1)
         B = cayley_ball(build_group("zd:1"), 6)
         for walk in (lambda: W.distribution(B, 2, laziness),
                      lambda: W.entropy_profile(B, 2, laziness)):
