@@ -13,9 +13,10 @@ import json
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .errors import BudgetExceeded, InvalidInput
+from .errors import BudgetExceeded, InvalidInput, NumericalFailure
 from .tolerances import ATOM_TOL, MASS_TOL
 
 DEFAULT_BALL_CAP = 2_000_000  # vertices of a Cayley ball or builtin graph
@@ -389,12 +390,57 @@ def lp_norm(field, p):
     return float((np.abs(a) ** p).sum() ** (1.0 / p))
 
 
+# SuperLU settings of every region solve.  Each matrix solved is column
+# diagonally dominant (M = I - P^T), row diagonally dominant (M^T) or
+# symmetric positive definite (a grounded Laplacian), so elimination in any
+# symmetric order needs no pivoting: the pivots stay on the diagonal and the
+# growth factor is at most 2 (Higham, Accuracy and Stability of Numerical
+# Algorithms, sec. 9.5).  That lets SuperLU order by minimum degree on
+# M + M^T, which on a Heisenberg region fills less than half as much as
+# its default column ordering with partial pivoting.
+LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+              "options": {"SymmetricMode": True}}
+
+
+def direct_solve(M, b):
+    """Solve the square sparse system M x = b (b a vector or one column per
+    right-hand side) by SuperLU with LU_OPTIONS.  Raises NumericalFailure
+    when SuperLU meets a zero pivot or the solution is not finite."""
+    try:
+        lu = spla.splu(M.tocsc(), **LU_OPTIONS)
+    except RuntimeError as err:  # "Factor is exactly singular"
+        if "singular" not in str(err):
+            raise
+        raise NumericalFailure("singular sparse system") from None
+    x = lu.solve(np.asarray(b, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise NumericalFailure("sparse solve gave a non-finite solution")
+    return x
+
+
+def closed_members(A, at=slice(None)):
+    """Mask over A.members, True in each component of A that no step
+    leaves: the walk from there never exits, and M is singular there
+    unless the component is a vertex without neighbours.  Raises
+    NumericalFailure naming the first member at the positions `at` (all
+    members by default) that lies in such a component."""
+    M, (rows, _, _) = A.killed_walk()
+    _, labels = connected_components(M, directed=False)
+    closed = ~np.isin(labels, labels[rows])
+    hit = np.flatnonzero(closed[at])
+    if len(hit):
+        v = A.members[at][hit[0]]
+        raise NumericalFailure(f"singular system: vertex {v} of the region "
+                               "cannot reach the boundary")
+    return closed
+
+
 class SubsetView:
     """A vertex subset F with its edge boundary, outer boundary and
-    induced edges precomputed."""
+    induced edges precomputed; its region operators and their solves."""
 
     __slots__ = ("graph", "members", "mask", "boundary_edges",
-                 "induced_edges", "outer_boundary", "_operator")
+                 "induced_edges", "outer_boundary", "_operator", "_grounded")
 
     def __init__(self, graph, members):
         self.graph = graph
@@ -414,7 +460,7 @@ class SubsetView:
             graph.tails[self.boundary_edges][~tin[self.boundary_edges]],
         ])
         self.outer_boundary = _sorted_unique(outer)
-        self._operator = None
+        self._operator = self._grounded = None
 
     @property
     def size(self):
@@ -448,18 +494,82 @@ class SubsetView:
             self._operator = M, (row[~inside], nbr[~inside], prob[~inside])
         return self._operator
 
+    def exit_solve(self, sources):
+        """(h, exit laws): column j of h, the expected visits inside F of
+        the walk from sources[j] killed on leaving F, solves M h = delta,
+        M = I - P^T from killed_walk(), all columns by one sparse LU solve;
+        law j is the flux of h[:, j] out of F.  Components of F that no
+        step leaves are dropped when the solve fails.  Raises InvalidInput
+        if F has no outer boundary, NumericalFailure if the walk from a
+        source cannot leave F."""
+        sources = [int(v) for v in check_vertices(self.graph, sources)]
+        if not np.all(self.mask[sources]):
+            raise ValueError("origin must lie inside the region")
+        if len(self.outer_boundary) == 0:
+            raise InvalidInput("region has no outer boundary")
+        M, (rows, to, prob) = self.killed_walk()
+        at = np.searchsorted(self.members, sources)
+        b = np.zeros((self.size, len(sources)))
+        b[at, np.arange(len(sources))] = 1.0
+        try:
+            h = direct_solve(M, b)
+        except NumericalFailure:
+            # only now label the components no step leaves: M is singular on
+            # them, and b vanishes there unless a source lies in one
+            live = ~closed_members(self, at)
+            if live.all():
+                raise
+            h = np.zeros_like(b)
+            h[live] = direct_solve(M[live][:, live], b[live])
+        # the flux of each column of h out of F, summed in slot order
+        exits = [np.bincount(to, weights=prob * col[rows],
+                             minlength=self.graph.n) for col in h.T]
+        for ex in exits:
+            total = ex.sum()
+            if abs(total - 1.0) > MASS_TOL:
+                closed_members(self, at)  # names a source that cannot leave
+                raise NumericalFailure(f"exit mass {total} differs from 1")
+        return h, [Distribution(self.graph, ex, check=False) for ex in exits]
+
+    def harmonic_solve(self, bv):
+        """The values on the members of the function harmonic inside F that
+        equals bv, an array over the vertices, on the outer boundary: one
+        solve with M^T = I - P.  Raises NumericalFailure if a component of
+        F cannot reach the boundary."""
+        # a component of F that no step leaves makes M singular, and its
+        # values are not determined however the solver's pivots fall
+        closed_members(self)
+        M, (rows, to, prob) = self.killed_walk()
+        # M^T is I - P as CSR; b is E bv, each row summed in slot order
+        return direct_solve(M.T, np.bincount(rows, weights=prob * bv[to],
+                                             minlength=self.size))
+
     def grounded_laplacian(self):
         """The Laplacian of the graph induced on F, grounded once per
-        component: (B_I, labels, keep, L), B_I the incidence rows of the
-        induced edges over the members, labels the component of each
-        member, keep False at the first member of each component and L =
-        B_I^T B_I without those rows and columns, as CSC."""
-        B = self.graph.incidence_matrix()[self.induced_edges][:, self.members]
-        L = B.T @ B
-        _, labels = connected_components(L, directed=False)
-        keep = np.ones(self.size, dtype=bool)
-        keep[np.unique(labels, return_index=True)[1]] = False
-        return B, labels, keep, L[keep][:, keep].tocsc()
+        component and built on first use: (B_I, labels, keep, L), B_I the
+        incidence rows of the induced edges over the members, labels the
+        component of each member, keep False at the first member of each
+        component and L = B_I^T B_I without those rows and columns, as
+        CSC."""
+        if self._grounded is None:
+            B = self.graph.incidence_matrix()[self.induced_edges][
+                :, self.members]
+            L = B.T @ B
+            _, labels = connected_components(L, directed=False)
+            keep = np.ones(self.size, dtype=bool)
+            keep[np.unique(labels, return_index=True)[1]] = False
+            self._grounded = B, labels, keep, L[keep][:, keep].tocsc()
+        return self._grounded
+
+    def grounded_solve(self, rhs):
+        """h = 0 at each grounded member and B_I^T B_I h = rhs elsewhere,
+        rhs one row per member (a vector or one column per right-hand
+        side): one sparse LU solve of the grounded Laplacian."""
+        _, _, keep, L = self.grounded_laplacian()
+        h, b = np.zeros_like(rhs), rhs[keep]
+        if b.size:
+            h[keep] = direct_solve(L, b)
+        return h
 
     def induced_graph(self):
         """Graph induced on F, vertex i being members[i]."""

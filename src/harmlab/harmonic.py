@@ -11,8 +11,7 @@ from .errors import InvalidInput
 from .graphs import (EdgeField, VertexField, ball_from_distances,
                      bfs_distances, check_count, divergence, gradient,
                      lp_norm, subset_view)
-from .walk import (closed_members, direct_solve, exit_distributions,
-                   green_partial)
+from .walk import exit_distributions, green_partial
 
 
 def harmonic_residual(f, interior):
@@ -33,16 +32,8 @@ def dirichlet_extend(G, A, boundary_values):
     if len(missing):
         raise ValueError(
             f"boundary values missing on {missing[:5].tolist()}...")
-    # a component of A that no step leaves makes M singular, and its values
-    # are not determined however the solver's pivots fall
-    closed_members(A)
-    M, (rows, to, prob) = A.killed_walk()
-    # M^T is I - P as CSR; b is E bv, each row summed in slot order
-    sol = direct_solve(M.T, np.bincount(rows, weights=prob * bv[to],
-                                        minlength=A.size))
-    out = bv.copy()
-    out[A.members] = sol
-    return VertexField(G, out)
+    bv[A.members] = A.harmonic_solve(bv)
+    return VertexField(G, bv)
 
 
 def truncate(f, t):

@@ -13,15 +13,20 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import InvalidInput, NumericalFailure
-from .graphs import (Distribution, EdgeField, VertexField, check_exponent,
-                     divergence, lp_norm, subset_view)
+from .graphs import (EdgeField, VertexField, check_exponent, divergence,
+                     lp_norm, subset_view)
 from .tolerances import LP_TOL, MASS_TOL, ROUNDING
-from .walk import _interior_solve, direct_solve
 
 # HiGHS settings of the W1 program.  Presolve is off so that the tolerances
 # bind the program as built.
 LP_OPTIONS = {"presolve": False, "primal_feasibility_tolerance": LP_TOL,
               "dual_feasibility_tolerance": LP_TOL}
+
+
+def _check_graph(G, *fields):
+    """ValueError unless each field belongs to the graph object G."""
+    if any(f.graph is not G for f in fields):
+        raise ValueError("measure of another graph")
 
 
 class TransportPattern:
@@ -49,8 +54,7 @@ def wasserstein1(G, source, target):
     exceeds MASS_TOL, ValueError if a measure belongs to another graph
     object.
     """
-    if source.graph is not G or target.graph is not G:
-        raise ValueError("measure of another graph")
+    _check_graph(G, source, target)
     with np.errstate(over="ignore", invalid="ignore"):
         gap = abs(source.a.sum() - target.a.sum())
     if not gap <= MASS_TOL:  # also when a total overflows: inf - inf
@@ -81,8 +85,9 @@ def random_step_transport(G, mu, A):
     """One simple-walk step applied to the part of mu inside A: each vertex
     splits its mass evenly over all d neighbours.  The divergence is
     P_A mu - mu restricted to moves out of A-vertices.  Raises
-    InvalidInput if the vertices of A carrying mass have mixed
-    degrees."""
+    InvalidInput if the vertices of A carrying mass have mixed degrees,
+    ValueError if mu belongs to another graph object."""
+    _check_graph(G, mu)
     A = subset_view(G, A)
     active = np.flatnonzero((mu.a != 0) & A.mask)
     deg = G.degrees[active]
@@ -105,29 +110,30 @@ def laplacian_transport(G, F, g):
     """tau = grad h with L h = g on the region F, L the Laplacian of the
     graph induced on F, so div tau = g up to the solver residual.  g is
     centred on F and h grounded to 0 at the first vertex of F: one sparse
-    LU solve of the reduced, positive definite Laplacian."""
+    LU solve of the reduced, positive definite Laplacian.  Raises
+    ValueError if g belongs to another graph object."""
+    _check_graph(G, g)
     F = subset_view(G, F)
     if np.any(g.a[~F.mask] != 0):
         raise InvalidInput("g must be supported on the region")
     b = g.a[F.members]
     if abs(b.sum()) > MASS_TOL * max(1.0, np.abs(b).sum()):
         raise InvalidInput("g must sum to zero on the region")
-    B, labels, keep, L = F.grounded_laplacian()
+    B, labels, _, _ = F.grounded_laplacian()
     if labels.max(initial=0):
         raise InvalidInput("induced graph on F is not connected")
-    h = np.zeros(F.size)
-    if keep.any():
-        h[keep] = direct_solve(L, (b - b.mean())[keep])
     tau = EdgeField(G)
-    tau.a[F.induced_edges] = B @ h
+    tau.a[F.induced_edges] = B @ F.grounded_solve(b - b.mean())
     return TransportPattern(tau, VertexField(G), g)
 
 
 def central_transport(ball, word, mu):
     """Transport mu to its right translate by z = product of `word`, by
     routing each atom along the path labelled by the word.  The l^1 cost
-    is at most len(word) per unit of mass, uniformly in mu."""
+    is at most len(word) per unit of mass, uniformly in mu.  Raises
+    ValueError if mu belongs to another graph object than the ball's."""
     G = ball.graph
+    _check_graph(G, mu)
     supp = np.flatnonzero(mu.a)
     w = mu.a[supp]
     tau = EdgeField(G)
@@ -206,28 +212,11 @@ def cycle_cancel(pattern):
     return TransportPattern(tau, pattern.source, pattern.target)
 
 
-def stopped_exit_transport(G, A, v):
-    """Pattern transporting delta_v to its exit law ex through A: the sum
-    over t >= 0 of the random-step patterns of the law mu_t of the walk
-    from v stopped on leaving A.
-
-    That sum is linear in mu_t, so it is a single random-step pattern of
-    the Green measure h = sum_t mu_t restricted to A, the expected number
-    of visits to each vertex of A before the exit.  h solves
-    h = delta_v + P_A^T h, so one interior solve gives both h and, as the
-    flux of h out of A, the endpoint ex; the pattern's divergence is
-    ex - delta_v up to the solver residual.
-
-    Returns (pattern, ex).  Raises NumericalFailure if the walk cannot leave
-    A and InvalidInput if A has mixed degrees.
-    """
-    h, (ex,) = _interior_solve(G, A, [v])
-    return TransportPattern(_green_step(G, A, h[:, 0]),
-                            Distribution.dirac(G, v), ex), ex
-
-
 def _green_step(G, A, h):
-    """tau of the random-step pattern of the Green measure h on A."""
+    """tau of the random-step pattern of the Green measure h on A, h[i]
+    the expected visits to members[i] of the walk from v stopped on
+    leaving A.  The random-step patterns of the stopped walk's laws add
+    up to it, so it carries delta_v to the exit law from v."""
     green = VertexField(G)
     green.a[A.members] = h
     return random_step_transport(G, green, A).tau
@@ -249,7 +238,8 @@ def exit_transport_chain(G, v, w, regions, p=2.0):
     check_exponent(p)
     out = []
     for A in regions:
-        h, (exv, exw) = _interior_solve(G, A, [v, w])
+        A = subset_view(G, A)
+        h, (exv, exw) = A.exit_solve([v, w])
         tau = EdgeField(G, _green_step(G, A, h[:, 1]).a
                         - _green_step(G, A, h[:, 0]).a)
         tau.a[e] += 1.0 if v < w else -1.0

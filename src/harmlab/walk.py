@@ -10,13 +10,11 @@ silently leaking mass.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
-from .errors import InvalidInput, NumericalFailure
+from .errors import InvalidInput
 from .graphs import (Distribution, check_count, check_laziness,
                      check_vertices, gradient, lp_norm, subset_view)
-from .tolerances import MASS_TOL, ROUNDING
+from .tolerances import ROUNDING
 
 
 class StoppedWalk:
@@ -37,96 +35,10 @@ class StoppedWalk:
         return Distribution(self.graph, a, check=False)
 
 
-# SuperLU settings of every region solve.  Each matrix solved is column
-# diagonally dominant (M = I - P^T), row diagonally dominant (M^T) or
-# symmetric positive definite (a grounded Laplacian), so elimination in any
-# symmetric order needs no pivoting: the pivots stay on the diagonal and the
-# growth factor is at most 2 (Higham, Accuracy and Stability of Numerical
-# Algorithms, sec. 9.5).  That lets SuperLU order by minimum degree on
-# M + M^T, which on a Heisenberg region fills less than half as much as
-# its default column ordering with partial pivoting.
-LU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
-              "options": {"SymmetricMode": True}}
-
-
-def direct_solve(M, b):
-    """Solve the square sparse system M x = b (b a vector or one column per
-    right-hand side) by sparse LU: SuperLU with LU_OPTIONS, minimum-degree
-    ordering on M + M^T and diagonal pivots, which diagonal dominance or
-    definiteness of M keeps stable.  Raises NumericalFailure when SuperLU
-    meets a zero pivot or the solution is not finite."""
-    try:
-        lu = spla.splu(M.tocsc(), **LU_OPTIONS)
-    except RuntimeError as err:  # "Factor is exactly singular"
-        if "singular" not in str(err):
-            raise
-        raise NumericalFailure("singular sparse system") from None
-    x = lu.solve(np.asarray(b, dtype=float))
-    if not np.all(np.isfinite(x)):
-        raise NumericalFailure("sparse solve gave a non-finite solution")
-    return x
-
-
-def closed_members(A, at=slice(None)):
-    """Mask over A.members, True in each component of A that no step
-    leaves: the walk from there never exits, and M is singular there
-    unless the component is a vertex without neighbours.  Raises
-    NumericalFailure naming the first member at the positions `at` (all
-    members by default) that lies in such a component."""
-    M, (rows, _, _) = A.killed_walk()
-    _, labels = connected_components(M, directed=False)
-    closed = ~np.isin(labels, labels[rows])
-    hit = np.flatnonzero(closed[at])
-    if len(hit):
-        v = A.members[at][hit[0]]
-        raise NumericalFailure(f"singular system: vertex {v} of the region "
-                               "cannot reach the boundary")
-    return closed
-
-
-def _interior_solve(G, A, sources):
-    """Expected visit counts inside A of the walk killed on leaving A: column
-    j of h solves M h = delta_{sources[j]}, M = I - P^T the operator of
-    A.killed_walk(), all columns by one sparse LU solve.  Returns (h, exit
-    laws), the exit law of column j being the flux of h[:, j] out of A.
-    Components of A that no step leaves are dropped from the solve when it
-    fails.  Raises InvalidInput if A has no outer boundary, NumericalFailure
-    if the walk from a source cannot leave A."""
-    A = subset_view(G, A)
-    sources = [int(v) for v in check_vertices(G, sources)]
-    if not np.all(A.mask[sources]):
-        raise ValueError("origin must lie inside the region")
-    if len(A.outer_boundary) == 0:
-        raise InvalidInput("region has no outer boundary")
-    M, (rows, to, prob) = A.killed_walk()
-    at = np.searchsorted(A.members, sources)
-    b = np.zeros((A.size, len(sources)))
-    b[at, np.arange(len(sources))] = 1.0
-    try:
-        h = direct_solve(M, b)
-    except NumericalFailure:
-        # only now look for components that no step leaves: M is singular on
-        # them, and b vanishes there unless a source lies in one
-        live = ~closed_members(A, at)
-        if live.all():
-            raise
-        h = np.zeros_like(b)
-        h[live] = direct_solve(M[live][:, live], b[live])
-    # the flux of each column of h out of A, summed in slot order
-    exits = [np.bincount(to, weights=prob * col[rows], minlength=A.graph.n)
-             for col in h.T]
-    for ex in exits:
-        total = ex.sum()
-        if abs(total - 1.0) > MASS_TOL:
-            closed_members(A, at)  # names a source that cannot leave A
-            raise NumericalFailure(f"exit mass {total} differs from 1")
-    return h, [Distribution(G, ex, check=False) for ex in exits]
-
-
 def exit_distributions(G, A, origins):
     """Exact absorbing-chain exit laws through the region A, one per origin,
     from a single solve on A."""
-    return _interior_solve(G, A, origins)[1]
+    return subset_view(G, A).exit_solve(origins)[1]
 
 
 def exit_distribution(G, A, v):

@@ -20,7 +20,6 @@ from scipy.linalg import null_space
 from .errors import BudgetExceeded, InvalidInput
 from .graphs import subset_view
 from .tolerances import RANK_TOL
-from .walk import direct_solve
 
 # bounds the dense |E_F| x (|bd F| - 1) complement; a side-44 square
 # (3,960 edges) takes about 0.3 s
@@ -32,17 +31,14 @@ def complement_basis(G, F):
     in ascending id order, and an orthonormal basis Q of V_F^perp in
     l^2(E_F), one row per edge of E_F."""
     F = subset_view(G, F)
-    BI, labels, keep, L = F.grounded_laplacian()
+    BI, labels, _, _ = F.grounded_laplacian()
     Bd = G.incidence_matrix()[F.boundary_edges][:, F.members]
     # the boundary parts x_bd whose B_bd^T x_bd sums to zero on each
     # component of F
     S = sp.csr_matrix((np.ones(F.size), (labels, np.arange(F.size))),
                       shape=(labels.max(initial=-1) + 1, F.size))
     X = null_space((S @ Bd.T).toarray())
-    rhs = -(Bd.T @ X)
-    phi = np.zeros_like(rhs)
-    if keep.any() and X.shape[1]:
-        phi[keep] = direct_solve(L, rhs[keep])
+    phi = F.grounded_solve(-(Bd.T @ X))
     E = np.concatenate([F.induced_edges, F.boundary_edges])
     order = np.argsort(E)
     return E[order], np.linalg.qr(np.vstack([BI @ phi, X])[order])[0]

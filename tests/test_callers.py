@@ -9,13 +9,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "harmlab"
-CALLERS = [*sorted((ROOT / "bench").glob("*.py")),
+# the bench tracer is left out: its patch table names library functions
+# to wrap them and calls none of them, so a name it lists is not called
+CALLERS = [*sorted(p for p in (ROOT / "bench").glob("*.py")
+                   if p.name != "tracing.py"),
            *sorted((ROOT / "demos").glob("*.py")),
            ROOT / "tests" / "test_acceptance.py"]
 # public API kept without a caller, with the reason
 KEPT = {
     # it writes the JSON graph format that load_graph and the CLI read
     "graphs.py: save_graph",
+    # the bench tracer patches StoppedWalk.__init__ and raises without the
+    # class; it goes with ROADMAP item 3(b)
+    "walk.py: StoppedWalk",
 }
 
 

@@ -1,5 +1,3 @@
-import warnings
-
 import networkx as nx
 import numpy as np
 import pytest
@@ -10,10 +8,9 @@ import harmlab.transport as T
 from harmlab.cayley import build_group, cayley_ball
 from harmlab.errors import InvalidInput, NumericalFailure
 from harmlab.graphs import (Distribution, OrientedGraph, VertexField, ball,
-                            bfs_distances, cycle_graph, divergence,
-                            path_graph, regular_tree, subset_view,
-                            torus_grid)
-from harmlab.walk import direct_solve
+                            bfs_distances, cycle_graph, direct_solve,
+                            divergence, path_graph, regular_tree,
+                            subset_view, torus_grid)
 
 
 class TestWasserstein:
@@ -244,6 +241,15 @@ class TestRandomStep:
             T.random_step_transport(G, Distribution.dirac(G, 3),
                                     ball(path_graph(8), 3, 1))
 
+    @pytest.mark.parametrize("side", [9, 7],
+                             ids=["equal_graph", "smaller_graph"])
+    def test_measure_of_another_graph_raises(self, side):
+        # an equal torus's measure gave a pattern from that torus's mass
+        G = torus_grid(9, 9)
+        mu = Distribution.dirac(torus_grid(side, side), 0)
+        with pytest.raises(ValueError, match="measure of another graph"):
+            T.random_step_transport(G, mu, ball(G, 0, 2))
+
 
 class TestLaplacian:
     def test_divergence_matches_exactly(self):
@@ -375,6 +381,21 @@ class TestLaplacian:
         with pytest.raises(InvalidInput, match="not connected"):
             T.laplacian_transport(G, F, g)
 
+    @pytest.mark.parametrize("side", [9, 7],
+                             ids=["equal_graph", "smaller_graph"])
+    def test_field_of_another_graph_raises_before_any_solve(
+            self, monkeypatch, side):
+        G = torus_grid(9, 9)
+        g = VertexField(torus_grid(side, side))
+        g.a[[0, 1]] = 1.0, -1.0
+
+        def no_solve(*args):
+            raise AssertionError("solved for a field of another graph")
+
+        monkeypatch.setattr("harmlab.graphs.direct_solve", no_solve)
+        with pytest.raises(ValueError, match="measure of another graph"):
+            T.laplacian_transport(G, ball(G, 0, 2), g)
+
 
 class TestCentral:
     def test_heisenberg_uniform_cost(self):
@@ -399,6 +420,16 @@ class TestCentral:
         mu = Distribution.dirac(B.graph, B.vertex_of[(2,)])
         with pytest.raises(InvalidInput, match="leaves the ball"):
             T.central_transport(B, g.word(["s1", "s1"]), mu)
+
+    @pytest.mark.parametrize("radius", [6, 5],
+                             ids=["equal_graph", "smaller_graph"])
+    def test_measure_of_another_graph_raises(self, radius):
+        # an equal ball's measure gave a pattern ending on that ball
+        g = build_group("zd:2")
+        B, other = cayley_ball(g, 6), cayley_ball(g, radius)
+        mu = Distribution.dirac(other.graph, other.identity_vertex)
+        with pytest.raises(ValueError, match="measure of another graph"):
+            T.central_transport(B, g.word(["s1"]), mu)
 
 
 class TestCycleCancel:
@@ -550,14 +581,13 @@ class TestOneSearchCycleCancel:
 
 class TestExitChain:
     def test_one_solve_per_region(self, monkeypatch):
-        import harmlab.walk as W
+        import harmlab.graphs as graphs
         calls = []
-        solve = W.direct_solve
 
         def counted(M, b):
             calls.append(np.shape(b))
-            return solve(M, b)
-        monkeypatch.setattr(W, "direct_solve", counted)
+            return direct_solve(M, b)
+        monkeypatch.setattr(graphs, "direct_solve", counted)
         G = torus_grid(9, 9)
         regions = [ball(G, 0, r) for r in (1, 2, 3)]
         T.exit_transport_chain(G, 0, int(G.neighbors(0)[0]), regions)
@@ -581,7 +611,7 @@ class TestExitChain:
         def no_solve(*args):
             raise AssertionError("solved for a non-adjacent pair")
 
-        monkeypatch.setattr("harmlab.walk.direct_solve", no_solve)
+        monkeypatch.setattr("harmlab.graphs.direct_solve", no_solve)
         with pytest.raises(ValueError, match="not adjacent"):
             T.exit_transport_chain(G, 0, 2, regions)
 
@@ -593,25 +623,29 @@ class TestExitChain:
         def no_solve(*args):
             raise AssertionError("solved for a bad exponent")
 
-        monkeypatch.setattr("harmlab.walk.direct_solve", no_solve)
+        monkeypatch.setattr("harmlab.graphs.direct_solve", no_solve)
         with pytest.raises(InvalidInput, match=f"p={p} not in"):
             T.exit_transport_chain(G, 0, int(G.neighbors(0)[0]), regions,
                                    p=p)
 
-    def test_stopped_exit_matches_exit_law(self):
-        from harmlab.walk import exit_distribution
-        G = cycle_graph(20)
-        A = ball(G, 0, 4)
-        pat, mu = T.stopped_exit_transport(G, A, 0)
-        ex = exit_distribution(G, A, 0)
-        assert np.abs(mu.a - ex.a).max() < 1e-10
-        assert pat.residual < 1e-9
+    def test_vertex_list_region_gives_the_view_rows(self):
+        G = torus_grid(9, 9)
+        A = ball(G, 0, 2)
+        w = int(G.neighbors(0)[0])
+        (by_view,) = T.exit_transport_chain(G, 0, w, [A])
+        (by_list,) = T.exit_transport_chain(G, 0, w, [list(A.members)])
+        for key, value in by_view.items():
+            if key == "pattern":
+                assert np.array_equal(by_list[key].tau.a, value.tau.a)
+            else:
+                assert by_list[key] == value
 
 
 def iterated_stopped_transport(G, A, v):
-    """Reference for stopped_exit_transport: add up the random-step
-    patterns of the stopped walk's law, one step at a time, until the mass
-    left in A is negligible.  Needs a region of constant degree."""
+    """Reference for the stopped-walk transport of the exit chain: add up
+    the random-step patterns of the stopped walk's law, one step at a time,
+    until the mass left in A is negligible.  Needs a region of constant
+    degree."""
     d = int(G.degrees[A.members[0]])
     mu = np.zeros(G.n)
     mu[v] = 1.0
@@ -626,6 +660,10 @@ def iterated_stopped_transport(G, A, v):
 
 
 class TestStoppedExitTransport:
+    """The Green-measure identity that exit_transport_chain rests on: the
+    random-step pattern of the expected visit counts of one interior solve
+    is the sum of the stopped walk's step patterns."""
+
     @pytest.mark.parametrize("case", ["z2", "tree"])
     def test_matches_iterated_stopped_walk(self, case):
         if case == "z2":
@@ -636,28 +674,12 @@ class TestStoppedExitTransport:
             G, v = regular_tree(3, 6), 5
             A = ball(G, 0, 4)
         tau, mu = iterated_stopped_transport(G, A, v)
-        pat, ex = T.stopped_exit_transport(G, A, v)
+        h, (ex,) = A.exit_solve([v])
+        pat = T.TransportPattern(T._green_step(G, A, h[:, 0]),
+                                 Distribution.dirac(G, v), ex)
         assert np.abs(pat.tau.a - tau).max() <= 1e-12
         assert np.abs(ex.a - mu).max() <= 1e-12
-        assert np.array_equal(pat.target.a, ex.a)
         assert pat.residual <= 1e-9
-
-    def test_no_exit_raises(self):
-        # the triangle 0-1-2 is a whole component inside A
-        G = OrientedGraph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5),
-                              (5, 6)])
-        A = subset_view(G, [0, 1, 2, 4])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NumericalFailure, match="singular"):
-                T.stopped_exit_transport(G, A, 0)
-
-    def test_origin_must_be_a_vertex(self):
-        # -1 must not stand for the last vertex of the graph
-        G = cycle_graph(10)
-        A = subset_view(G, [0, 1, 2, 8, 9])
-        with pytest.raises(ValueError, match="vertex of the graph"):
-            T.stopped_exit_transport(G, A, -1)
 
     def test_mixed_degree_region_raises(self):
         # the ball around a depth-2 vertex reaches degree-1 leaves
@@ -665,4 +687,4 @@ class TestStoppedExitTransport:
         A = ball(G, 4, 3)
         assert len(set(G.degrees[A.members])) > 1
         with pytest.raises(InvalidInput, match="has degree"):
-            T.stopped_exit_transport(G, A, 4)
+            T.exit_transport_chain(G, 4, int(G.neighbors(4)[0]), [A])

@@ -185,7 +185,7 @@ class TestDirectSolve:
         for op in (M, M.T, L):
             rhs = rng.normal(size=op.shape[0])
             ref = np.linalg.solve(op.toarray(), rhs)
-            err = np.linalg.norm(W.direct_solve(op, rhs) - ref)
+            err = np.linalg.norm(graphs.direct_solve(op, rhs) - ref)
             assert err <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("shape", [(7,), (7, 1), (7, 2)])
@@ -193,7 +193,7 @@ class TestDirectSolve:
         G = path_graph(9)
         M = subset_view(G, range(1, 8)).killed_walk()[0]
         rhs = np.arange(np.prod(shape), dtype=float).reshape(shape) + 1.0
-        x = W.direct_solve(M, rhs)
+        x = graphs.direct_solve(M, rhs)
         assert x.shape == shape
         cols = rhs.reshape(7, -1).T
         for col, want in zip(x.reshape(7, -1).T, cols):
@@ -209,7 +209,7 @@ class TestDirectSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalFailure, match="singular sparse"):
-                W.direct_solve(sp.csc_matrix(M), np.ones(len(M)))
+                graphs.direct_solve(sp.csc_matrix(M), np.ones(len(M)))
 
 
 def old_blocks(A):
@@ -264,15 +264,15 @@ class TestKilledWalk:
         sources = [int(v) for v in A.members[::max(1, A.size // 4)]]
         b = np.zeros((A.size, len(sources)))
         b[np.searchsorted(A.members, sources), np.arange(len(sources))] = 1.0
-        h_ref = W.direct_solve(sp.identity(A.size, format="csc") - P.T, b)
-        h, exits = W._interior_solve(G, A, sources)
+        h_ref = graphs.direct_solve(sp.identity(A.size, format="csc") - P.T, b)
+        h, exits = A.exit_solve(sources)
         assert np.array_equal(h, h_ref)
         for col, ex in zip(h_ref.T, exits):
             assert np.array_equal(ex.a, E.T @ col)
         bv = np.zeros(G.n)
         bv[A.outer_boundary] = np.sin(A.outer_boundary + 0.5)
         f = H.dirichlet_extend(G, A, {int(v): bv[v] for v in A.outer_boundary})
-        ref = W.direct_solve(sp.identity(A.size) - P, E @ bv)
+        ref = graphs.direct_solve(sp.identity(A.size) - P, E @ bv)
         assert np.array_equal(f.a[A.members], ref)
 
     def test_operator_built_once_per_region(self, monkeypatch):
@@ -288,6 +288,37 @@ class TestKilledWalk:
         assert len(calls) == 1
         for x, y in zip(first, again):
             assert np.array_equal(x.a, y.a)
+
+    def test_each_region_path_solves_once(self, monkeypatch):
+        import harmlab.transport as T
+        import harmlab.window as window
+        G = torus_grid(7, 7)
+        A = ball(G, 0, 2)
+        solves, labellings = [], []
+        solve, label = graphs.direct_solve, graphs.connected_components
+        monkeypatch.setattr(graphs, "direct_solve",
+                            lambda *a: solves.append(1) or solve(*a))
+        monkeypatch.setattr(graphs, "connected_components",
+                            lambda *a, **k: labellings.append(1)
+                            or label(*a, **k))
+        g = VertexField(G)
+        g.a[[0, 1]] = 1.0, -1.0
+        for path in (
+                lambda: W.exit_distributions(G, A, [0, 1]),
+                lambda: H.dirichlet_extend(
+                    G, A, {int(v): 1.0 for v in A.outer_boundary}),
+                lambda: T.laplacian_transport(G, A, g),
+                lambda: window.complement_basis(G, A)):
+            solves.clear()
+            path()
+            assert len(solves) == 1
+        # the window solve reused the grounded Laplacian of the transport
+        grounded = A.grounded_laplacian()
+        labellings.clear()
+        T.laplacian_transport(G, A, g)
+        window.complement_basis(G, A)
+        assert labellings == []
+        assert A.grounded_laplacian() is grounded
 
 
 class TestEntropy:
