@@ -1,9 +1,10 @@
 """Isoperimetric profiles and radial inequalities for finite sets.
 
-Enumerates all connected vertex sets of a torus up to a size cap to get
-the exact boundary-to-size profile, cross-checks one entry against an
-integer program, and evaluates the radial inequality
-|bd A| (1 + inrad A) >= |A| on a square in Z^2.
+Enumerates the connected vertex sets of a torus through vertex 0 up to a
+size cap (every connected set has a translate through it with the same
+size and boundary) to get the exact boundary-to-size profile,
+cross-checks one entry against an integer program, and evaluates the
+radial inequality |bd A| (1 + inrad A) >= |A| on a square in Z^2.
 """
 
 from harmlab.cayley import build_group, cayley_ball

@@ -38,10 +38,12 @@ class OrientedGraph:
     (tails, heads) with tails < heads.  Construction computes the degrees
     only; the CSR adjacency (`neighbors`, BFS, region operators), the edge
     keys (`edge_ids`), the adjacency matrix and the incidence matrix are
-    each built on first use.
+    each built on first use.  `symmetries` are vertex permutations claimed
+    to generate a transitive group of automorphisms; they are not trusted
+    until `is_vertex_transitive` has checked them.
     """
 
-    def __init__(self, n, edges, validate=True):
+    def __init__(self, n, edges, validate=True, symmetries=()):
         self.n = int(n)
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if validate and len(edges):
@@ -65,6 +67,7 @@ class OrientedGraph:
 
         self._A = self._B = None
         self._keys = None
+        self.symmetries = tuple(symmetries)
 
     # -- structure ---------------------------------------------------------
 
@@ -148,6 +151,25 @@ class OrientedGraph:
         if d is None:
             raise InvalidInput("operation requires a regular graph")
         return d
+
+    @functools.cached_property
+    def is_vertex_transitive(self):
+        """Whether `symmetries` prove the graph vertex-transitive: each is
+        a permutation of 0..n-1 (one sort) that maps every edge to an edge,
+        hence the edge set onto itself, and vertex 0's orbit, its component
+        in the graph of the moves v -> g(v), is every vertex."""
+        n, gens = self.n, [np.asarray(g) for g in self.symmetries]
+        if not gens or not all(
+                g.shape == (n,) and g.dtype.kind in "iu"
+                and np.array_equal(np.sort(g), np.arange(n))
+                and np.all(self.edge_ids(g[self.tails], g[self.heads]) >= 0)
+                for g in gens):
+            return False
+        moves = sp.coo_matrix(
+            (np.ones(len(gens) * n),
+             (np.tile(np.arange(n), len(gens)), np.concatenate(gens))),
+            shape=(n, n))
+        return connected_components(moves, directed=False)[0] == 1
 
     @functools.cached_property
     def is_connected(self):
@@ -619,7 +641,8 @@ def cycle_graph(n, *, cap=DEFAULT_BALL_CAP):
     _guard(n, cap)
     i = np.arange(n - 1)
     return OrientedGraph(n, np.column_stack([np.append(i, 0),
-                                             np.append(i + 1, n - 1)]))
+                                             np.append(i + 1, n - 1)]),
+                         symmetries=[np.roll(np.arange(n), -1)])  # rotation
 
 
 def path_graph(n):
@@ -629,7 +652,8 @@ def path_graph(n):
 
 def complete_graph(n, *, cap=DEFAULT_BALL_CAP):
     _guard(n, cap)
-    return OrientedGraph(n, np.column_stack(np.triu_indices(n, 1)))
+    return OrientedGraph(n, np.column_stack(np.triu_indices(n, 1)),
+                         symmetries=[np.roll(np.arange(n), -1)])  # n-cycle
 
 
 def hypercube_graph(d, *, cap=DEFAULT_BALL_CAP):
@@ -637,7 +661,9 @@ def hypercube_graph(d, *, cap=DEFAULT_BALL_CAP):
     n = 1 << d
     # edge (v, v + 2^b) for each bit b clear in v, in (v, b) order
     v, b = np.nonzero(~np.arange(n)[:, None] >> np.arange(d) & 1)
-    return OrientedGraph(n, np.column_stack([v, v + (1 << b)]))
+    return OrientedGraph(n, np.column_stack([v, v + (1 << b)]),
+                         symmetries=[np.arange(n) ^ (1 << k)
+                                     for k in range(d)])  # bit flips
 
 
 def torus_grid(w, h, *, cap=DEFAULT_BALL_CAP):
@@ -652,7 +678,9 @@ def torus_grid(w, h, *, cap=DEFAULT_BALL_CAP):
     b = np.concatenate([(a + h) % n, a - a % h + (a + 1) % h])
     a = np.tile(a, 2)
     keys = _sorted_unique(np.minimum(a, b) * n + np.maximum(a, b))
-    return OrientedGraph(n, np.column_stack([keys // n, keys % n]))
+    # the neighbour maps are the translations by (1, 0) and (0, 1)
+    return OrientedGraph(n, np.column_stack([keys // n, keys % n]),
+                         symmetries=[b[:n], b[n:]])
 
 
 def regular_tree(d, depth, *, cap=DEFAULT_BALL_CAP):

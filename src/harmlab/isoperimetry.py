@@ -74,13 +74,13 @@ def _distinct(sets, *cols):
 
 class _Block:
     """The connected sets of one size whose least vertex is one of
-    a..a + ROOT_BLOCK - 1: ascending bitmask rows `sets` over `window`,
+    a..a + width - 1: ascending bitmask rows `sets` over `window`,
     their boundaries `bnd` in all of G and their neighbourhoods `reach`.
     A set of size s + 1 is a set S of size s plus a vertex of N(S) outside
     S."""
 
-    def __init__(self, G, a, max_size):
-        window = np.arange(a, min(a + ROOT_BLOCK, G.n))
+    def __init__(self, G, a, max_size, width=ROOT_BLOCK):
+        window = np.arange(a, min(a + width, G.n))
         k = len(window)
         for _ in range(max_size - 1):  # vertices >= a within reach
             window = _sorted_unique(np.concatenate(
@@ -121,11 +121,12 @@ class _Block:
         self.reach = reach[0] if reach else None
 
 
-def _levels(G, max_size, budget):
+def _levels(G, max_size, budget, transitive=False):
     """Yield, for each size 1..max_size, the connected vertex sets of that
     size, as the list of the blocks of least vertices that have such
-    sets."""
-    blocks = [_Block(G, a, max_size) for a in range(0, G.n, ROOT_BLOCK)]
+    sets; with `transitive`, only the sets whose least vertex is 0."""
+    blocks = ([_Block(G, 0, max_size, 1)] if transitive else
+              [_Block(G, a, max_size) for a in range(0, G.n, ROOT_BLOCK)])
 
     def check(count):
         if count > budget:
@@ -151,10 +152,16 @@ def _levels(G, max_size, budget):
 
 def profile(G, max_size, budget=ENUM_BUDGET):
     """Exact isoperimetric table size -> (min boundary, witness set); the
-    witness is the least bitmask among the minimisers."""
+    witness is the least bitmask among the minimisers.
+
+    On a graph proved vertex-transitive (`G.is_vertex_transitive`) every
+    connected set has a translate with least vertex 0 and the same size
+    and boundary, so only those sets are enumerated and counted against
+    the budget, and the witness is the least minimiser among them."""
     check_count(max_size, "max_size", 1)
     prof = IsoProfile(max_size=max_size)
-    for size, level in enumerate(_levels(G, max_size, budget), 1):
+    for size, level in enumerate(
+            _levels(G, max_size, budget, G.is_vertex_transitive), 1):
         # per block the first minimiser is the least; across blocks the
         # least bitmask is the least list of members, top first
         bnd, top_first = min(

@@ -544,6 +544,49 @@ class TestFamiliesAgainstLoops:
                 family(*args, cap=n - 1)
 
 
+
+def with_symmetries(G, *symmetries):
+    """G's edges with the given symmetries in place of its own."""
+    return OrientedGraph(G.n, np.column_stack([G.tails, G.heads]),
+                         symmetries=symmetries)
+
+
+class TestSymmetries:
+    @pytest.mark.parametrize("G", [
+        cycle_graph(3), cycle_graph(26), torus_grid(3, 3), torus_grid(6, 4),
+        torus_grid(5, 7), hypercube_graph(1), hypercube_graph(5),
+        complete_graph(1), complete_graph(8)], ids=repr)
+    def test_transitive_families(self, G):
+        assert G.is_vertex_transitive
+        assert not with_symmetries(G).is_vertex_transitive
+
+    def test_other_graphs_carry_none(self):
+        for G in (path_graph(5), regular_tree(3, 3),
+                  random_regular_graph(3, 12, seed=0),
+                  load_graph(FIXTURES / "random_regular_3_14.json"),
+                  cayley_ball(build_group("zd:2"), 3).graph):
+            assert G.symmetries == () and not G.is_vertex_transitive
+
+    def test_non_automorphism_refused(self):
+        # swapping 0 and 1 on C6 maps the edge (1, 2) to (0, 2)
+        C = cycle_graph(6)
+        assert not with_symmetries(C, *C.symmetries,
+                                   [1, 0, 2, 3, 4, 5]).is_vertex_transitive
+
+    @pytest.mark.parametrize("g", [
+        [1, 2, 3, 4, 5, 5], [1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5],
+        [1.0, 2.0, 3.0, 4.0, 5.0, 0.0], [[1, 2, 3], [4, 5, 0]]])
+    def test_non_permutation_refused(self, g):
+        assert not with_symmetries(cycle_graph(6), g).is_vertex_transitive
+
+    def test_intransitive_generators_refused(self):
+        # one translation of the 4 x 4 torus moves 0 only to 4, 8 and 12;
+        # the reflection j -> -j of C6 fixes 0
+        T = torus_grid(4, 4)
+        assert not with_symmetries(T, T.symmetries[0]).is_vertex_transitive
+        assert not with_symmetries(cycle_graph(6),
+                                   -np.arange(6) % 6).is_vertex_transitive
+
 def reference_adjacency(n, tails, heads):
     """Degrees by np.add.at and the CSR arrays of (neighbour, edge, sign)
     by one stable argsort of the edge ends, sign +1 where the vertex is the

@@ -10,6 +10,7 @@ from harmlab.graphs import (OrientedGraph, bfs_distances, complete_graph,
                             cycle_graph, hypercube_graph, path_graph,
                             random_regular_graph, regular_tree, subset_view,
                             torus_grid)
+from test_graphs import with_symmetries
 
 
 def square_in_z2(ball_obj, n):
@@ -140,6 +141,61 @@ class TestEnumeration:
         # Q4 has 16 vertices, 32 edges and 96 connected sets of size 3
         with pytest.raises(BudgetExceeded, match="connected sets"):
             I.profile(hypercube_graph(4), 8, budget=100)
+
+    def test_budget_counts_the_sets_through_vertex_0(self):
+        # C7 has 7 connected sets of each size 1..4, 28 in all; 1, 2, 3
+        # and 4 of them, 10 in all, have least vertex 0
+        I.profile(cycle_graph(7), 4, budget=10)
+        with pytest.raises(BudgetExceeded, match="more than 9 connected"):
+            I.profile(cycle_graph(7), 4, budget=9)
+
+    def test_budget_on_an_intransitive_graph(self):
+        # the 3-regular tree of depth 5 has 1904 connected sets of size <= 6
+        I.profile(regular_tree(3, 5), 6, budget=1904)
+        with pytest.raises(BudgetExceeded, match="more than 1903 connected"):
+            I.profile(regular_tree(3, 5), 6, budget=1903)
+
+
+def least_vertices(monkeypatch, G, max_size):
+    """The least vertices whose connected sets profile(G, max_size)
+    enumerates."""
+    roots = []
+
+    class Recording(I._Block):
+        def __init__(self, *args):
+            super().__init__(*args)
+            roots.extend(self.window[:len(self.sets)].tolist())
+
+    monkeypatch.setattr(I, "_Block", Recording)
+    I.profile(G, max_size)
+    return roots
+
+
+class TestTransitiveProfile:
+    @pytest.mark.parametrize("G, max_size", [
+        (cycle_graph(3), 3), (cycle_graph(7), 7), (cycle_graph(26), 13),
+        (torus_grid(3, 3), 5), (torus_grid(4, 5), 8), (torus_grid(3, 7), 8),
+        (torus_grid(6, 4), 8), (torus_grid(5, 5), 8), (torus_grid(3, 9), 9),
+        (torus_grid(6, 6), 9), (hypercube_graph(1), 2),
+        (hypercube_graph(3), 8), (hypercube_graph(4), 8),
+        (hypercube_graph(5), 7), (complete_graph(1), 1),
+        (complete_graph(5), 5), (complete_graph(8), 4)], ids=repr)
+    def test_matches_the_full_enumeration(self, monkeypatch, G, max_size):
+        # values and witnesses: the least minimiser through vertex 0 is the
+        # least of all minimisers on these inputs
+        full = with_symmetries(G)
+        assert I.profile(G, max_size).table == \
+            I.profile(full, max_size).table
+        assert least_vertices(monkeypatch, G, max_size) == [0]
+        assert least_vertices(monkeypatch, full, max_size) == \
+            list(range(G.n))
+
+    def test_refused_symmetries_enumerate_every_least_vertex(
+            self, monkeypatch):
+        C, T = cycle_graph(6), torus_grid(4, 4)
+        for G in (with_symmetries(C, *C.symmetries, [1, 0, 2, 3, 4, 5]),
+                  with_symmetries(T, T.symmetries[0])):
+            assert least_vertices(monkeypatch, G, 4) == list(range(G.n))
 
 
 class TestProfile:
