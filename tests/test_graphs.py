@@ -544,7 +544,6 @@ class TestFamiliesAgainstLoops:
                 family(*args, cap=n - 1)
 
 
-
 def with_symmetries(G, *symmetries):
     """G's edges with the given symmetries in place of its own."""
     return OrientedGraph(G.n, np.column_stack([G.tails, G.heads]),
@@ -586,6 +585,7 @@ class TestSymmetries:
         assert not with_symmetries(T, T.symmetries[0]).is_vertex_transitive
         assert not with_symmetries(cycle_graph(6),
                                    -np.arange(6) % 6).is_vertex_transitive
+
 
 def reference_adjacency(n, tails, heads):
     """Degrees by np.add.at and the CSR arrays of (neighbour, edge, sign)
