@@ -63,7 +63,6 @@ class OrientedGraph:
         deg = np.bincount(np.concatenate([self.tails, self.heads]),
                           minlength=self.n)
         self.degrees = deg
-        self.d_max = int(deg.max()) if self.n else 0
 
         self._A = self._B = None
         self._keys = None
@@ -376,13 +375,6 @@ def divergence(g):
     np.add.at(out, G.heads, g.a)
     np.subtract.at(out, G.tails, g.a)
     return VertexField(G, out)
-
-
-def laplacian(f):
-    """Delta f = f - Pf = (1/d) div grad f on a regular graph."""
-    G = f.graph
-    d = G.require_regular()
-    return VertexField(G, f.a - G.adjacency_matrix().dot(f.a) / d)
 
 
 def check_laziness(laziness):

@@ -1,5 +1,5 @@
-"""Harmonicity diagnostics: Dirichlet extension, truncation, divergence
-profiles, Liouville probing, tree flows and approximate-kernel witnesses.
+"""Harmonicity diagnostics: Dirichlet extension, divergence profiles,
+Liouville probing, tree flows and approximate-kernel witnesses.
 """
 
 from __future__ import annotations
@@ -34,13 +34,6 @@ def dirichlet_extend(G, A, boundary_values):
             f"boundary values missing on {missing[:5].tolist()}...")
     bv[A.members] = A.harmonic_solve(bv)
     return VertexField(G, bv)
-
-
-def truncate(f, t):
-    """Clamp f at height t: unchanged where |f| < t, +-t elsewhere."""
-    if not t > 0:
-        raise ValueError(f"threshold must be positive, not {t!r}")
-    return VertexField(f.graph, np.clip(f.a, -t, t))
 
 
 def _live_components(G, outside, shell):

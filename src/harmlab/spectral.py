@@ -187,8 +187,7 @@ def kappa_p_estimate(G, p):
         raise ValueError(f"kappa_p needs p in [1, {P_MAX:g}], not {p}")
     if p == 1:
         val, w, direction = cheeger_kappa1(G)
-        exact = direction == Bracket(val, val).direction
-        return Bracket(val if exact else None, val, w)
+        return Bracket(val if direction == "exact" else None, val, w)
     d = G.require_regular()
     if p == 2:
         return lambda_p_estimate(G, 2).map(lambda x: float(np.sqrt(d * x)))

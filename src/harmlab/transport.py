@@ -95,9 +95,8 @@ def random_step_transport(G, mu, A):
     if len(bad):
         raise InvalidInput(f"vertex {active[bad[0]]} has degree "
                            f"{deg[bad[0]]} != {deg[0]}")
-    d = int(deg[0]) if len(active) else G.d_max
     w = np.zeros(G.n)
-    w[active] = mu.a[active] / d
+    w[active] = mu.a[active] / deg
     # B @ -w, not -(B @ w), which would put -0.0 on edges carrying nothing
     tau = EdgeField(G, G.incidence_matrix() @ -w)
     out = mu.a.copy()

@@ -19,8 +19,9 @@ from .tolerances import ROUNDING
 
 class StoppedWalk:
     """Simple walk frozen outside the region A: mass at a vertex of A moves
-    uniformly to its neighbours, mass elsewhere is a fixed point.  Exit
-    laws and stopped-walk transports solve for the limit directly."""
+    uniformly to its neighbours, mass elsewhere is a fixed point.  No
+    library path steps it (exit laws solve for the limit directly); it is
+    kept for the bench tracer until ROADMAP item 3(b)."""
 
     def __init__(self, G, A):
         self.graph = G
@@ -175,20 +176,18 @@ class RadialTreeWalk:
         check_count(horizon, "horizon", 0)
         self.d = d
         self.horizon = horizon
-        self.m = np.zeros(horizon + 2)
-        self.m[0] = 1.0
         self.counts = np.concatenate(
             [[1.0], d * (d - 1.0) ** np.arange(horizon + 1)])
 
-    def step(self):
+    def step(self, m):
+        """The level masses one step after the level masses m."""
         d = self.d
-        m = self.m
         new = np.zeros_like(m)
         new[1] += m[0]
         new[0] += m[1] / d
         new[1:-1] += m[2:] / d
         new[2:] += m[1:-1] * ((d - 1.0) / d)
-        self.m = new
+        return new
 
     def values(self, masses):
         """Per-vertex value at each level for the given level masses."""
@@ -204,14 +203,17 @@ class RadialTreeWalk:
         return float(np.abs(res[:-1] * self.counts[:-1]).sum())
 
     def green_residuals(self, n_max):
-        """||Delta g_n||_1 for n = 1..n_max (needs horizon >= n_max + 1)."""
+        """||Delta g_n||_1 for n = 1..n_max (needs horizon >= n_max + 1),
+        the walk started at the root."""
         check_count(n_max, "n_max", 0)
         if self.horizon < n_max + 1:
             raise InvalidInput("horizon too small for this n")
-        acc = self.m.copy()
+        m = np.zeros(self.horizon + 2)
+        m[0] = 1.0
+        acc = m.copy()
         out = []
         for n in range(1, n_max + 1):
             out.append(self.laplacian_l1(acc / n))
-            self.step()
-            acc += self.m
+            m = self.step(m)
+            acc += m
         return np.array(out)

@@ -1,10 +1,13 @@
-"""Every top-level function and class of harmlab has a caller outside the
-unit tests: the library itself, a bench workload, a demo or an acceptance
-criterion names it.  An import or the `__all__` list names a definition
-without calling it, so their lines are not searched."""
+"""Every top-level function and class of harmlab, and every non-dunder
+method, property and `self.` attribute of a top-level class, is called in
+code outside the unit tests: the library itself, a bench workload, a demo
+or an acceptance criterion loads its name.  Only an `ast.Name` or
+`ast.Attribute` in load context counts, so a docstring, a comment, a
+string, an import or the `__all__` list names a definition without
+calling it."""
 
 import ast
-import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
@@ -15,7 +18,8 @@ CALLERS = [*sorted(p for p in (ROOT / "bench").glob("*.py")
                    if p.name != "tracing.py"),
            *sorted((ROOT / "demos").glob("*.py")),
            ROOT / "tests" / "test_acceptance.py"]
-# public API kept without a caller, with the reason
+# public API kept without a caller, with the reason; a kept class keeps
+# its methods and attributes
 KEPT = {
     # it writes the JSON graph format that load_graph and the CLI read
     "graphs.py: save_graph",
@@ -25,34 +29,90 @@ KEPT = {
 }
 
 
-def searched_lines(text):
-    """The lines of `text`, with its import statements and its `__all__`
-    assignment blanked (so line numbers still match the parse)."""
-    lines = text.splitlines(keepends=True)
-    for node in ast.walk(ast.parse(text)):
-        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
-                isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "__all__"
-                        for t in node.targets)):
-            lines[node.lineno - 1:node.end_lineno] = [""] * (
-                node.end_lineno - node.lineno + 1)
-    return lines
+def loaded_names(node):
+    """How often code under `node` loads each name: the id of each
+    ast.Name and the attr of each ast.Attribute in load context."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute))
+                   and isinstance(n.ctx, ast.Load))
+
+
+def definitions(module, tree):
+    """(label, name, node) of each top-level function and class,
+    and of each non-dunder method, property and `self.` attribute of a
+    top-level class (node None: an attribute's stores load nothing)."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if not isinstance(node, (*functions, ast.ClassDef)):
+            continue
+        label = f"{module}: {node.name}"
+        yield label, node.name, node
+        if not isinstance(node, ast.ClassDef):
+            continue
+        methods = [m for m in node.body if isinstance(m, functions)
+                   and not (m.name.startswith("__") and m.name.endswith("__"))]
+        for m in methods:
+            yield f"{label}.{m.name}", m.name, m
+        attrs = {a.attr for a in ast.walk(node)
+                 if isinstance(a, ast.Attribute)
+                 and isinstance(a.ctx, ast.Store)
+                 and isinstance(a.value, ast.Name) and a.value.id == "self"}
+        for a in sorted(attrs - {m.name for m in methods}):
+            yield f"{label}.{a}", a, None
+
+
+def uncalled(library, callers):
+    """Labels of the definitions in `library` (file name -> source) whose
+    name no code loads outside the definition itself, in the library or
+    in `callers` (sources)."""
+    trees = {name: ast.parse(text) for name, text in library.items()}
+    loads = sum(map(loaded_names, [*trees.values(), *map(ast.parse, callers)]),
+                Counter())
+    out = []
+    for module, tree in trees.items():
+        for label, name, node in definitions(module, tree):
+            own = loaded_names(node)[name] if node else 0
+            if loads[name] <= own:
+                out.append(label)
+    return out
+
+
+def test_only_code_that_loads_a_name_counts():
+    library = {"m.py": '''
+__all__ = ["quiet", "loud", "Box"]
+
+
+def quiet():
+    """quiet() is named here and calls itself, which counts for nothing."""
+    return quiet()
+
+
+def loud():
+    return Box().shown()
+
+
+class Box:
+    def __init__(self):
+        self.used, self.unused = 1, 2
+
+    def shown(self):
+        return self.used
+'''}
+    caller = '''
+"""A docstring that calls quiet()."""
+from m import quiet
+# quiet()
+label = "quiet()"
+loud()
+'''
+    assert uncalled(library, [caller]) == ["m.py: quiet", "m.py: Box.unused"]
 
 
 def test_every_definition_has_a_caller_outside_the_unit_tests():
-    modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    searched = {name: searched_lines(text) for name, text in modules.items()}
-    outside = "".join("".join(searched_lines(p.read_text())) for p in CALLERS)
-    unused = []
-    for name, text in modules.items():
-        lines = searched[name]
-        rest = "".join("".join(ls) for m, ls in searched.items()
-                       if m != name) + outside
-        for node in ast.parse(text).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            # the module's text without the definition itself
-            own = "".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
-            if not re.search(rf"\b{node.name}\b", own + rest):
-                unused.append(f"{name}: {node.name}")
-    assert [u for u in unused if u not in KEPT] == []
+    library = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    unused = uncalled(library, [p.read_text() for p in CALLERS])
+    kept = [u for u in unused
+            if u in KEPT or any(u.startswith(k + ".") for k in KEPT)]
+    assert [u for u in unused if u not in kept] == []
+    assert KEPT <= set(kept)  # an entry that gained a caller goes

@@ -7,8 +7,8 @@ import harmlab.harmonic as H
 from harmlab.cayley import build_group, cayley_ball
 from harmlab.errors import InvalidInput, NumericalFailure
 from harmlab.graphs import (EdgeField, OrientedGraph, VertexField, ball,
-                            bfs_distances, cycle_graph, gradient, lp_norm,
-                            path_graph, regular_tree, subset_view, torus_grid)
+                            bfs_distances, cycle_graph, path_graph,
+                            regular_tree, subset_view, torus_grid)
 from harmlab.walk import exit_distributions
 
 
@@ -98,34 +98,6 @@ class TestDirichlet:
         A = subset_view(G, [1, 2, 3])
         with pytest.raises(ValueError, match="vertex of the graph"):
             H.dirichlet_extend(G, A, {0: 1.0, 4: 0.0, v: 7.0})
-
-
-class TestTruncate:
-    def test_clamp(self):
-        G = path_graph(5)
-        f = VertexField(G, np.array([-3.0, -1.0, 0.0, 1.0, 3.0]))
-        t = H.truncate(f, 2.0)
-        assert list(t.a) == [-2.0, -1.0, 0.0, 1.0, 2.0]
-
-    def test_gradient_never_grows(self):
-        G = torus_grid(5, 5)
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            f = VertexField(G, rng.normal(size=G.n) * 3)
-            t = H.truncate(f, 1.0)
-            assert np.all(np.abs(gradient(t).a)
-                          <= np.abs(gradient(f).a) + 1e-15)
-
-    def test_rejects_nonpositive(self):
-        G = path_graph(3)
-        with pytest.raises(ValueError):
-            H.truncate(VertexField(G, np.zeros(3)), 0.0)
-
-    def test_rejects_nan(self):
-        # t <= 0 is False for NaN, and clipping at NaN gives an all-NaN field
-        G = cycle_graph(8)
-        with pytest.raises(ValueError, match="positive"):
-            H.truncate(VertexField(G, np.arange(8.0)), np.nan)
 
 
 class TestDecayProfiles:

@@ -151,8 +151,9 @@ class TestBracket:
 
     def test_direction_literals_only_where_derived(self):
         # directions are derived from a bracket's ends: only
-        # Bracket.direction and the Cheeger primitive spell them out, and
-        # the chain's old "none" is gone
+        # Bracket.direction and the Cheeger primitive spell them out,
+        # kappa_p_estimate(G, 1) reads the primitive's "exact", and the
+        # chain's old "none" is gone
         tree = ast.parse(Path(S.__file__).read_text())
         words = {"exact", "upper_bound", "lower_bound", "none"}
 
@@ -165,9 +166,11 @@ class TestBracket:
 
         direction = named(named(tree.body, "Bracket").body, "direction")
         cheeger = named(tree.body, "cheeger_kappa1")
+        kappa = named(tree.body, "kappa_p_estimate")
         assert set(literals(direction)) == words - {"none"}
+        assert literals(kappa) == ["exact"]
         assert literals(tree) == sorted(literals(direction)
-                                        + literals(cheeger))
+                                        + literals(cheeger) + ["exact"])
 
 
 class TestEstimates:

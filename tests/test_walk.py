@@ -453,17 +453,27 @@ class TestBallWalks:
         a[0] = 1.0
         A = T.adjacency_matrix()
         rt = W.RadialTreeWalk(4, 9)
+        m = np.zeros(11)
+        m[0] = 1.0
         for _ in range(7):
             a = A.dot(a) / 4
-            rt.step()
+            m = rt.step(m)
         masses = np.bincount(dist, weights=a, minlength=10)
-        assert np.abs(masses[:9] - rt.m[:9]).max() < 1e-14
+        assert np.abs(masses[:9] - m[:9]).max() < 1e-14
 
     def test_radial_green_residuals(self):
         rt = W.RadialTreeWalk(4, 60)
         res = rt.green_residuals(50)
         n = np.arange(1, 51)
         assert np.all(res <= 2.0 / n + 1e-12)
+
+    def test_radial_green_residuals_start_at_the_root_on_every_call(self):
+        # the walk state was kept between calls: the second call's residual
+        # at n = 2 was 0.1642, not 0.75
+        rt = W.RadialTreeWalk(4, 30)
+        first = rt.green_residuals(10)
+        assert first[1] == 0.75
+        assert rt.green_residuals(10).tobytes() == first.tobytes()
 
     # a float count was a bare TypeError, and -1 steps gave the step-0 law
     @pytest.mark.parametrize("call, name", [
