@@ -11,10 +11,10 @@ import numpy as np
 
 from harmlab.cayley import build_group, cayley_ball
 from harmlab.graphs import ball, regular_tree, divergence
-from harmlab.harmonic import (dirichlet_extend, harmonic_residual,
-                              laplacian_witness, tree_flow,
+from harmlab.harmonic import (c0_witness, dirichlet_extend,
+                              harmonic_residual, tree_flow,
                               tree_flow_level_sums)
-from harmlab.walk import exit_distributions
+from harmlab.walk import exit_distributions, green_partial
 
 
 def main():
@@ -34,8 +34,8 @@ def main():
     B = cayley_ball(build_group("zd:2"), 24)
     print("witness families (ratios should sit at their 1/(n+1) bounds):")
     for n in (4, 9, 19):
-        _, c0 = laplacian_witness(B, "c0", n)
-        _, l1 = laplacian_witness(B, "l1", n)
+        _, c0 = c0_witness(B, n)
+        _, l1 = green_partial(B, B.identity_vertex, n + 1)
         print(f"  n = {n:2d}: sup-gradient {c0:.5f} (bound"
               f" {1 / (n + 1):.5f}), ||Delta g||_1 {l1:.5f} (bound"
               f" {2 / (n + 1):.5f})")

@@ -4,8 +4,9 @@ probability.
 Compares the lazy simple walk on Z^2 (polynomial growth, zero speed and
 sublinear entropy) with the free group on two generators (exponential
 growth, positive speed and linear entropy).  The walk lives on a
-truncated ball large enough that its support never reaches the
-truncation sphere.
+truncated ball; its last law may touch the truncation sphere, and every
+reported value stays exact, since the gradient norm counts the edges that
+leave the ball.
 """
 
 from harmlab.cayley import build_group, cayley_ball

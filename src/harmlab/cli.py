@@ -321,8 +321,8 @@ def cmd_harmonic_witness(args):
     b = cayley.cayley_ball(group, args.n + 2, cap=_ball_cap(args))
     rows = []
     for n in range(1, args.n + 1):
-        _, c0 = harmonic.laplacian_witness(b, "c0", n)
-        _, l1 = harmonic.laplacian_witness(b, "l1", n)
+        _, c0 = harmonic.c0_witness(b, n)
+        _, l1 = walkmod.green_partial(b, b.identity_vertex, n + 1)
         rows.append({"n": n, "c0_ratio": c0, "c0_bound": 1.0 / (n + 1),
                      "l1_ratio": l1, "l1_bound": 2.0 / (n + 1)})
     return ["n", "c0_ratio", "c0_bound", "l1_ratio", "l1_bound"], rows

@@ -312,23 +312,6 @@ class EdgeField(_Field):
     __slots__ = ()
     _size, _item = "m", "edge"
 
-    @classmethod
-    def from_dict(cls, graph, mapping):
-        f = cls(graph)
-        for (x, y), val in mapping.items():
-            e = graph.edge_ids(x, y)
-            if e < 0:
-                raise KeyError(f"({x}, {y}) is not an edge")
-            f.a[e] = val if x < y else -val
-        return f
-
-    def __getitem__(self, pair):
-        x, y = pair
-        e = self.graph.edge_ids(x, y)
-        if e < 0:
-            return 0.0
-        return float(self.a[e]) if x < y else -float(self.a[e])
-
 
 class Distribution(VertexField):
     """Nonnegative vertex field of total mass one."""

@@ -1,5 +1,5 @@
 """Harmonicity diagnostics: Dirichlet extension, divergence profiles,
-Liouville probing, tree flows and approximate-kernel witnesses.
+Liouville probing, tree flows and the c0 approximate-kernel witness.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from .errors import InvalidInput
 from .graphs import (EdgeField, VertexField, ball_from_distances,
                      bfs_distances, check_count, divergence, gradient,
                      lp_norm, subset_view)
-from .walk import exit_distributions, green_partial
+from .walk import exit_distributions
 
 
 def harmonic_residual(f, interior):
@@ -152,22 +152,13 @@ def tree_flow_level_sums(G, root_edge, tau, p):
     return dict(zip(levels.tolist(), sums))
 
 
-def laplacian_witness(ball, kind, n):
-    """Witness families with small Laplacian-to-norm ratio on a ball,
-    centred at the identity.
-
-    kind="c0": f = averaged ball indicators, sup-norm gradient <= 1/(n+1).
-    kind="l1": f = Green partial sum over n+1 steps, ||Delta f||_1
-    <= 2/(n+1).  Returns (field, ratio).
-    """
+def c0_witness(ball, n):
+    """The averaged ball indicator f = max(0, 1 - |x|/(n+1)) around the
+    identity, whose sup-norm gradient is 1/(n+1) against ||f||_inf = 1.
+    Returns (f, ||grad f||_inf)."""
     check_count(n, "n", 0)
-    if kind == "c0":
-        G = ball.graph
-        if n + 1 > ball.radius:
-            raise InvalidInput("ball too small for this n")
-        vals = np.clip((n + 1 - ball.word_length) / (n + 1.0), 0.0, None)
-        f = VertexField(G, vals)
-        return f, lp_norm(gradient(f), np.inf)
-    if kind == "l1":
-        return green_partial(ball, ball.identity_vertex, n + 1)
-    raise ValueError("kind must be 'c0' or 'l1'")
+    if n + 1 > ball.radius:
+        raise InvalidInput("ball too small for this n")
+    vals = np.clip((n + 1 - ball.word_length) / (n + 1.0), 0.0, None)
+    f = VertexField(ball.graph, vals)
+    return f, lp_norm(gradient(f), np.inf)

@@ -81,6 +81,16 @@ def wasserstein1(G, source, target):
     return float(res.fun), pat
 
 
+def _one_degree(G, vertices):
+    """The degrees of `vertices`; InvalidInput unless they are equal."""
+    deg = G.degrees[vertices]
+    bad = np.flatnonzero(deg != deg[:1])
+    if len(bad):
+        raise InvalidInput(f"vertex {vertices[bad[0]]} has degree "
+                           f"{deg[bad[0]]} != {deg[0]}")
+    return deg
+
+
 def random_step_transport(G, mu, A):
     """One simple-walk step applied to the part of mu inside A: each vertex
     splits its mass evenly over all d neighbours.  The divergence is
@@ -90,11 +100,7 @@ def random_step_transport(G, mu, A):
     _check_graph(G, mu)
     A = subset_view(G, A)
     active = np.flatnonzero((mu.a != 0) & A.mask)
-    deg = G.degrees[active]
-    bad = np.flatnonzero(deg != deg[:1])
-    if len(bad):
-        raise InvalidInput(f"vertex {active[bad[0]]} has degree "
-                           f"{deg[bad[0]]} != {deg[0]}")
+    deg = _one_degree(G, active)
     w = np.zeros(G.n)
     w[active] = mu.a[active] / deg
     # B @ -w, not -(B @ w), which would put -0.0 on edges carrying nothing
@@ -211,25 +217,22 @@ def cycle_cancel(pattern):
     return TransportPattern(tau, pattern.source, pattern.target)
 
 
-def _green_step(G, A, h):
-    """tau of the random-step pattern of the Green measure h on A, h[i]
-    the expected visits to members[i] of the walk from v stopped on
-    leaving A.  The random-step patterns of the stopped walk's laws add
-    up to it, so it carries delta_v to the exit law from v."""
-    green = VertexField(G)
-    green.a[A.members] = h
-    return random_step_transport(G, green, A).tau
-
-
 def exit_transport_chain(G, v, w, regions, p=2.0):
     """For each region A: the pattern carrying ex_v^A to ex_w^A built from
-    the stopped-walk transports of v and w, both from one interior solve
-    on A, and the edge v -> w; reports p- and sup-norms after cycle
-    cancellation.
+    the stopped-walk transports of v and w and the edge v -> w; reports p-
+    and sup-norms after cycle cancellation.
+
+    The stopped-walk transport from v is the random-step pattern of its
+    Green measure h (h[i] the expected visits to members[i] of the walk
+    from v stopped on leaving A): the step patterns of the stopped walk's
+    laws add up to it, so it carries delta_v to the exit law from v.  One
+    interior solve on A gives h for v and w, and one incidence product
+    their two patterns.
 
     Returns a list of dicts with norms, residual and the pattern.  Raises,
     before any solve, ValueError if v and w are not adjacent and
-    InvalidInput if p is no exponent of lp_norm.
+    InvalidInput if p is no exponent of lp_norm; InvalidInput if the
+    members of A carrying Green mass have mixed degrees.
     """
     e = G.edge_ids(v, w)
     if e < 0:
@@ -239,8 +242,12 @@ def exit_transport_chain(G, v, w, regions, p=2.0):
     for A in regions:
         A = subset_view(G, A)
         h, (exv, exw) = A.exit_solve([v, w])
-        tau = EdgeField(G, _green_step(G, A, h[:, 1]).a
-                        - _green_step(G, A, h[:, 0]).a)
+        _one_degree(G, A.members[np.any(h != 0, axis=1)])
+        green = np.zeros((G.n, 2))
+        green[A.members] = h / G.degrees[A.members, None]
+        # B @ -green, not -(B @ green): see random_step_transport
+        flows = G.incidence_matrix() @ -green
+        tau = EdgeField(G, flows[:, 1] - flows[:, 0])
         tau.a[e] += 1.0 if v < w else -1.0
         pat = cycle_cancel(TransportPattern(tau, exv, exw))
         out.append({

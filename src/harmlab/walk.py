@@ -1,10 +1,10 @@
 """Random walks: stopped walks, exit distributions, entropy and Green
 partial sums.
 
-Walks on Cayley balls use the ambient group degree, so distributions are
-faithful as long as their support stays in the interior; operations that
-would touch the truncation sphere raise InvalidInput instead of
-silently leaking mass.
+Walks on Cayley balls use the ambient group degree.  A law may reach the
+truncation sphere, and the gradient norms and Green residuals computed
+from it count the Cayley-graph edges that leave the ball; a step from
+the sphere would leak mass, so it raises InvalidInput instead.
 """
 
 from __future__ import annotations
@@ -104,6 +104,14 @@ def _ball_step(ball, a, laziness):
     return out
 
 
+def _edges_out(ball):
+    """Per vertex, the Cayley-graph edges from it that leave the ball,
+    nonzero on the truncation sphere only.  A law vanishes outside the
+    ball, so each such edge at x adds |a(x)| to the l^1 norm of its
+    gradient."""
+    return ball.group.degree - ball.graph.degrees
+
+
 def _walk(ball, x, steps, laziness):
     """The laws of the walk from x after 0..steps steps.  Raises
     InvalidInput before a step from a law that touches the
@@ -139,7 +147,9 @@ def green_partial(ball, x, n):
     for a in _walk(ball, x, n - 1, 0.0):
         acc += a
     g = acc / n
-    residual = np.abs(g - _ball_step(ball, g, 0.0)).sum()
+    # outside the ball g = 0, and P g there is g(x) / d per leaving edge
+    residual = (np.abs(g - _ball_step(ball, g, 0.0)).sum()
+                + g @ _edges_out(ball) / ball.group.degree)
     return Distribution(ball.graph, g, check=False), float(residual)
 
 
@@ -147,6 +157,7 @@ def entropy_profile(ball, N, laziness=0.5):
     """Per-step table of entropies, speed, gradient norm and return
     probability for the walk started at the identity."""
     check_count(N, "N", 0)
+    out = _edges_out(ball)
     rows = []
     for n, a in enumerate(_walk(ball, ball.identity_vertex, N, laziness)):
         mu = Distribution(ball.graph, a, check=False)
@@ -157,63 +168,37 @@ def entropy_profile(ball, N, laziness=0.5):
             "H2": renyi(mu, 2),
             "Hinf": renyi(mu, np.inf),
             "speed": speed(mu, ball.word_length),
-            "grad_l1": lp_norm(gradient(mu), 1),
+            "grad_l1": lp_norm(gradient(mu), 1) + float(a @ out),
             "return_prob": float(a[ball.identity_vertex]),
         })
     return rows
 
 
-class RadialTreeWalk:
-    """Simple walk on the infinite d-regular tree reduced to its radial
-    birth-death chain.  Level k holds c_k = d (d-1)^{k-1} vertices; the
-    walk moves inward with probability 1/d and outward with (d-1)/d.
-
-    Exact up to float rounding for any horizon, with no truncated ball.
-    """
-
-    def __init__(self, d, horizon):
-        check_count(d, "d", 2)
-        check_count(horizon, "horizon", 0)
-        self.d = d
-        self.horizon = horizon
-        self.counts = np.concatenate(
-            [[1.0], d * (d - 1.0) ** np.arange(horizon + 1)])
-
-    def step(self, m):
-        """The level masses one step after the level masses m."""
-        d = self.d
+def radial_green_residuals(d, n_max):
+    """||Delta g_n||_1 for n = 1..n_max of the simple walk from the root of
+    the infinite d-regular tree, reduced to its radial birth-death chain:
+    level k >= 1 holds c_k = d (d-1)^{k-1} vertices, and the walk moves
+    inward with probability 1/d and outward with (d-1)/d.  n_max + 4
+    levels hold every step and its Laplacian, so the values are exact up
+    to float rounding, with no truncated ball."""
+    check_count(d, "d", 2)
+    check_count(n_max, "n_max", 0)
+    counts = np.concatenate([[1.0], d * (d - 1.0) ** np.arange(n_max + 3)])
+    m = np.zeros(n_max + 4)
+    m[0] = 1.0
+    acc = m.copy()
+    out = []
+    for n in range(1, n_max + 1):
+        val = acc / n / counts
+        res = np.zeros_like(val)
+        res[0] = val[0] - val[1]
+        res[1:-1] = val[1:-1] - (val[:-2] + (d - 1.0) * val[2:]) / d
+        out.append(float(np.abs(res[:-1] * counts[:-1]).sum()))
         new = np.zeros_like(m)
         new[1] += m[0]
         new[0] += m[1] / d
         new[1:-1] += m[2:] / d
         new[2:] += m[1:-1] * ((d - 1.0) / d)
-        return new
-
-    def values(self, masses):
-        """Per-vertex value at each level for the given level masses."""
-        return masses / self.counts
-
-    def laplacian_l1(self, masses):
-        """||Delta g||_1 for the radial function with given level masses."""
-        d = self.d
-        val = self.values(masses)
-        res = np.zeros_like(val)
-        res[0] = val[0] - val[1]
-        res[1:-1] = val[1:-1] - (val[:-2] + (d - 1.0) * val[2:]) / d
-        return float(np.abs(res[:-1] * self.counts[:-1]).sum())
-
-    def green_residuals(self, n_max):
-        """||Delta g_n||_1 for n = 1..n_max (needs horizon >= n_max + 1),
-        the walk started at the root."""
-        check_count(n_max, "n_max", 0)
-        if self.horizon < n_max + 1:
-            raise InvalidInput("horizon too small for this n")
-        m = np.zeros(self.horizon + 2)
-        m[0] = 1.0
-        acc = m.copy()
-        out = []
-        for n in range(1, n_max + 1):
-            out.append(self.laplacian_l1(acc / n))
-            m = self.step(m)
-            acc += m
-        return np.array(out)
+        m = new
+        acc += m
+    return np.array(out)

@@ -393,8 +393,7 @@ def test_criterion_12_green_sums():
             resid = np.abs(g - P.dot(g)).sum()
             assert resid <= 2.0 / n + 1e-12, (spec, n)
             a = P.dot(a)
-    rt = W.RadialTreeWalk(4, 202)
-    res = rt.green_residuals(200)
+    res = W.radial_green_residuals(4, 200)
     n = np.arange(1, 201)
     assert np.all(res <= 2.0 / n + 1e-12)
 

@@ -4,7 +4,9 @@ code outside the unit tests: the library itself, a bench workload, a demo
 or an acceptance criterion loads its name.  Only an `ast.Name` or
 `ast.Attribute` in load context counts, so a docstring, a comment, a
 string, an import or the `__all__` list names a definition without
-calling it."""
+calling it.  A load of `C.m` or `mod.C.m`, C a top-level library class,
+counts for the member m of C and of C's library bases only; any other
+attribute load counts for every definition of its name."""
 
 import ast
 from collections import Counter
@@ -29,37 +31,71 @@ KEPT = {
 }
 
 
-def loaded_names(node):
+def library_classes(trees):
+    """Each top-level class of the library with its lineage: the class and
+    the library classes it derives from."""
+    bases = {node.name: [b.id if isinstance(b, ast.Name) else b.attr
+                         for b in node.bases
+                         if isinstance(b, (ast.Name, ast.Attribute))]
+             for tree in trees for node in tree.body
+             if isinstance(node, ast.ClassDef)}
+
+    def lineage(c):
+        return {c}.union(*(lineage(b) for b in bases[c] if b in bases))
+
+    return {c: lineage(c) for c in bases}
+
+
+def loaded_names(node, classes):
     """How often code under `node` loads each name: the id of each
-    ast.Name and the attr of each ast.Attribute in load context."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr
-                   for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute))
-                   and isinstance(n.ctx, ast.Load))
+    ast.Name and the attr of each ast.Attribute in load context, the
+    latter keyed "C.attr" when loaded from a class C in `classes`."""
+    out = Counter()
+    for n in ast.walk(node):
+        if not isinstance(getattr(n, "ctx", None), ast.Load):
+            continue
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            v = n.value
+            owner = (v.id if isinstance(v, ast.Name) else
+                     v.attr if isinstance(v, ast.Attribute) else None)
+            out[f"{owner}.{n.attr}" if owner in classes else n.attr] += 1
+    return out
+
+
+def calls(loads, classes, owner, name):
+    """The loads that count for `name`, a member of the class `owner` or
+    (owner None) a top-level definition."""
+    if owner is None:
+        return loads[name]
+    return loads[name] + sum(loads[f"{c}.{name}"]
+                             for c, line in classes.items() if owner in line)
 
 
 def definitions(module, tree):
-    """(label, name, node) of each top-level function and class,
-    and of each non-dunder method, property and `self.` attribute of a
-    top-level class (node None: an attribute's stores load nothing)."""
+    """(label, owner, name, node) of each top-level function and class
+    (owner None), and of each non-dunder method, property and `self.`
+    attribute of a top-level class (node None: an attribute's stores load
+    nothing)."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if not isinstance(node, (*functions, ast.ClassDef)):
             continue
         label = f"{module}: {node.name}"
-        yield label, node.name, node
+        yield label, None, node.name, node
         if not isinstance(node, ast.ClassDef):
             continue
         methods = [m for m in node.body if isinstance(m, functions)
                    and not (m.name.startswith("__") and m.name.endswith("__"))]
         for m in methods:
-            yield f"{label}.{m.name}", m.name, m
+            yield f"{label}.{m.name}", node.name, m.name, m
         attrs = {a.attr for a in ast.walk(node)
                  if isinstance(a, ast.Attribute)
                  and isinstance(a.ctx, ast.Store)
                  and isinstance(a.value, ast.Name) and a.value.id == "self"}
         for a in sorted(attrs - {m.name for m in methods}):
-            yield f"{label}.{a}", a, None
+            yield f"{label}.{a}", node.name, a, None
 
 
 def uncalled(library, callers):
@@ -67,13 +103,16 @@ def uncalled(library, callers):
     name no code loads outside the definition itself, in the library or
     in `callers` (sources)."""
     trees = {name: ast.parse(text) for name, text in library.items()}
-    loads = sum(map(loaded_names, [*trees.values(), *map(ast.parse, callers)]),
+    classes = library_classes(trees.values())
+    loads = sum((loaded_names(t, classes)
+                 for t in [*trees.values(), *map(ast.parse, callers)]),
                 Counter())
     out = []
     for module, tree in trees.items():
-        for label, name, node in definitions(module, tree):
-            own = loaded_names(node)[name] if node else 0
-            if loads[name] <= own:
+        for label, owner, name, node in definitions(module, tree):
+            own = (calls(loaded_names(node, classes), classes, owner, name)
+                   if node else 0)
+            if calls(loads, classes, owner, name) <= own:
                 out.append(label)
     return out
 
@@ -107,6 +146,32 @@ label = "quiet()"
 loud()
 '''
     assert uncalled(library, [caller]) == ["m.py: quiet", "m.py: Box.unused"]
+
+
+def test_a_load_from_a_class_counts_for_that_class_and_its_bases():
+    library = {"m.py": '''
+class A:
+    def f(self):
+        return 1
+
+
+class B:
+    def f(self):
+        return 2
+
+    def g(self):
+        return 3
+
+
+class C(B):
+    pass
+'''}
+    caller = '''
+import m
+A.f(None)
+m.C.g(None)
+'''
+    assert uncalled(library, [caller]) == ["m.py: B.f"]
 
 
 def test_every_definition_has_a_caller_outside_the_unit_tests():

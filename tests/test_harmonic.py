@@ -9,7 +9,7 @@ from harmlab.errors import InvalidInput, NumericalFailure
 from harmlab.graphs import (EdgeField, OrientedGraph, VertexField, ball,
                             bfs_distances, cycle_graph, path_graph,
                             regular_tree, subset_view, torus_grid)
-from harmlab.walk import exit_distributions
+from harmlab.walk import exit_distributions, green_partial
 
 
 class TestDirichlet:
@@ -257,28 +257,28 @@ class TestWitnesses:
     def test_c0_ratio(self):
         B = cayley_ball(build_group("zd:2"), 12)
         for n in (3, 6, 10):
-            f, ratio = H.laplacian_witness(B, "c0", n)
+            f, ratio = H.c0_witness(B, n)
             assert ratio <= 1.0 / (n + 1) + 1e-12
             assert abs(f.a.max() - 1.0) < 1e-12
 
     def test_c0_needs_room(self):
         B = cayley_ball(build_group("zd:1"), 4)
         with pytest.raises(InvalidInput, match="too small"):
-            H.laplacian_witness(B, "c0", 5)
+            H.c0_witness(B, 5)
 
-    # -1 gave NaN after two RuntimeWarnings and 1.5 a ratio of 0.4; the l1
-    # branch named n + 1 in its message
-    @pytest.mark.parametrize("kind, n", [("c0", -1), ("c0", 1.5),
-                                         ("l1", 1.5), ("l1", True)])
-    def test_n_must_be_a_count(self, kind, n):
+    # -1 gave NaN after two RuntimeWarnings and 1.5 a ratio of 0.4
+    @pytest.mark.parametrize("n", [-1, 1.5])
+    def test_n_must_be_a_count(self, n):
         B = cayley_ball(build_group("zd:2"), 6)
         with pytest.raises(ValueError, match=rf"^n must be an integer >= 0, "
                                              rf"not {n}$"):
-            H.laplacian_witness(B, kind, n)
+            H.c0_witness(B, n)
 
     def test_l1_ratio(self):
+        # the l^1 witness beside c0_witness at n: the Green sum over n + 1
+        # steps
         B = cayley_ball(build_group("zd:2"), 30)
         for n in (5, 12, 25):
-            g, resid = H.laplacian_witness(B, "l1", n)
+            g, resid = green_partial(B, B.identity_vertex, n + 1)
             assert resid <= 2.0 / (n + 1) + 1e-12
             assert abs(g.a.sum() - 1.0) < 1e-12

@@ -436,8 +436,10 @@ class TestCycleCancel:
     def test_removes_circulation(self):
         G = cycle_graph(4)
         from harmlab.graphs import EdgeField
-        tau = EdgeField.from_dict(G, {(0, 1): 1, (1, 2): 1, (2, 3): 1,
-                                      (3, 0): 1})
+        x = np.arange(4)
+        y = (x + 1) % 4
+        tau = EdgeField(G)
+        tau.a[G.edge_ids(x, y)] = np.where(x < y, 1.0, -1.0)
         pat = T.TransportPattern(tau, VertexField(G), VertexField(G))
         out = T.cycle_cancel(pat)
         assert out.norm(1) < 1e-12
@@ -675,7 +677,9 @@ class TestStoppedExitTransport:
             A = ball(G, 0, 4)
         tau, mu = iterated_stopped_transport(G, A, v)
         h, (ex,) = A.exit_solve([v])
-        pat = T.TransportPattern(T._green_step(G, A, h[:, 0]),
+        green = VertexField(G)
+        green.a[A.members] = h[:, 0]
+        pat = T.TransportPattern(T.random_step_transport(G, green, A).tau,
                                  Distribution.dirac(G, v), ex)
         assert np.abs(pat.tau.a - tau).max() <= 1e-12
         assert np.abs(ex.a - mu).max() <= 1e-12

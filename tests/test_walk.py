@@ -420,6 +420,24 @@ class TestBallWalks:
         with pytest.raises(InvalidInput, match="truncation sphere"):
             W.green_partial(B, B.identity_vertex, R + 2)
 
+    @pytest.mark.parametrize("spec", ["zd:2", "free:2", "heisenberg",
+                                      "lamplighter:2,1", "dinf", "bs:1,2"])
+    def test_laws_on_the_sphere_count_the_edges_that_leave(self, spec):
+        # the gradient and the Green residual of a law on the sphere of
+        # B(R) take the edges out of the ball; B(R + 1) holds them all.
+        # Counting only the ball's edges gave 1.75, not 2, on zd:1
+        R = 3
+        small, big = (cayley_ball(build_group(spec), r) for r in (R, R + 1))
+        for laziness in (0.0, 0.5):
+            rows = [[row["grad_l1"] for row in W.entropy_profile(b, R,
+                                                                 laziness)]
+                    for b in (small, big)]
+            assert np.abs(np.subtract(*rows)).max() < 1e-12
+        for n in range(1, R + 2):
+            resid = [W.green_partial(b, b.identity_vertex, n)[1]
+                     for b in (small, big)]
+            assert abs(resid[0] - resid[1]) < 1e-12
+
     def test_z1_binomial(self):
         B = cayley_ball(build_group("zd:1"), 8)
         mu = W.distribution(B, 6)
@@ -446,34 +464,26 @@ class TestBallWalks:
             prev = resid
 
     def test_radial_tree_matches_explicit_ball(self):
+        # the walk from the root of the depth-9 tree takes n - 1 <= 6
+        # steps, so g_n and P g_n never reach the degree-1 leaves
         T = regular_tree(4, 9)
-        from harmlab.graphs import bfs_distances
-        dist = bfs_distances(T, 0)
+        P = T.adjacency_matrix() / 4
         a = np.zeros(T.n)
         a[0] = 1.0
-        A = T.adjacency_matrix()
-        rt = W.RadialTreeWalk(4, 9)
-        m = np.zeros(11)
-        m[0] = 1.0
-        for _ in range(7):
-            a = A.dot(a) / 4
-            m = rt.step(m)
-        masses = np.bincount(dist, weights=a, minlength=10)
-        assert np.abs(masses[:9] - m[:9]).max() < 1e-14
+        acc = np.zeros(T.n)
+        want = []
+        for n in range(1, 8):
+            acc += a
+            g = acc / n
+            want.append(np.abs(g - P.dot(g)).sum())
+            a = P.dot(a)
+        got = W.radial_green_residuals(4, 7)
+        assert np.abs(got - want).max() < 1e-12
 
     def test_radial_green_residuals(self):
-        rt = W.RadialTreeWalk(4, 60)
-        res = rt.green_residuals(50)
+        res = W.radial_green_residuals(4, 50)
         n = np.arange(1, 51)
         assert np.all(res <= 2.0 / n + 1e-12)
-
-    def test_radial_green_residuals_start_at_the_root_on_every_call(self):
-        # the walk state was kept between calls: the second call's residual
-        # at n = 2 was 0.1642, not 0.75
-        rt = W.RadialTreeWalk(4, 30)
-        first = rt.green_residuals(10)
-        assert first[1] == 0.75
-        assert rt.green_residuals(10).tobytes() == first.tobytes()
 
     # a float count was a bare TypeError, and -1 steps gave the step-0 law
     @pytest.mark.parametrize("call, name", [
@@ -482,7 +492,7 @@ class TestBallWalks:
         (lambda B: W.distribution(B, -1), "n"),
         (lambda B: W.distribution(B, 1.0), "n"),
         (lambda B: W.entropy_profile(B, -1), "N"),
-        (lambda B: W.RadialTreeWalk(3, 5).green_residuals(1.5), "n_max"),
+        (lambda B: W.radial_green_residuals(3, 1.5), "n_max"),
     ], ids=["green_float", "green_bool", "distribution_negative",
             "distribution_float", "entropy_negative", "radial_green_float"])
     def test_step_count_must_be_an_integer(self, call, name):
@@ -490,12 +500,12 @@ class TestBallWalks:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             call(B)
 
-    @pytest.mark.parametrize("d, horizon, name", [
-        (1, 5, "d"), (0, 5, "d"), (3, -1, "horizon"), (3, 2.5, "horizon")])
-    def test_radial_tree_arguments(self, d, horizon, name):
-        # d = 1 divided by d - 1 = 0; a negative horizon was accepted
+    @pytest.mark.parametrize("d, n_max, name", [
+        (1, 5, "d"), (0, 5, "d"), (3, -1, "n_max")])
+    def test_radial_tree_arguments(self, d, n_max, name):
+        # d = 1 divided by d - 1 = 0
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-            W.RadialTreeWalk(d, horizon)
+            W.radial_green_residuals(d, n_max)
 
     @pytest.mark.parametrize("laziness", [-0.5, 1.0, 1.5, np.nan])
     def test_laziness_outside_unit_interval(self, laziness):
