@@ -81,16 +81,6 @@ def wasserstein1(G, source, target):
     return float(res.fun), pat
 
 
-def _one_degree(G, vertices):
-    """The degrees of `vertices`; InvalidInput unless they are equal."""
-    deg = G.degrees[vertices]
-    bad = np.flatnonzero(deg != deg[:1])
-    if len(bad):
-        raise InvalidInput(f"vertex {vertices[bad[0]]} has degree "
-                           f"{deg[bad[0]]} != {deg[0]}")
-    return deg
-
-
 def random_step_transport(G, mu, A):
     """One simple-walk step applied to the part of mu inside A: each vertex
     splits its mass evenly over all d neighbours.  The divergence is
@@ -100,7 +90,11 @@ def random_step_transport(G, mu, A):
     _check_graph(G, mu)
     A = subset_view(G, A)
     active = np.flatnonzero((mu.a != 0) & A.mask)
-    deg = _one_degree(G, active)
+    deg = G.degrees[active]
+    bad = np.flatnonzero(deg != deg[:1])
+    if len(bad):
+        raise InvalidInput(f"vertex {active[bad[0]]} has degree "
+                           f"{deg[bad[0]]} != {deg[0]}")
     w = np.zeros(G.n)
     w[active] = mu.a[active] / deg
     # B @ -w, not -(B @ w), which would put -0.0 on edges carrying nothing
@@ -226,8 +220,7 @@ def exit_transport_chain(G, v, w, regions, p=2.0):
     Green measure h (h[i] the expected visits to members[i] of the walk
     from v stopped on leaving A): the step patterns of the stopped walk's
     laws add up to it, so it carries delta_v to the exit law from v.  One
-    interior solve on A gives h for v and w, and one incidence product
-    their two patterns.
+    interior solve on A gives h for v and w.
 
     Returns a list of dicts with norms, residual and the pattern.  Raises,
     before any solve, ValueError if v and w are not adjacent and
@@ -242,12 +235,12 @@ def exit_transport_chain(G, v, w, regions, p=2.0):
     for A in regions:
         A = subset_view(G, A)
         h, (exv, exw) = A.exit_solve([v, w])
-        _one_degree(G, A.members[np.any(h != 0, axis=1)])
-        green = np.zeros((G.n, 2))
-        green[A.members] = h / G.degrees[A.members, None]
-        # B @ -green, not -(B @ green): see random_step_transport
-        flows = G.incidence_matrix() @ -green
-        tau = EdgeField(G, flows[:, 1] - flows[:, 0])
+        steps = []
+        for hj in h.T:
+            green = VertexField(G)
+            green.a[A.members] = hj
+            steps.append(random_step_transport(G, green, A).tau.a)
+        tau = EdgeField(G, steps[1] - steps[0])
         tau.a[e] += 1.0 if v < w else -1.0
         pat = cycle_cancel(TransportPattern(tau, exv, exw))
         out.append({
