@@ -421,8 +421,11 @@ class CayleyBall:
         return 0
 
     def translation_table(self, gen):
-        """Array t with t[i] = vertex of elements[i] * gen, or -1 if that
-        product lies outside the ball: a column of `nbr`."""
+        """Column t of `nbr`: t[i] = vertex of elements[i] * gen, -1 if
+        outside the ball.  InvalidInput for another group's generator."""
+        if gen.element != self.group.gen(gen.name).element:
+            raise InvalidInput(f"{gen.name} = {gen.element!r} is not a "
+                               f"generator of {self.group.kind}")
         return self.nbr[:, self._column[gen.name]]
 
 
@@ -476,7 +479,7 @@ def _search(group, R, cap):
     L, k = R + 1, group.degree
     bounds, weights, dtype = _packing(group, L)
     gens = [s.element for s in group.generators]
-    try:  # inverse[c]: the first column whose generator is s_c's inverse
+    try:  # inverse[c]: the column of s_c's inverse
         inverse = [gens.index(group.inverse(h)) for h in gens]
     except ValueError:
         raise InvalidInput(f"{group.kind}: the generators are not closed "
@@ -551,24 +554,20 @@ def _search(group, R, cap):
 
 def cayley_ball(group, R, cap=DEFAULT_BALL_CAP):
     """BFS ball of radius R around the identity, one search (`_search`) on
-    the int rows of every group."""
+    the int rows; InvalidInput unless S is a set without the identity."""
     check_count(R, "radius", 1)
     if not group.generators:
         raise InvalidInput(f"{group.kind} has no generators")
     wl, nbr, keys = _search(group, R, cap)
-    # the edges are the pairs (i, nbr[i, k]) with i < nbr[i, k]; a stable
-    # sort by the key i * n + j keeps, of the products that collapse to one
-    # edge, the first in row-major order
+    # nbr[0] lists S.  With S a set without the identity, each i < nbr[i, k]
+    # is its own edge; sorted by i * n + j, stably as the keys ascend in i
+    if len(np.unique(nbr[0])) < group.degree or not nbr[0].all():
+        raise InvalidInput(f"{group.kind}: repeated or identity generator")
     n, k = nbr.shape
     head = nbr.ravel()
     sel = np.flatnonzero(nbr > np.arange(n)[:, None])
-    key = sel // k * n + head[sel]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    keep = sel[order[first]]
-    graph = OrientedGraph(n, np.column_stack([keep // k, head[keep]]),
+    sel = sel[np.argsort(sel // k * n + head[sel], kind="stable")]
+    graph = OrientedGraph(n, np.column_stack([sel // k, head[sel]]),
                           validate=False)
     return CayleyBall(group, graph, wl, R, nbr, keys)
 
@@ -583,14 +582,12 @@ def path_of_element(ball, word):
     """
     verts = [ball.identity_vertex]
     for s in word:
-        nxt = int(ball.nbr[verts[-1], ball._column[s.name]])
+        nxt = int(ball.translation_table(s)[verts[-1]])
         if nxt < 0:
             raise InvalidInput(
                 f"path left the radius-{ball.radius} ball")
         verts.append(nxt)
     eids = ball.graph.edge_ids(verts[:-1], verts[1:])
-    if np.any(eids < 0):
-        raise InvalidInput("step is not an edge of the ball")
     steps = [(int(e), 1 if x < y else -1)
              for e, x, y in zip(eids, verts, verts[1:])]
     return verts, steps

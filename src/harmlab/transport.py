@@ -143,8 +143,6 @@ def central_transport(ball, word, mu):
             raise InvalidInput("translation leaves the ball; increase the "
                                "radius by the word length")
         eid = G.edge_ids(cur, nxt)
-        if np.any(eid < 0):
-            raise InvalidInput("missing edge along the word path")
         sign = np.where(cur < nxt, 1.0, -1.0)
         np.add.at(tau.a, eid, sign * w)
         cur = nxt

@@ -65,8 +65,6 @@ def window_projection_stats(ball, F, label):
         raise InvalidInput("window touches the truncation sphere; "
                            "enlarge the ball")
     eids = G.edge_ids(F.members, targets)
-    if np.any(eids < 0):
-        raise InvalidInput(f"a {label} step is not an edge of the ball")
     edge_ids, Q = complement_basis(G, F)
     # an involution reaches each of its edges from both ends, so each label
     # row is taken once

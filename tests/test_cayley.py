@@ -164,6 +164,12 @@ class TestGroupArithmetic:
             with pytest.raises(InvalidInput, match="group spec|group kind|only bs"):
                 build_group(bad)
 
+    def test_bs_needs_n_at_least_two(self):
+        # BS(1, 1) is Z^2, whose t and a commute; bs:1,n builds it only
+        # for n >= 2
+        with pytest.raises(InvalidInput, match="n >= 2"):
+            build_group("bs:1,1")
+
     @pytest.mark.parametrize("spec", ["lamplighter:1,1", "lamplighter:1,0",
                                       "lamplighter:0,1"])
     def test_lamplighter_needs_two_lamp_states(self, spec):
@@ -191,6 +197,19 @@ class TestPaths:
         B = cayley_ball(g, 3)
         with pytest.raises(InvalidInput, match="path left"):
             path_of_element(B, g.word(["s1"] * 5))
+
+    def test_generator_of_another_group_raises(self):
+        # heisenberg's s1 = (1, 0, 0) shares a name with zd:2's s1; the path
+        # was [0, 1, 6], as if the word were zd:2's s1 s2
+        B = cayley_ball(build_group("zd:2"), 4)
+        word = build_group("heisenberg").word(["s1", "s2"])
+        with pytest.raises(InvalidInput, match="not a generator of zd:2"):
+            path_of_element(B, word)
+        # a second handle of the same group has the same generators
+        verts, _ = path_of_element(B, build_group("zd:2").word(["s1", "s2"]))
+        assert B.elements[verts[-1]] == (1, 1)
+        with pytest.raises(InvalidInput, match="has no generator"):
+            B.translation_table(Generator("t", (1, 0)))
 
     def test_translation_table(self):
         g = build_group("zd:2")
@@ -230,6 +249,13 @@ TABLE_CASES = [("zd:1", 6), ("zd:3", 4), ("zd:30", 2), ("heisenberg", 9),
                ("free:2", 4), ("lamplighter:2,1", 5), ("lamplighter:3,2", 3),
                ("bs:1,2", 5), ("dinf", 7), ("free:1", 45), ("bs:1,10", 9),
                ("lamplighter:2,2", 4), ("lamplighter:2,0", 3)]
+
+
+def triangular_lattice():
+    """Z^2 with a third generator (1, 1), and its inverse."""
+    g = build_group("zd:2")
+    g._add_gen_pair("t", (1, 1))
+    return g
 
 
 def keys_fit_int64(spec, R):
@@ -368,31 +394,25 @@ class TestMultiplicationTable:
         assert B.vertex_of[(1, 2, -1)] == B.nbr[B.nbr[B.nbr[0, 0], 2], 1]
         assert "elements" not in B.__dict__
 
-    @pytest.mark.parametrize("spec", ["zd:2", "free:2"])
-    def test_multi_edges_collapse_to_one_edge(self, spec):
-        # listing s1 twice, the second time as u, makes every s1-edge a
-        # multi-edge; it collapses to one edge
+    @pytest.mark.parametrize("spec, h", [("zd:2", (1, 0)), ("free:2", (1,)),
+                                         ("zd:2", (0, 0))],
+                             ids=["zd:2", "free:2", "identity"])
+    def test_repeated_or_identity_generator_is_refused(self, spec, h):
+        # u repeating s1 would make every s1-edge a multi-edge, and u the
+        # identity a loop at every vertex, while a walk divides by all |S|
         g = build_group(spec)
-        g._add_gen_pair("u", g.gen("s1").element)
-        B = cayley_ball(g, 3)
-        elements, wl, table, edges = reference_ball(g, 3)
-        assert B.nbr.tolist() == table
-        assert list(zip(B.graph.tails.tolist(),
-                        B.graph.heads.tolist())) == edges
+        g._add_gen_pair("u", h)
+        with pytest.raises(InvalidInput, match="repeated or identity"):
+            cayley_ball(g, 3)
 
     @pytest.mark.parametrize("name", ["t", "s"])
     def test_involution_and_a_duplicate_generator(self, name):
         # dinf's s is its own inverse; u repeats t (u' repeats t') or s (u
-        # and u' both repeat s), so a generator's inverse has several columns
+        # and u' both repeat s, as a pair added for an involution does)
         g = build_group("dinf")
         g._add_gen_pair("u", g.gen(name).element)
-        B = cayley_ball(g, 6)
-        elements, wl, table, edges = reference_ball(g, 6)
-        assert B.elements == elements and B.word_length.tolist() == wl
-        assert B.nbr.tolist() == table
-        assert list(zip(B.graph.tails.tolist(),
-                        B.graph.heads.tolist())) == edges
-        assert all(B.vertex_of[x] == i for i, x in enumerate(elements))
+        with pytest.raises(InvalidInput, match="repeated or identity"):
+            cayley_ball(g, 6)
 
     def test_generators_must_be_symmetric(self):
         g = build_group("zd:2")
@@ -401,19 +421,20 @@ class TestMultiplicationTable:
             cayley_ball(g, 3)
 
     def test_products_within_a_sphere(self):
-        # Z^2 with a third generator (1, 1) is the triangular lattice: some
-        # products of a sphere lie in the same sphere
-        g = build_group("zd:2")
-        g._add_gen_pair("t", (1, 1))
+        # some products of a triangular-lattice sphere lie in the same sphere
+        g = triangular_lattice()
         B = cayley_ball(g, 5)
         elements, wl, table, edges = reference_ball(g, 5)
         assert B.elements == elements and B.nbr.tolist() == table
         assert np.any(B.word_length[B.graph.tails]
                       == B.word_length[B.graph.heads])
 
-    @pytest.mark.parametrize("spec,R", TABLE_CASES)
+    @pytest.mark.parametrize("spec,R", TABLE_CASES + [("triangular", 5)])
     def test_edge_ids_match_edge_index(self, spec, R):
-        B = cayley_ball(build_group(spec), R)
+        # every product inside the ball is an edge: path_of_element,
+        # central_transport and the window statistics read them unchecked
+        g = triangular_lattice() if spec == "triangular" else build_group(spec)
+        B = cayley_ball(g, R)
         x = np.repeat(np.arange(B.n), B.group.degree)
         y = B.nbr.ravel()
         ok = y >= 0

@@ -263,6 +263,16 @@ class TestPlumbing:
         assert proc.returncode == 0
         assert '"kappa1"' in proc.stdout
 
+    def test_package_runs_as_a_module(self):
+        # python -m harmlab, with the exit status of cli.main
+        for argv, code in [(["--graph", "cycle:6", "--dry-run"], 0),
+                           (["--graph", "nope:3"], 2)]:
+            proc = subprocess.run([sys.executable, "-m", "harmlab",
+                                   "spectral", *argv],
+                                  capture_output=True, text=True)
+            assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith("invalid input")
+
 
 def one_line_exit_2(argv, capsys):
     """The command exits 2 with a single line on stderr and no output."""
@@ -385,6 +395,22 @@ class TestFileInputs:
             path.write_text(content)
         one_line_exit_2(["iso", "radial", "--graph", "cycle:10",
                          "--set", str(path)], capsys)
+
+    def test_graph_file_not_connected(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"vertices": 4,
+                                    "edges": [[0, 1], [2, 3]]}))
+        err = one_line_exit_2(["spectral", "--graph", str(path)], capsys)
+        assert "is not connected" in err
+
+    def test_graph_file_is_a_directory(self, tmp_path, capsys):
+        err = one_line_exit_2(["spectral", "--graph", str(tmp_path)], capsys)
+        assert "cannot read graph file" in err
+
+    def test_out_into_a_missing_directory(self, tmp_path, capsys):
+        one_line_exit_2(["spectral", "--graph", "cycle:6", "--out",
+                         str(tmp_path / "missing" / "rep.json")], capsys)
+        assert not (tmp_path / "missing").exists()
 
     def test_graph_file_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "g.json"

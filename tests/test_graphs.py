@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 from test_cayley import TABLE_CASES
 
 from harmlab.cayley import build_group, cayley_ball
-from harmlab.errors import BudgetExceeded, InvalidInput
+from harmlab.errors import BudgetExceeded, InvalidInput, NumericalFailure
 from harmlab.graphs import (Distribution, EdgeField, OrientedGraph,
                             VertexField, ball, bfs_distances, bitmask_rows,
-                            cycle_graph, complete_graph, divergence, gradient,
-                            hypercube_graph, load_graph, lp_norm,
-                            neighbour_masks, path_graph, random_regular_graph,
-                            regular_tree, save_graph, subset_view, torus_grid)
+                            cycle_graph, complete_graph, direct_solve,
+                            divergence, gradient, hypercube_graph, load_graph,
+                            lp_norm, neighbour_masks, path_graph,
+                            random_regular_graph, regular_tree, save_graph,
+                            subset_view, torus_grid)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -299,6 +300,15 @@ class TestConstruction:
             OrientedGraph(3, [(0, 1), (0, 1)])
         with pytest.raises(ValueError):
             OrientedGraph(3, [(1, 1)])
+
+    def test_endpoint_out_of_range(self):
+        with pytest.raises(ValueError, match="edge endpoint out of range"):
+            OrientedGraph(3, [[0, 3]])
+
+    def test_direct_solve_refuses_a_non_finite_solution(self):
+        # the pivot is not zero, but x = 1e310 overflows
+        with pytest.raises(NumericalFailure, match="non-finite solution"):
+            direct_solve(sp.csr_matrix([[1e-300]]), [1e10])
 
     # an odd degree sum or d >= n was networkx's NetworkXError, which is
     # not a ValueError

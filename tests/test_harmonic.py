@@ -147,6 +147,11 @@ class TestDecayProfiles:
             # exit laws of 0 and 1 through [-r, r] differ by 2/(2r+2)
             assert abs(row["l1"] - 2.0 / (2 * row["r"] + 2)) < 1e-10
 
+    def test_probe_radius_that_swallows_the_graph_raises(self):
+        # B(0, 4) is all of the 8-cycle: no exit law exists
+        with pytest.raises(InvalidInput, match="radius 4 swallows the graph"):
+            H.liouville_probe(cycle_graph(8), 0, 0, 1, radii=[2, 4])
+
     def test_probe_monotone_on_tree(self):
         T = regular_tree(4, 8)
         out = H.liouville_probe(T, 0, 0, 1, radii=[3, 4, 5, 6])

@@ -329,6 +329,21 @@ class TestGeometry:
         with pytest.raises(InvalidInput, match="empty set"):
             I.inradius(cycle_graph(8), [])
 
+    def test_whole_vertex_set(self):
+        # every ball fits: inradius reports vertex 0's eccentricity, and no
+        # boundary edge is there to measure a distance to
+        G = cycle_graph(8)
+        assert I.inradius(G, range(8)) == 4
+        assert I.mean_boundary_distance(G, range(8)) == 0.0
+
+    def test_boundary_distance_of_unreachable_members(self):
+        # the path 0-1-2 and the triangle 3-4-5: F keeps the triangle
+        # whole, so no boundary edge reaches 3, 4 or 5 and they count at
+        # the largest finite distance, 1 (that of vertex 0 from 1)
+        G = OrientedGraph(6, [[0, 1], [1, 2], [3, 4], [3, 5], [4, 5]])
+        F = [0, 1, 3, 4, 5]
+        assert abs(I.mean_boundary_distance(G, F) - 4 / 5) < 1e-12
+
     def test_diameter_disconnected(self):
         G = cycle_graph(8)
         with pytest.raises(InvalidInput, match="disconnected"):

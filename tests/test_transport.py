@@ -421,6 +421,15 @@ class TestCentral:
         with pytest.raises(InvalidInput, match="leaves the ball"):
             T.central_transport(B, g.word(["s1", "s1"]), mu)
 
+    def test_word_of_another_group_raises(self):
+        # heisenberg's generators share their names with zd:2's; the
+        # pattern had residual 0 and target = source
+        B = cayley_ball(build_group("zd:2"), 6)
+        mu = Distribution.dirac(B.graph, B.identity_vertex)
+        with pytest.raises(InvalidInput, match="not a generator of zd:2"):
+            T.central_transport(B, build_group("heisenberg").central_word(),
+                                mu)
+
     @pytest.mark.parametrize("radius", [6, 5],
                              ids=["equal_graph", "smaller_graph"])
     def test_measure_of_another_graph_raises(self, radius):

@@ -232,6 +232,12 @@ class TestProjectionStats:
         with pytest.raises(InvalidInput, match="empty window"):
             WD.window_projection_stats(z2ball, [], "s1")
 
+    def test_window_touching_the_truncation_sphere_raises(self, z2ball):
+        # (17, 0) lies on the radius-17 sphere; its s1-step leaves the ball
+        F = square_members(z2ball, 2, 1, i0=16)
+        with pytest.raises(InvalidInput, match="touches the truncation"):
+            WD.window_projection_stats(z2ball, F, "s1")
+
     def test_budget_guard(self):
         B = cayley_ball(build_group("zd:2"), 92)
         F = subset_view(B.graph, square_members(B, 45))
