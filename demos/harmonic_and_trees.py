@@ -14,7 +14,7 @@ from harmlab.graphs import ball, regular_tree, divergence
 from harmlab.harmonic import (c0_witness, dirichlet_extend,
                               harmonic_residual, tree_flow,
                               tree_flow_level_sums)
-from harmlab.walk import exit_distributions, green_partial
+from harmlab.walk import exit_distributions, green_partials
 
 
 def main():
@@ -33,9 +33,11 @@ def main():
 
     B = cayley_ball(build_group("zd:2"), 24)
     print("witness families (ratios should sit at their 1/(n+1) bounds):")
-    for n in (4, 9, 19):
+    greens = green_partials(B, B.identity_vertex, 20)
+    for n, (_, l1) in enumerate(greens):  # g_{n+1} for n = 0..19
+        if n not in (4, 9, 19):
+            continue
         _, c0 = c0_witness(B, n)
-        _, l1 = green_partial(B, B.identity_vertex, n + 1)
         print(f"  n = {n:2d}: sup-gradient {c0:.5f} (bound"
               f" {1 / (n + 1):.5f}), ||Delta g||_1 {l1:.5f} (bound"
               f" {2 / (n + 1):.5f})")

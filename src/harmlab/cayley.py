@@ -380,9 +380,10 @@ class CayleyBall:
     the canonical form of vertex i; word_length[i] its distance to the
     identity; interior marks word_length < R.  nbr is the read-only n x |S|
     right-multiplication table: nbr[i, k] is the vertex of elements[i] *
-    group.generators[k], or -1 if that product lies outside the ball.
-    vertex_of[g] is the vertex of g, by packed key (KeyError if g is no
-    canonical element of the ball); it and `elements` are built on first use.
+    group.generators[k], or -1 if that product lies outside the ball, and
+    edge_table[i, k] the id of the edge between them, or -1.  vertex_of[g]
+    is the vertex of g, by packed key (KeyError if g is no canonical element
+    of the ball); it, `elements` and `edge_table` are built on first use.
     """
 
     def __init__(self, group, graph, word_length, radius, nbr, keys):
@@ -394,7 +395,7 @@ class CayleyBall:
         nbr.flags.writeable = False
         self.nbr = nbr
         self._keys = keys
-        self._column = {s.name: k for k, s in enumerate(group.generators)}
+        self._columns = {s.name: k for k, s in enumerate(group.generators)}
 
     @functools.cached_property
     def elements(self):
@@ -409,6 +410,23 @@ class CayleyBall:
         return els
 
     @functools.cached_property
+    def edge_table(self):
+        # the edge (x, y), x < y, fills slot (x, c), where nbr[x, c] = y, and
+        # slot (y, inverse[c]), the column that takes nbr[0, c] back to 0;
+        # small dtypes keep the temporaries below the table's own size
+        G, (n, k) = self.graph, self.nbr.shape
+        col = np.zeros(G.m, dtype=np.min_scalar_type(k))
+        for c in range(1, k):
+            np.putmask(col, self.nbr[:, c].take(G.tails) == G.heads, c)
+        inverse = (self.nbr[self.nbr[0]] == 0).argmax(axis=1)
+        ids = np.arange(G.m, dtype=np.int32 if G.m < 2 ** 31 else np.int64)
+        table = np.full((n, k), -1, dtype=ids.dtype)
+        table[G.tails, col] = ids
+        table[G.heads, inverse.astype(col.dtype)[col]] = ids
+        table.flags.writeable = False
+        return table
+
+    @functools.cached_property
     def vertex_of(self):
         return _VertexLookup(self.group, self.radius + 1, self._keys)
 
@@ -420,13 +438,22 @@ class CayleyBall:
     def identity_vertex(self):
         return 0
 
-    def translation_table(self, gen):
-        """Column t of `nbr`: t[i] = vertex of elements[i] * gen, -1 if
-        outside the ball.  InvalidInput for another group's generator."""
+    def _column(self, gen):
+        """The column of gen; InvalidInput for another group's generator."""
         if gen.element != self.group.gen(gen.name).element:
             raise InvalidInput(f"{gen.name} = {gen.element!r} is not a "
                                f"generator of {self.group.kind}")
-        return self.nbr[:, self._column[gen.name]]
+        return self._columns[gen.name]
+
+    def translation_table(self, gen):
+        """Column t of `nbr`: t[i] = vertex of elements[i] * gen, -1 if
+        outside the ball.  InvalidInput for another group's generator."""
+        return self.nbr[:, self._column(gen)]
+
+    def edge_column(self, gen):
+        """Column e of `edge_table`: e[i] = id of the edge from i to i * gen,
+        -1 if outside the ball.  InvalidInput for another group's generator."""
+        return self.edge_table[:, self._column(gen)]
 
 
 class _VertexLookup:
@@ -580,14 +607,12 @@ def path_of_element(ball, word):
     (edge id, sign): sign +1 if the step traverses the edge in its
     canonical orientation, -1 otherwise.
     """
-    verts = [ball.identity_vertex]
+    verts, steps = [ball.identity_vertex], []
     for s in word:
-        nxt = int(ball.translation_table(s)[verts[-1]])
-        if nxt < 0:
+        x, y = verts[-1], int(ball.translation_table(s)[verts[-1]])
+        if y < 0:
             raise InvalidInput(
                 f"path left the radius-{ball.radius} ball")
-        verts.append(nxt)
-    eids = ball.graph.edge_ids(verts[:-1], verts[1:])
-    steps = [(int(e), 1 if x < y else -1)
-             for e, x, y in zip(eids, verts, verts[1:])]
+        verts.append(y)
+        steps.append((int(ball.edge_column(s)[x]), 1 if x < y else -1))
     return verts, steps

@@ -320,9 +320,10 @@ def cmd_harmonic_witness(args):
     group = cayley.build_group(args.group)
     b = cayley.cayley_ball(group, args.n + 2, cap=_ball_cap(args))
     rows = []
-    for n in range(1, args.n + 1):
+    greens = walkmod.green_partials(b, b.identity_vertex, args.n + 1)
+    next(greens)  # g_1; row n reads g_{n+1}
+    for n, (_, l1) in enumerate(greens, 1):
         _, c0 = harmonic.c0_witness(b, n)
-        _, l1 = walkmod.green_partial(b, b.identity_vertex, n + 1)
         rows.append({"n": n, "c0_ratio": c0, "c0_bound": 1.0 / (n + 1),
                      "l1_ratio": l1, "l1_bound": 2.0 / (n + 1)})
     return ["n", "c0_ratio", "c0_bound", "l1_ratio", "l1_bound"], rows

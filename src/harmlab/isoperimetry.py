@@ -239,8 +239,11 @@ def inradius(G, F):
     if len(comp) == 0:
         # F = V: every ball fits; report the largest radius that matters
         return int(bfs_distances(G, 0).max())
-    dist = bfs_distances(G, comp)
-    return int(dist[F.members].max() - 1)
+    dist = bfs_distances(G, comp)[F.members]
+    if dist.min() < 0:
+        raise InvalidInput(f"member {F.members[dist.argmin()]} of F is not "
+                           f"reachable from the complement")
+    return int(dist.max() - 1)
 
 
 def diameter(G, F):

@@ -139,18 +139,26 @@ def distribution(ball, n, laziness=0.0):
     return Distribution(ball.graph, a, check=False)
 
 
-def green_partial(ball, x, n):
-    """Partial Green sum g_n = (1/n) sum_{i<n} P^i delta_x and the l^1 norm
-    of its Laplacian (which contracts like 2/n)."""
-    check_count(n, "n", 1)
-    acc = np.zeros(ball.n)
-    for a in _walk(ball, x, n - 1, 0.0):
+def green_partials(ball, x, n_max):
+    """For n = 1..n_max, the partial Green sum g_n = (1/n) sum_{i<n} P^i
+    delta_x and the l^1 norm of its Laplacian (which contracts like 2/n),
+    all from one walk."""
+    check_count(n_max, "n", 1)
+    acc, out = np.zeros(ball.n), _edges_out(ball)
+    for n, a in enumerate(_walk(ball, x, n_max - 1, 0.0), 1):
         acc += a
-    g = acc / n
-    # outside the ball g = 0, and P g there is g(x) / d per leaving edge
-    residual = (np.abs(g - _ball_step(ball, g, 0.0)).sum()
-                + g @ _edges_out(ball) / ball.group.degree)
-    return Distribution(ball.graph, g, check=False), float(residual)
+        g = acc / n
+        # outside the ball g = 0, and P g there is g(x) / d per leaving edge
+        residual = (np.abs(g - _ball_step(ball, g, 0.0)).sum()
+                    + g @ out / ball.group.degree)
+        yield Distribution(ball.graph, g, check=False), float(residual)
+
+
+def green_partial(ball, x, n):
+    """g_n and the l^1 norm of its Laplacian: see green_partials."""
+    for item in green_partials(ball, x, n):
+        pass
+    return item
 
 
 def entropy_profile(ball, N, laziness=0.5):

@@ -60,11 +60,10 @@ def window_projection_stats(ball, F, label):
     if nE > DENSE_EDGE_BUDGET:
         raise BudgetExceeded(f"window has {nE} edges > {DENSE_EDGE_BUDGET}")
     # one label step per window vertex: x -> x*s
-    targets = ball.translation_table(ball.group.gen(label))[F.members]
-    if np.any(targets < 0):
+    eids = ball.edge_column(ball.group.gen(label))[F.members]
+    if np.any(eids < 0):
         raise InvalidInput("window touches the truncation sphere; "
                            "enlarge the ball")
-    eids = G.edge_ids(F.members, targets)
     edge_ids, Q = complement_basis(G, F)
     # an involution reaches each of its edges from both ends, so each label
     # row is taken once

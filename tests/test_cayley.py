@@ -429,10 +429,12 @@ class TestMultiplicationTable:
         assert np.any(B.word_length[B.graph.tails]
                       == B.word_length[B.graph.heads])
 
-    @pytest.mark.parametrize("spec,R", TABLE_CASES + [("triangular", 5)])
+    @pytest.mark.parametrize("spec,R", TABLE_CASES + [("triangular", 5),
+                                                      ("zd:2", 6)])
     def test_edge_ids_match_edge_index(self, spec, R):
         # every product inside the ball is an edge: path_of_element,
-        # central_transport and the window statistics read them unchecked
+        # central_transport and the window statistics read their ids,
+        # unchecked, from edge_table, which is -1 where nbr is
         g = triangular_lattice() if spec == "triangular" else build_group(spec)
         B = cayley_ball(g, R)
         x = np.repeat(np.arange(B.n), B.group.degree)
@@ -444,11 +446,26 @@ class TestMultiplicationTable:
         want = [index[(min(a, b), max(a, b))]
                 for a, b in zip(x[ok].tolist(), y[ok].tolist())]
         assert got.tolist() == want
+        table = B.edge_table
+        assert table.dtype == np.int32 and table.shape == B.nbr.shape
+        assert np.array_equal(table.ravel()[ok], got)
+        assert np.all(table.ravel()[~ok] == -1)
+        for k, s in enumerate(g.generators):
+            assert np.array_equal(B.edge_column(s), table[:, k])
         # both orientations, and -1 for pairs that are not edges
         assert np.array_equal(B.graph.edge_ids(y[ok], x[ok]), got)
         far = np.flatnonzero(B.word_length == R)
         assert np.all(B.graph.edge_ids(np.zeros(len(far), dtype=np.int64),
                                        far) == -1)
+
+    def test_edge_table_refuses_another_groups_generator(self):
+        B = cayley_ball(build_group("zd:2"), 4)
+        with pytest.raises(InvalidInput, match="not a generator of zd:2"):
+            B.edge_column(build_group("heisenberg").gen("s1"))
+        with pytest.raises(InvalidInput, match="has no generator"):
+            B.edge_column(Generator("t", (1, 0)))
+        with pytest.raises(ValueError):
+            B.edge_column(B.group.gen("s1"))[0] = 5
 
     @pytest.mark.parametrize("spec,R", TABLE_CASES)
     def test_cap_is_exact(self, spec, R):

@@ -96,6 +96,25 @@ class TestDivergence:
                 bound = 2 * G.degrees.max() ** (1 - 1 / p) * lp_norm(g, p)
                 assert lp_norm(divergence(g), p) <= bound + 1e-12
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_support_sum_matches_the_dense_sum_bit_for_bit(self, seed):
+        # the sum over the whole edge list, in the same order, with zeros
+        # of both signs, NaN and inf among the values
+        G = rand_graph(seed)
+        rng = np.random.default_rng(seed)
+        vals = np.array([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf])
+        a = np.where(rng.random(G.m) < 0.4, rng.normal(size=G.m) * 1e3,
+                     vals[rng.integers(0, 7, size=G.m)])
+        if seed % 3 == 0:  # finite values only
+            a[~np.isfinite(a)] = -0.0
+        dense = np.zeros(G.n)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            np.add.at(dense, G.heads, a)
+            np.subtract.at(dense, G.tails, a)
+            got = divergence(EdgeField(G, a)).a
+        assert got.tobytes() == dense.tobytes()
+        assert not np.signbit(got[got == 0]).any()
+
 
 class TestLaplacian:
     # the Laplacian d (I - P) f is div grad f; these check that route

@@ -344,6 +344,14 @@ class TestGeometry:
         F = [0, 1, 3, 4, 5]
         assert abs(I.mean_boundary_distance(G, F) - 4 / 5) < 1e-12
 
+    def test_inradius_of_unreachable_members_raises(self):
+        # the complement {2} reaches no vertex of the triangle; the
+        # unreachable distances of -1 were passed over, and this read 1
+        G = OrientedGraph(6, [[0, 1], [1, 2], [3, 4], [3, 5], [4, 5]])
+        with pytest.raises(InvalidInput, match="member 3 of F is not "
+                                               "reachable"):
+            I.inradius(G, [0, 1, 3, 4, 5])
+
     def test_diameter_disconnected(self):
         G = cycle_graph(8)
         with pytest.raises(InvalidInput, match="disconnected"):

@@ -463,6 +463,30 @@ class TestBallWalks:
             assert resid <= prev + 1e-12
             prev = resid
 
+    @pytest.mark.parametrize("spec", ["zd:2", "free:2", "heisenberg"])
+    def test_green_partials_match_green_partial_bit_for_bit(self, spec):
+        # against a call per n and against the sum written out, in the
+        # order of the additions of a call per n
+        B = cayley_ball(build_group(spec), 6)
+        A, d = B.graph.adjacency_matrix(), B.group.degree
+        x = int(B.nbr[0, 1])
+        items = list(W.green_partials(B, x, 6))
+        assert len(items) == 6
+        a, acc = np.zeros(B.n), np.zeros(B.n)
+        a[x] = 1.0
+        for n, (g, resid) in enumerate(items, 1):
+            g_n, resid_n = W.green_partial(B, x, n)
+            assert g.a.tobytes() == g_n.a.tobytes() and resid == resid_n
+            acc += a
+            want = acc / n
+            assert g.a.tobytes() == want.tobytes()
+            assert resid == float(np.abs(want - A.dot(want) / d).sum()
+                                  + want @ (d - B.graph.degrees) / d)
+            a = A.dot(a) / d
+        # the walk stops at the item whose step would leave the ball
+        with pytest.raises(InvalidInput, match="truncation sphere"):
+            list(W.green_partials(B, x, 7))
+
     def test_radial_tree_matches_explicit_ball(self):
         # the walk from the root of the depth-9 tree takes n - 1 <= 6
         # steps, so g_n and P g_n never reach the degree-1 leaves
